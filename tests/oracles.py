@@ -124,6 +124,93 @@ def rescan_closure(kb, S):
     return out
 
 
+def brute_loss(model, term, ids):
+    """One loss term's value at one axiom, each formula written out in plain Python.
+
+    ``ids`` holds the axiom's slot ids in the term's column order.  This is
+    the forward reference for the table-driven engine in ``elgeo.geometry``:
+    the finite-difference check only compares that engine with itself, so a
+    wrong but self-consistent table row passes it and fails here.
+    """
+    import math
+
+    g = model.margin
+
+    def x(i):
+        return [float(t) for t in model.centers[i]]
+
+    def v(i):
+        return [float(t) for t in model.rel_vectors[i]]
+
+    def r(i):
+        return float(model.radii[i])
+
+    def norm(a):
+        return math.sqrt(sum(t * t for t in a))
+
+    def comb(*signed):
+        """Sum of (sign, vector) pairs, coordinate by coordinate."""
+        return [sum(s * vec[k] for s, vec in signed) for k in range(model.dim)]
+
+    def act(a):
+        if a > 0.0:
+            return a
+        return 0.0 if model.activation == "relu" else model.leaky_slope * a
+
+    def reg(i):
+        n = norm(x(i))
+        if model.reg_mode == "strict":
+            return abs(n - 1.0)
+        return max(0.0, n - model.reg_radius)
+
+    if term == "gci0_pos":
+        c, d = ids
+        return act(norm(comb((1, x(c)), (-1, x(d)))) + r(c) - r(d) - g) + reg(c) + reg(d)
+    if term == "gci1_pos":
+        c, d, e = ids
+        meet = act(norm(comb((1, x(c)), (-1, x(d)))) - r(c) - r(d) - g)
+        c_in_e = act(norm(comb((1, x(c)), (-1, x(e)))) + r(c) - r(e) - g)
+        d_in_e = act(norm(comb((1, x(d)), (-1, x(e)))) + r(d) - r(e) - g)
+        smaller = act(min(r(c), r(d)) - r(e) - g)
+        return meet + c_in_e + d_in_e + smaller + reg(c) + reg(d) + reg(e)
+    if term == "gci2_pos":
+        c, rel, d = ids
+        dist = norm(comb((1, x(c)), (1, v(rel)), (-1, x(d))))
+        return act(dist + r(c) - r(d) - g) + reg(c) + reg(d)
+    if term == "gci3_pos":
+        rel, c, d = ids
+        dist = norm(comb((1, x(c)), (-1, v(rel)), (-1, x(d))))
+        return act(dist - r(c) - r(d) - g) + reg(c) + reg(d)
+    if term == "gci0_bot":
+        (c,) = ids
+        return r(c)
+    if term == "gci3_bot":
+        rel, c = ids
+        return r(c)
+    if term in ("gci1_bot", "gci0_neg"):
+        c, d = ids
+        return act(r(c) + r(d) - norm(comb((1, x(c)), (-1, x(d)))) + g) + reg(c) + reg(d)
+    if term == "gci1_neg":
+        c, d, e = ids
+        apart = act(norm(comb((1, x(c)), (-1, x(d)))) - r(c) - r(d) - g)
+        e_out_c = act(r(c) - norm(comb((1, x(c)), (-1, x(e)))) + g)
+        e_out_d = act(r(d) - norm(comb((1, x(d)), (-1, x(e)))) + g)
+        return apart + e_out_c + e_out_d + reg(c) + reg(d) + reg(e)
+    if term == "gci2_neg":
+        c, rel, d = ids
+        dist = norm(comb((1, x(c)), (1, v(rel)), (-1, x(d))))
+        return act(r(c) + r(d) - dist + g) + reg(c) + reg(d)
+    if term == "gci3_neg":
+        rel, c, d = ids
+        dist = norm(comb((1, x(c)), (-1, v(rel)), (-1, x(d))))
+        return act(r(c) + r(d) - dist + g) + reg(c) + reg(d)
+    if term == "score_gci2":
+        c, rel, d = ids
+        dist = norm(comb((1, x(c)), (1, v(rel)), (-1, x(d))))
+        return -act(dist - r(c) - r(d) - g)
+    raise ValueError(f"unknown loss term: {term!r}")
+
+
 def finite_difference(fn, model, h=1e-6):
     """Central finite differences of a scalar fn over all model parameters.
 
