@@ -81,9 +81,6 @@ class DeductiveClosure:
     def provenance(self, ax: Axiom) -> str:
         return "asserted" if ax.args in self.asserted[ax.form] else "derived"
 
-    def axioms_of(self, form: Form) -> list[Axiom]:
-        return [Axiom(form, args) for args in sorted(self.sets[form])]
-
     def derived_counts(self) -> dict[str, int]:
         return {
             form.value: len(self.sets[form]) - len(self.asserted[form] & self.sets[form])

@@ -1,48 +1,127 @@
 """Ball-embedding parameters, loss terms, the completion score, and their gradients.
 
-Classes are open n-balls (center plus raw, possibly negative, radius) and
-relations are translation vectors.  Every loss term is a sum of activated
-hinge arguments plus center regularization; ``strict`` regularization is
-``| ||x|| - 1 |`` (centers pinned to the unit sphere) and ``relaxed`` is
-``max(0, ||x|| - R)`` (centers inside the radius-R ball).
+Classes are open n-balls (center x, raw and possibly negative radius r) and
+relations are translation vectors v.  Each loss term (seven positive, four
+negative) and the completion score is one row of ``SPECS``, and one
+forward/backward pass in :func:`loss_term` computes them all.
 
-All losses accept id arrays and return per-sample values; gradients are
-accumulated analytically into a :class:`GradientBuffer`.  Subgradient
-conventions: activation kinks take the derivative of the negative side at 0
-(0 for relu, the slope for leaky_relu), a zero-norm difference vector gets a
-zero direction, and regularization kinks get 0.
+Reading a row: ``_spec(kinds, hinges, reg, sign, act)`` names the id columns
+in axiom order (``c`` class, ``r`` relation).  Each ``Hinge(norm, vec, rad,
+margin, rmin)`` is one hinge argument, ``vec`` and ``rad`` holding a sign or 0
+per slot::
+
+    norm * ||sum_k vec[k] * x_k|| + sum_k rad[k] * r_k + margin * gamma
+                                  [+ min(r_i, r_j) when rmin = (i, j)]
+
+with x_k slot k's center or translation and gamma the model margin.  A
+sample's value is ``sign * sum(act(hinge)) + sum(reg(x_k) for k in reg)``;
+``act=False`` keeps the raw argument, so the BOT terms return a radius.  So
+``_spec("crc", (Hinge(1, (1, 1, -1), (1, 0, -1), -1),), reg=(0, 2))`` reads
+act(||x_c + v_r - x_d|| + r_c - r_d - gamma) + reg(x_c) + reg(x_d).
+Regularization is ``| ||x|| - 1 |`` when ``strict`` (centers on the unit
+sphere) and ``max(0, ||x|| - R)`` when ``relaxed`` (centers in the R-ball).
+
+Gradients accumulate analytically into a :class:`GradientBuffer`.
+Subgradient conventions: activation kinks take the derivative of the negative
+side at 0 (0 for relu, the slope for leaky_relu), a zero-norm summed vector
+gets a zero direction, regularization kinks get 0, and ``min(r_i, r_j)``
+passes its gradient to ``r_i`` on ties.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .axioms import Signature
 
-TERMS = (
-    "gci0_pos", "gci1_pos", "gci2_pos", "gci3_pos",
-    "gci0_bot", "gci1_bot", "gci3_bot",
-    "gci0_neg", "gci1_neg", "gci2_neg", "gci3_neg",
-    "score_gci2",
-)
+
+class Hinge(NamedTuple):
+    norm: int
+    vec: tuple[int, ...]
+    rad: tuple[int, ...]
+    margin: int
+    rmin: tuple[int, ...] = ()
+
+
+class Spec(NamedTuple):
+    """A table row as coefficient matrices over its slots, class slots first."""
+
+    slots: tuple[int, ...]   # id columns in gather order: class slots, then relation slots
+    nc: int                  # number of class slots
+    vec: np.ndarray          # (norm rows + reg slots, slots): vectors whose norms are taken
+    nreg: int                # trailing rows of vec that are regularized centers
+    norm: np.ndarray         # (hinges, rows of vec): signs of the norms in each hinge
+    rad: np.ndarray          # (hinges, class slots)
+    margin: np.ndarray       # (hinges, 1)
+    rmin: tuple[tuple[int, int, int], ...]   # (hinge, i, j) over class slots
+    sign: float
+    act: bool
+
+
+def _spec(kinds: str, hinges, reg=(), sign=1.0, act=True) -> Spec:
+    cls = tuple(k for k, kind in enumerate(kinds) if kind == "c")
+    slots = cls + tuple(k for k, kind in enumerate(kinds) if kind == "r")
+    normed = [i for i, h in enumerate(hinges) if h.norm]
+    vec = [[hinges[i].vec[k] for k in slots] for i in normed]
+    vec += [[int(k == j) for k in slots] for j in reg]
+    norm = np.zeros((len(hinges), len(vec)))
+    for row, i in enumerate(normed):
+        norm[i, row] = hinges[i].norm
+    rmin = tuple((i, cls.index(h.rmin[0]), cls.index(h.rmin[1]))
+                 for i, h in enumerate(hinges) if h.rmin)
+    return Spec(slots=slots, nc=len(cls),
+                vec=np.array(vec, dtype=np.float64).reshape(len(vec), len(slots)),
+                nreg=len(reg), norm=norm,
+                rad=np.array([[h.rad[k] for k in cls] for h in hinges], dtype=np.float64),
+                margin=np.array([[h.margin] for h in hinges], dtype=np.float64),
+                rmin=rmin, sign=sign, act=act)
+
+
+# both penalize ball overlap: act(r_c + r_d - ||x_c - x_d|| + gamma)
+_OVERLAP = _spec("cc", (Hinge(-1, (1, -1), (1, 1), 1),), reg=(0, 1))
+
+SPECS = {
+    "gci0_pos": _spec("cc", (Hinge(1, (1, -1), (1, -1), -1),), reg=(0, 1)),
+    "gci1_pos": _spec("ccc", (
+        Hinge(1, (1, -1, 0), (-1, -1, 0), -1),         # the two balls must meet
+        Hinge(1, (1, 0, -1), (1, 0, -1), -1),          # c inside e
+        Hinge(1, (0, 1, -1), (0, 1, -1), -1),          # d inside e
+        Hinge(0, (0, 0, 0), (0, 0, -1), -1, rmin=(0, 1)),
+    ), reg=(0, 1, 2)),
+    "gci2_pos": _spec("crc", (Hinge(1, (1, 1, -1), (1, 0, -1), -1),), reg=(0, 2)),
+    "gci3_pos": _spec("rcc", (Hinge(1, (-1, 1, -1), (0, -1, -1), -1),), reg=(1, 2)),
+    "gci0_bot": _spec("c", (Hinge(0, (0,), (1,), 0),), act=False),
+    "gci1_bot": _OVERLAP,
+    "gci3_bot": _spec("rc", (Hinge(0, (0, 0), (0, 1), 0),), act=False),
+    "gci0_neg": _OVERLAP,
+    "gci1_neg": _spec("ccc", (
+        Hinge(1, (1, -1, 0), (-1, -1, 0), -1),         # penalize non-overlap of c and d
+        Hinge(-1, (1, 0, -1), (1, 0, 0), 1),           # e's center outside ball c
+        Hinge(-1, (0, 1, -1), (0, 1, 0), 1),           # e's center outside ball d
+    ), reg=(0, 1, 2)),
+    "gci2_neg": _spec("crc", (Hinge(-1, (1, 1, -1), (1, 0, 1), 1),), reg=(0, 2)),
+    "gci3_neg": _spec("rcc", (Hinge(-1, (-1, 1, -1), (0, 1, 1), 1),), reg=(1, 2)),
+    # the completion score: -act(||x_c + v_r - x_d|| - r_c - r_d - gamma), no regularization
+    "score_gci2": _spec("crc", (Hinge(1, (1, 1, -1), (-1, 0, -1), -1),), sign=-1.0),
+}
+
+TERMS = tuple(SPECS)
 
 # Number of id columns each term consumes (relation slots included).
-TERM_ARITY = {
-    "gci0_pos": 2, "gci1_pos": 3, "gci2_pos": 3, "gci3_pos": 3,
-    "gci0_bot": 1, "gci1_bot": 2, "gci3_bot": 2,
-    "gci0_neg": 2, "gci1_neg": 3, "gci2_neg": 3, "gci3_neg": 3,
-    "score_gci2": 3,
-}
+TERM_ARITY = {term: len(spec.slots) for term, spec in SPECS.items()}
 
 # Columns holding relation ids (all other columns are class ids).
-TERM_RELATION_SLOTS = {
-    "gci2_pos": (1,), "gci2_neg": (1,), "score_gci2": (1,),
-    "gci3_pos": (0,), "gci3_neg": (0,), "gci3_bot": (0,),
-}
+TERM_RELATION_SLOTS = {term: spec.slots[spec.nc:] for term, spec in SPECS.items()
+                       if len(spec.slots) > spec.nc}
+
+# Rows per pass of the loss loop: bounds the gathered and gradient blocks a
+# call holds at once, whatever the batch size.
+CHUNK = 1024
 
 CHECKPOINT_MAGIC = b"ELGEO\x00"
 CHECKPOINT_VERSION = 1
@@ -85,12 +164,8 @@ class EmbeddingModel:
                    centers=centers, radii=radii, rel_vectors=rels)
 
     def copy(self) -> "EmbeddingModel":
-        return EmbeddingModel(
-            sig=self.sig, dim=self.dim, margin=self.margin, reg_mode=self.reg_mode,
-            reg_radius=self.reg_radius, activation=self.activation,
-            leaky_slope=self.leaky_slope, seed=self.seed,
-            centers=self.centers.copy(), radii=self.radii.copy(),
-            rel_vectors=self.rel_vectors.copy())
+        return replace(self, centers=self.centers.copy(), radii=self.radii.copy(),
+                       rel_vectors=self.rel_vectors.copy())
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.centers).all() and np.isfinite(self.radii).all()
@@ -122,46 +197,6 @@ class GradientBuffer:
         np.add.at(self.rels, ids, g)
 
 
-def _act(model: EmbeddingModel, x: np.ndarray) -> np.ndarray:
-    if model.activation == "relu":
-        return np.maximum(x, 0.0)
-    return np.where(x > 0.0, x, model.leaky_slope * x)
-
-
-def _dact(model: EmbeddingModel, x: np.ndarray) -> np.ndarray:
-    if model.activation == "relu":
-        return (x > 0.0).astype(np.float64)
-    return np.where(x > 0.0, 1.0, model.leaky_slope)
-
-
-def _unit(diff: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(diff)
-    np.divide(diff, norms[:, None], out=out, where=norms[:, None] > 0.0)
-    return out
-
-
-def _reg(model: EmbeddingModel, ids: np.ndarray, grad: GradientBuffer | None,
-         coef) -> np.ndarray:
-    """Center regularization value per id; gradients accumulated when asked."""
-    x = model.centers[ids]
-    norms = np.linalg.norm(x, axis=1)
-    if model.reg_mode == "strict":
-        val = np.abs(norms - 1.0)
-        dval = np.sign(norms - 1.0)
-    else:
-        excess = norms - model.reg_radius
-        val = np.maximum(excess, 0.0)
-        dval = (excess > 0.0).astype(np.float64)
-    if grad is not None:
-        grad.add_center(ids, (coef * dval)[:, None] * _unit(x, norms))
-    return val
-
-
-def _check_ids(model: EmbeddingModel, ids: np.ndarray, n: int, what: str):
-    if len(ids) and (ids.min() < 0 or ids.max() >= n):
-        raise KeyError(f"unknown {what} id in batch (valid range 0..{n - 1})")
-
-
 def loss_term(model: EmbeddingModel, term: str, cols, grad: GradientBuffer | None = None,
               coef=1.0) -> np.ndarray:
     """Per-sample values of one loss term; optionally accumulate `coef` x gradient.
@@ -170,222 +205,77 @@ def loss_term(model: EmbeddingModel, term: str, cols, grad: GradientBuffer | Non
     (relation slots included in order).  ``coef`` may be a scalar or a
     per-sample array and scales only the gradient, not the returned values.
     """
-    cols = tuple(np.asarray(c, dtype=np.int64) for c in cols)
-    if term not in TERM_ARITY:
+    p = SPECS.get(term)
+    if p is None:
         raise ValueError(f"unknown loss term: {term!r}")
-    if len(cols) != TERM_ARITY[term]:
-        raise ValueError(f"{term} takes {TERM_ARITY[term]} id columns, got {len(cols)}")
-    cen, rad, rel = model.centers, model.radii, model.rel_vectors
-    gamma = model.margin
+    if len(cols) != len(p.slots):
+        raise ValueError(f"{term} takes {len(p.slots)} id columns, got {len(cols)}")
+    ids = np.array([cols[k] for k in p.slots], dtype=np.int64)
+    nc, dim = p.nc, model.dim
+    # largest id per column; a negative id wraps past every table size
+    top = ids.view(np.uint64).max(axis=1).tolist() if ids.shape[1] else []
+    for tops, table, what in ((top[:nc], model.centers, "class"),
+                              (top[nc:], model.rel_vectors, "relation")):
+        if tops and max(tops) >= len(table):
+            raise KeyError(f"unknown {what} id in batch (valid range 0..{len(table) - 1})")
+    strict = model.reg_mode == "strict"
+    # the activation's slope below 0; 1 keeps the raw argument (the BOT terms)
+    neg = (0.0 if model.activation == "relu" else model.leaky_slope) if p.act else 1.0
     coef = np.asarray(coef, dtype=np.float64)
+    out = np.empty(ids.shape[1])
+    # one block for the gathered vectors and one for their sums, reused by every chunk
+    block = min(len(out), CHUNK) * dim
+    xbuf, ybuf = np.empty(len(ids) * block), np.empty(len(p.vec) * block)
 
-    def hinge(arg):
-        """Activated hinge value plus its upstream derivative times coef."""
-        val = _act(model, arg)
-        u = _dact(model, arg) * coef if grad is not None else None
-        return val, u
+    for lo in range(0, len(out), CHUNK):
+        chunk = ids[:, lo:lo + CHUNK]
+        r = model.radii.take(chunk[:nc])
+        arg = p.rad @ r + p.margin * model.margin
+        for h, i, j in p.rmin:
+            arg[h] += np.minimum(r[i], r[j])
+        if len(p.vec):
+            # ids are checked above, so "clip" never clips; it lets take fill x in place
+            x = xbuf[:chunk.size * dim].reshape(chunk.shape + (dim,))
+            model.centers.take(chunk[:nc], axis=0, out=x[:nc], mode="clip")
+            model.rel_vectors.take(chunk[nc:], axis=0, out=x[nc:], mode="clip")
+            y = ybuf[:len(p.vec) * chunk.shape[1] * dim].reshape(len(p.vec), -1, dim)
+            np.matmul(p.vec, x.reshape(len(x), -1), out=y.reshape(len(y), -1))
+            nrm = np.sqrt(np.einsum("ijk,ijk->ij", y, y))
+            arg += p.norm @ nrm
+            reg = nrm[len(nrm) - p.nreg:] - (1.0 if strict else model.reg_radius)
+        val = np.maximum(arg, 0.0) if neg == 0.0 else np.where(arg > 0.0, arg, neg * arg)
+        val = p.sign * np.add.reduce(val, axis=0)
+        if p.nreg:
+            val += np.add.reduce(np.abs(reg) if strict else np.maximum(reg, 0.0), axis=0)
+        out[lo:lo + CHUNK] = val
+        if grad is None:
+            continue
 
-    if term in ("gci0_pos",):
-        c, d = cols
-        _check_ids(model, c, model.sig.n_classes, "class")
-        _check_ids(model, d, model.sig.n_classes, "class")
-        diff = cen[c] - cen[d]
-        nrm = np.linalg.norm(diff, axis=1)
-        arg = nrm + rad[c] - rad[d] - gamma
-        val, u = hinge(arg)
-        if grad is not None:
-            direction = _unit(diff, nrm)
-            grad.add_center(c, u[:, None] * direction)
-            grad.add_center(d, -u[:, None] * direction)
-            grad.add_radius(c, u)
-            grad.add_radius(d, -u)
-        return val + _reg(model, c, grad, coef) + _reg(model, d, grad, coef)
-
-    if term in ("gci0_neg", "gci1_bot"):
-        # both penalize ball overlap: hinge(r(c) + r(d) - dist + margin)
-        c, d = cols
-        _check_ids(model, c, model.sig.n_classes, "class")
-        _check_ids(model, d, model.sig.n_classes, "class")
-        diff = cen[c] - cen[d]
-        nrm = np.linalg.norm(diff, axis=1)
-        arg = rad[c] + rad[d] - nrm + gamma
-        val, u = hinge(arg)
-        if grad is not None:
-            direction = _unit(diff, nrm)
-            grad.add_center(c, -u[:, None] * direction)
-            grad.add_center(d, u[:, None] * direction)
-            grad.add_radius(c, u)
-            grad.add_radius(d, u)
-        return val + _reg(model, c, grad, coef) + _reg(model, d, grad, coef)
-
-    if term == "gci1_pos":
-        c, d, e = cols
-        for ids in cols:
-            _check_ids(model, ids, model.sig.n_classes, "class")
-        dcd = cen[c] - cen[d]
-        dce = cen[c] - cen[e]
-        dde = cen[d] - cen[e]
-        ncd = np.linalg.norm(dcd, axis=1)
-        nce = np.linalg.norm(dce, axis=1)
-        nde = np.linalg.norm(dde, axis=1)
-        arg1 = ncd - rad[c] - rad[d] - gamma          # the two balls must meet
-        arg2 = nce + rad[c] - rad[e] - gamma          # c inside e
-        arg3 = nde + rad[d] - rad[e] - gamma          # d inside e
-        arg4 = np.minimum(rad[c], rad[d]) - rad[e] - gamma
-        v1, u1 = hinge(arg1)
-        v2, u2 = hinge(arg2)
-        v3, u3 = hinge(arg3)
-        v4, u4 = hinge(arg4)
-        if grad is not None:
-            e1 = _unit(dcd, ncd)
-            e2 = _unit(dce, nce)
-            e3 = _unit(dde, nde)
-            grad.add_center(c, u1[:, None] * e1 + u2[:, None] * e2)
-            grad.add_center(d, -u1[:, None] * e1 + u3[:, None] * e3)
-            grad.add_center(e, -u2[:, None] * e2 - u3[:, None] * e3)
-            min_c = (rad[c] <= rad[d]).astype(np.float64)
-            grad.add_radius(c, -u1 + u2 + u4 * min_c)
-            grad.add_radius(d, -u1 + u3 + u4 * (1.0 - min_c))
-            grad.add_radius(e, -u2 - u3 - u4)
-        val = v1 + v2 + v3 + v4
-        return (val + _reg(model, c, grad, coef) + _reg(model, d, grad, coef)
-                + _reg(model, e, grad, coef))
-
-    if term == "gci1_neg":
-        c, d, e = cols
-        for ids in cols:
-            _check_ids(model, ids, model.sig.n_classes, "class")
-        dcd = cen[c] - cen[d]
-        dce = cen[c] - cen[e]
-        dde = cen[d] - cen[e]
-        ncd = np.linalg.norm(dcd, axis=1)
-        nce = np.linalg.norm(dce, axis=1)
-        nde = np.linalg.norm(dde, axis=1)
-        arg1 = -rad[c] - rad[d] + ncd - gamma         # penalize non-overlap of c and d
-        arg2 = rad[c] - nce + gamma                 # e's center outside ball c
-        arg3 = rad[d] - nde + gamma                 # e's center outside ball d
-        v1, u1 = hinge(arg1)
-        v2, u2 = hinge(arg2)
-        v3, u3 = hinge(arg3)
-        if grad is not None:
-            e1 = _unit(dcd, ncd)
-            e2 = _unit(dce, nce)
-            e3 = _unit(dde, nde)
-            grad.add_center(c, u1[:, None] * e1 - u2[:, None] * e2)
-            grad.add_center(d, -u1[:, None] * e1 - u3[:, None] * e3)
-            grad.add_center(e, u2[:, None] * e2 + u3[:, None] * e3)
-            grad.add_radius(c, -u1 + u2)
-            grad.add_radius(d, -u1 + u3)
-        val = v1 + v2 + v3
-        return (val + _reg(model, c, grad, coef) + _reg(model, d, grad, coef)
-                + _reg(model, e, grad, coef))
-
-    if term in ("gci2_pos", "gci2_neg", "score_gci2"):
-        c, r, d = cols
-        _check_ids(model, c, model.sig.n_classes, "class")
-        _check_ids(model, r, model.sig.n_relations, "relation")
-        _check_ids(model, d, model.sig.n_classes, "class")
-        diff = cen[c] + rel[r] - cen[d]
-        nrm = np.linalg.norm(diff, axis=1)
-        direction = _unit(diff, nrm) if grad is not None else None
-        if term == "gci2_pos":
-            arg = nrm + rad[c] - rad[d] - gamma
-            val, u = hinge(arg)
-            if grad is not None:
-                grad.add_center(c, u[:, None] * direction)
-                grad.add_rel(r, u[:, None] * direction)
-                grad.add_center(d, -u[:, None] * direction)
-                grad.add_radius(c, u)
-                grad.add_radius(d, -u)
-            return val + _reg(model, c, grad, coef) + _reg(model, d, grad, coef)
-        if term == "gci2_neg":
-            arg = rad[c] + rad[d] - nrm + gamma
-            val, u = hinge(arg)
-            if grad is not None:
-                grad.add_center(c, -u[:, None] * direction)
-                grad.add_rel(r, -u[:, None] * direction)
-                grad.add_center(d, u[:, None] * direction)
-                grad.add_radius(c, u)
-                grad.add_radius(d, u)
-            return val + _reg(model, c, grad, coef) + _reg(model, d, grad, coef)
-        # score_gci2: -act(-r(c) - r(d) + dist - margin); no regularization
-        arg = -rad[c] - rad[d] + nrm - gamma
-        val = -_act(model, arg)
-        if grad is not None:
-            u = _dact(model, arg) * coef
-            grad.add_center(c, -u[:, None] * direction)
-            grad.add_rel(r, -u[:, None] * direction)
-            grad.add_center(d, u[:, None] * direction)
-            grad.add_radius(c, u)
-            grad.add_radius(d, u)
-        return val
-
-    if term in ("gci3_pos", "gci3_neg"):
-        r, c, d = cols
-        _check_ids(model, r, model.sig.n_relations, "relation")
-        _check_ids(model, c, model.sig.n_classes, "class")
-        _check_ids(model, d, model.sig.n_classes, "class")
-        diff = cen[c] - rel[r] - cen[d]
-        nrm = np.linalg.norm(diff, axis=1)
-        direction = _unit(diff, nrm) if grad is not None else None
-        if term == "gci3_pos":
-            arg = nrm - rad[c] - rad[d] - gamma
-            val, u = hinge(arg)
-            if grad is not None:
-                grad.add_center(c, u[:, None] * direction)
-                grad.add_rel(r, -u[:, None] * direction)
-                grad.add_center(d, -u[:, None] * direction)
-                grad.add_radius(c, -u)
-                grad.add_radius(d, -u)
-        else:
-            arg = rad[c] + rad[d] - nrm + gamma
-            val, u = hinge(arg)
-            if grad is not None:
-                grad.add_center(c, -u[:, None] * direction)
-                grad.add_rel(r, u[:, None] * direction)
-                grad.add_center(d, u[:, None] * direction)
-                grad.add_radius(c, u)
-                grad.add_radius(d, u)
-        return val + _reg(model, c, grad, coef) + _reg(model, d, grad, coef)
-
-    if term == "gci0_bot":
-        (c,) = cols
-        _check_ids(model, c, model.sig.n_classes, "class")
-        if grad is not None:
-            grad.add_radius(c, np.broadcast_to(coef, c.shape).astype(np.float64))
-        return rad[c].copy()
-
-    if term == "gci3_bot":
-        r, c = cols
-        _check_ids(model, r, model.sig.n_relations, "relation")
-        _check_ids(model, c, model.sig.n_classes, "class")
-        if grad is not None:
-            grad.add_radius(c, np.broadcast_to(coef, c.shape).astype(np.float64))
-        return rad[c].copy()
-
-    raise AssertionError(term)
+        w = coef[lo:lo + CHUNK] if coef.ndim else coef
+        u = np.where(arg > 0.0, 1.0, neg) * (w * p.sign)
+        dr = p.rad.T @ u
+        for h, i, j in p.rmin:
+            first = r[i] <= r[j]
+            dr[i] += u[h] * first
+            dr[j] += u[h] * ~first
+        grad.add_radius(chunk[:nc].ravel(), dr.ravel())
+        if len(p.vec):
+            dn = p.norm.T @ u
+            if p.nreg:
+                dn[len(dn) - p.nreg:] = w * (np.sign(reg) if strict else reg > 0.0)
+            # d value / d y = dn * y / ||y||, zero where the norm is 0; the slot
+            # gradients then overwrite x
+            y *= np.divide(dn, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)[..., None]
+            np.matmul(p.vec.T, y.reshape(len(y), -1), out=x.reshape(len(x), -1))
+            grad.add_center(chunk[:nc].ravel(), x[:nc].reshape(-1, dim))
+            if nc < len(chunk):
+                grad.add_rel(chunk[nc:].ravel(), x[nc:].reshape(-1, dim))
+    return out
 
 
 def loss_value(model: EmbeddingModel, term: str, ids: tuple[int, ...]) -> float:
     """Single-axiom loss value."""
-    cols = tuple(np.array([i], dtype=np.int64) for i in ids)
-    return float(loss_term(model, term, cols)[0])
-
-
-# Named single-axiom helpers mirroring the term table.
-
-def loss_gci0_pos(model, c, d): return loss_value(model, "gci0_pos", (c, d))
-def loss_gci1_pos(model, c, d, e): return loss_value(model, "gci1_pos", (c, d, e))
-def loss_gci2_pos(model, c, r, d): return loss_value(model, "gci2_pos", (c, r, d))
-def loss_gci3_pos(model, r, c, d): return loss_value(model, "gci3_pos", (r, c, d))
-def loss_gci0_bot(model, c): return loss_value(model, "gci0_bot", (c,))
-def loss_gci1_bot(model, c, d): return loss_value(model, "gci1_bot", (c, d))
-def loss_gci3_bot(model, r, c): return loss_value(model, "gci3_bot", (r, c))
-def loss_gci0_neg(model, c, d): return loss_value(model, "gci0_neg", (c, d))
-def loss_gci1_neg(model, c, d, e): return loss_value(model, "gci1_neg", (c, d, e))
-def loss_gci2_neg(model, c, r, d): return loss_value(model, "gci2_neg", (c, r, d))
-def loss_gci3_neg(model, r, c, d): return loss_value(model, "gci3_neg", (r, c, d))
-def score_gci2(model, c, r, d): return loss_value(model, "score_gci2", (c, r, d))
+    return float(loss_term(model, term, [[i] for i in ids])[0])
 
 
 def gradient(model: EmbeddingModel, term: str, ids: tuple[int, ...]) -> dict:
@@ -395,16 +285,14 @@ def gradient(model: EmbeddingModel, term: str, ids: tuple[int, ...]) -> dict:
     parameters appear.
     """
     buf = GradientBuffer(model)
-    cols = tuple(np.array([i], dtype=np.int64) for i in ids)
-    loss_term(model, term, cols, grad=buf)
+    loss_term(model, term, [[i] for i in ids], grad=buf)
     out: dict = {}
     for i in np.flatnonzero(np.abs(buf.centers).sum(axis=1)):
         out[("center", int(i))] = buf.centers[i].copy()
     for i in np.flatnonzero(buf.radii):
         out[("radius", int(i))] = float(buf.radii[i])
-    if buf.rels.size:
-        for i in np.flatnonzero(np.abs(buf.rels).sum(axis=1)):
-            out[("relation", int(i))] = buf.rels[i].copy()
+    for i in np.flatnonzero(np.abs(buf.rels).sum(axis=1)):
+        out[("relation", int(i))] = buf.rels[i].copy()
     return out
 
 
@@ -442,31 +330,37 @@ def save_model(model: EmbeddingModel, path: str):
 
 
 def load_model(path: str) -> EmbeddingModel:
+    """Read a checkpoint; a file cut short or overlong raises ValueError naming it."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"not a checkpoint file: {path}")
     off = len(CHECKPOINT_MAGIC)
-    (hlen,) = struct.unpack_from("<Q", blob, off)
-    off += 8
-    header = json.loads(blob[off:off + hlen].decode("utf-8"))
-    off += hlen
+
+    def take(nbytes: int) -> memoryview:
+        nonlocal off
+        if off + nbytes > len(blob):
+            raise ValueError(f"truncated checkpoint: {path} ends at byte {len(blob)}, "
+                             f"expected at least {off + nbytes}")
+        off += nbytes
+        return memoryview(blob)[off - nbytes:off]
+
+    def floats(count: int) -> np.ndarray:
+        return np.frombuffer(take(count * 8), dtype="<f8").copy()
+
+    (hlen,) = struct.unpack("<Q", take(8))
+    header = json.loads(str(take(hlen), "utf-8"))
     if header["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {header['version']}")
     nc, nr, dim = header["n_classes"], header["n_relations"], header["dim"]
-
-    def take(count):
-        nonlocal off
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).copy()
-        off += count * 8
-        return arr
-
-    centers = take(nc * dim).reshape(nc, dim)
-    radii = take(nc)
-    rels = take(nr * dim).reshape(nr, dim)
-    (tlen,) = struct.unpack_from("<Q", blob, off)
-    off += 8
-    tables = json.loads(blob[off:off + tlen].decode("utf-8"))
+    centers = floats(nc * dim).reshape(nc, dim)
+    radii = floats(nc)
+    rels = floats(nr * dim).reshape(nr, dim)
+    (tlen,) = struct.unpack("<Q", take(8))
+    tables = json.loads(str(take(tlen), "utf-8"))
+    if off != len(blob):
+        raise ValueError(f"corrupt checkpoint: {path} has {len(blob) - off} bytes "
+                         f"past its identifier tables")
     sig = Signature()
     for name in tables["classes"][2:]:   # TOP and BOT are pre-interned
         sig.intern_class(name)

@@ -93,6 +93,8 @@ def saturate(kb: KnowledgeBase) -> SubsumptionClosure:
             gci1_bot_by_part.setdefault(d, []).append(c)
     for ax in kb.axioms[Form.GCI3_BOT]:
         gci3_bot_keys.add(ax.args)
+    # classes D' that R4/R6 can fire on: fillers of some GCI3 or GCI3_BOT
+    fillers = {dp for _, dp in gci3_by_key} | {dp for _, dp in gci3_bot_keys}
 
     work: deque = deque()
 
@@ -130,13 +132,14 @@ def saturate(kb: KnowledgeBase) -> SubsumptionClosure:
                 if other in subsumers[c]:
                     add_sub(c, BOT)
             # d joined S(c): re-fire R4/R5/R6 for edges pointing at c
-            for r, src in tuple(incoming[c]):
-                for e in gci3_by_key.get((r, d), ()):
-                    add_sub(src, e)
-                if (r, d) in gci3_bot_keys:
-                    add_sub(src, BOT)
-                if d == BOT:
-                    add_sub(src, BOT)
+            if d == BOT or d in fillers:
+                for r, src in tuple(incoming[c]):
+                    for e in gci3_by_key.get((r, d), ()):
+                        add_sub(src, e)
+                    if (r, d) in gci3_bot_keys:
+                        add_sub(src, BOT)
+                    if d == BOT:
+                        add_sub(src, BOT)
         else:
             _, r, c, d = item
             for dp in tuple(subsumers[d]):

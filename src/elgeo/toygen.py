@@ -92,11 +92,13 @@ def hierarchy_kb(n_chains: int = 6, depth: int = 8, n_heads: int = 12,
         test.append(_gci2(sig, h, "r", chain[probe]))
     n_extra = int(density * n_heads)
     flat = [t for chain in tails for t in chain]
+    seen = set(train) | set(test)
     for _ in range(n_extra):
         h = heads[int(rng.integers(n_heads))]
         t = flat[int(rng.integers(len(flat)))]
         ax = _gci2(sig, h, "r", t)
-        if ax not in train and ax not in test:
+        if ax not in seen:
+            seen.add(ax)
             train.append(ax)
     pools = {"tails": [sig.class_id(t) for t in flat]}
     return build_kb(sig, train, [], test, pools)

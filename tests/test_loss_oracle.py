@@ -9,6 +9,7 @@ small signature, so every batch repeats ids within its columns.
 import numpy as np
 import pytest
 
+from elgeo import geometry
 from elgeo.axioms import Signature
 from elgeo.geometry import (
     TERMS, TERM_ARITY, TERM_RELATION_SLOTS, EmbeddingModel, GradientBuffer,
@@ -77,3 +78,20 @@ def test_batched_gradient_sums_single_rows(term, activation, reg_mode):
         for got, want in zip((buf.centers, buf.radii, buf.rels),
                              (expected.centers, expected.radii, expected.rels)):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("term", TERMS)
+def test_chunked_pass_matches_one_pass(term, monkeypatch):
+    rng = np.random.default_rng([TERMS.index(term), 2])
+    m = random_model("leaky_relu", "relaxed", rng)
+    cols = random_cols(m, term, rng)
+    coef = rng.uniform(0.5, 2.0, BATCH)   # per-sample weights must follow their rows
+    whole = GradientBuffer(m)
+    values = loss_term(m, term, cols, grad=whole, coef=coef)
+    monkeypatch.setattr(geometry, "CHUNK", 5)   # 12 rows: chunks of 5, 5 and 2
+    parts = GradientBuffer(m)
+    np.testing.assert_allclose(loss_term(m, term, cols, grad=parts, coef=coef), values,
+                               rtol=1e-12, atol=1e-15)
+    for got, want in zip((parts.centers, parts.radii, parts.rels),
+                         (whole.centers, whole.radii, whole.rels)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
