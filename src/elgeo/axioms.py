@@ -27,6 +27,10 @@ class Form(Enum):
     RI0 = "RI0"            # r subrole-of s
     RI1 = "RI1"            # r1 then r2 subrole-of s
 
+    # Members are singletons compared by identity; Enum's own __hash__ is a
+    # Python-level call on every dict or set lookup keyed by a form.
+    __hash__ = object.__hash__
+
 
 ARITY = {
     Form.GCI0: 2,

@@ -14,15 +14,19 @@ Because the premises are transitively closed, a second pass derives nothing
 new.  The expansion is sound but not complete.  Membership for GCI1 is
 checked modulo conjunction commutativity, and disjointness (GCI1_BOT)
 membership propagates down the hierarchy at query time; both conveniences
-are disabled by ``strict_printed_rules``.
+are disabled by ``strict_printed_rules``.  Membership reads the stored sets
+alone, so a closure loaded from its dump answers like the computed one.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import product
 
-from .axioms import BOT, Axiom, Form, GCI_FORMS, Signature, format_axiom, make_axiom
+from .axioms import (
+    ARITY, BOT, RELATION_SLOTS, Axiom, Form, GCI_FORMS, Signature, format_axiom,
+)
 from .dataset import KnowledgeBase
 from .reasoner import SubsumptionClosure
 
@@ -44,6 +48,12 @@ class UnsupportedFormError(Exception):
 
 @dataclass
 class DeductiveClosure:
+    """Per-form entailed id tuples.
+
+    ``sub`` is the subsumption closure the sets were expanded from (None for
+    a loaded dump); membership never reads it.
+    """
+
     sig: Signature
     sets: dict[Form, set[tuple[int, ...]]]
     asserted: dict[Form, set[tuple[int, ...]]]
@@ -52,31 +62,35 @@ class DeductiveClosure:
     stats: dict[str, int] = field(default_factory=dict)
 
     def contains(self, ax: Axiom) -> bool:
-        """Entailment membership for the covered (GCI) forms."""
-        if ax.form not in GCI_FORMS:
-            raise UnsupportedFormError(f"unsupported form: {ax.form.value}")
-        if ax.form is Form.GCI0:
-            if self.sub is not None and self.sub.is_subsumed(*ax.args):
+        """Entailment membership for the covered (GCI) forms, read from the stored sets."""
+        form, args = ax.form, ax.args
+        if form not in GCI_FORMS:
+            raise UnsupportedFormError(f"unsupported form: {form.value}")
+        stored = self.sets[form]
+        if form is Form.GCI0 or form is Form.GCI0_BOT:
+            # BOT's rows are tautologies and stay implicit
+            return args[0] == BOT or args in stored
+        if self.strict:
+            return args in stored
+        if form is Form.GCI1:
+            c, d, e = args
+            return args in stored or (d, c, e) in stored
+        if form is Form.GCI1_BOT:
+            c, d = args
+            if args in stored or (d, c) in stored:
                 return True
-            return ax.args in self.sets[Form.GCI0]
-        if ax.form is Form.GCI0_BOT:
-            if self.sub is not None and ax.args[0] in self.sub.unsat:
-                return True
-            return ax.args in self.sets[Form.GCI0_BOT]
-        if ax.form is Form.GCI1 and not self.strict:
-            c, d, e = ax.args
-            return (c, d, e) in self.sets[Form.GCI1] or (d, c, e) in self.sets[Form.GCI1]
-        if ax.form is Form.GCI1_BOT and not self.strict:
-            c, d = ax.args
-            if (c, d) in self.sets[Form.GCI1_BOT] or (d, c) in self.sets[Form.GCI1_BOT]:
-                return True
-            if self.sub is not None:
-                for a, b in self.asserted[Form.GCI1_BOT]:
-                    if (self.sub.is_subsumed(c, a) and self.sub.is_subsumed(d, b)) or \
-                       (self.sub.is_subsumed(c, b) and self.sub.is_subsumed(d, a)):
-                        return True
-            return False
-        return ax.args in self.sets[ax.form]
+            below = self._subsumed
+            return any((below(c, a) and below(d, b)) or (below(c, b) and below(d, a))
+                       for a, b in self.asserted[Form.GCI1_BOT])
+        return args in stored
+
+    def _subsumed(self, x: int, y: int) -> bool:
+        """x is a subclass of y by the stored GCI0 and GCI0_BOT rows."""
+        if x == BOT:
+            return True
+        if y == BOT:
+            return (x,) in self.sets[Form.GCI0_BOT]
+        return (x, y) in self.sets[Form.GCI0]
 
     def provenance(self, ax: Axiom) -> str:
         return "asserted" if ax.args in self.asserted[ax.form] else "derived"
@@ -100,54 +114,53 @@ def compute_closure(kb: KnowledgeBase, sub: SubsumptionClosure,
             continue
         for d in sub.superclasses_of(c):
             down[d].append(c)
-
-    def up(c: int) -> set[int]:
-        return sub.superclasses_of(c)
+    up = sub.superclasses_of
 
     sets: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
-    budget = {"n": 0}
 
-    def add(form: Form, args: tuple[int, ...]):
-        # derived tuples with a BOT right-hand side live in their bottom form
-        ax = make_axiom(form, args)
-        dest = sets[ax.form]
-        if ax.args not in dest:
-            dest.add(ax.args)
-            budget["n"] += 1
-            if budget["n"] > max_derived:
-                raise ClosureBudgetError(max_derived)
+    def grow(form: Form, *slots):
+        """Add the slot-wise product of id tuples to the form's set, within budget."""
+        sets[form].update(product(*slots))
+        if sum(map(len, sets.values())) > max_derived:
+            raise ClosureBudgetError(max_derived)
 
+    # A BOT right-hand side comes only from an unsatisfiable superclass: GCI0's
+    # d and the filler dp of GCI2 and GCI3.  Those rows live in the bottom
+    # forms (C below some R.BOT is itself empty).
     for c in range(n):
         if c == BOT:
             continue
-        for d in up(c):
-            add(Form.GCI0, (c, d))
+        ups = up(c)
+        if BOT in ups:
+            grow(Form.GCI0_BOT, (c,))
+            ups = ups - {BOT}
+        grow(Form.GCI0, (c,), ups)
 
     for ax in kb.axioms[Form.GCI1]:
         c, d, e = ax.args
-        for cp in down[c]:
-            add(Form.GCI1, (cp, d, e))
+        grow(Form.GCI1, down[c], (d,), (e,))
     for ax in kb.axioms[Form.GCI2]:
         c, r, d = ax.args
         ups = up(d)
-        for cp in down[c]:
-            for dp in ups:
-                add(Form.GCI2, (cp, r, dp))
+        if BOT in ups:
+            grow(Form.GCI0_BOT, down[c])
+            ups = ups - {BOT}
+        grow(Form.GCI2, down[c], (r,), ups)
     for ax in kb.axioms[Form.GCI3]:
         r, c, d = ax.args
         ups = up(d)
-        for cp in down[c]:
-            for dp in ups:
-                add(Form.GCI3, (r, cp, dp))
+        if BOT in ups:
+            grow(Form.GCI3_BOT, (r,), down[c])
+            ups = ups - {BOT}
+        grow(Form.GCI3, (r,), down[c], ups)
     for ax in kb.axioms[Form.GCI0_BOT]:
-        for cp in down[ax.args[0]]:
-            add(Form.GCI0_BOT, (cp,))
+        grow(Form.GCI0_BOT, down[ax.args[0]])
     for ax in kb.axioms[Form.GCI3_BOT]:
         r, c = ax.args
-        for cp in down[c]:
-            add(Form.GCI3_BOT, (r, cp))
+        grow(Form.GCI3_BOT, (r,), down[c])
     for ax in kb.axioms[Form.GCI1_BOT]:
-        add(Form.GCI1_BOT, ax.args)
+        c, d = ax.args
+        grow(Form.GCI1_BOT, (c,), (d,))
 
     asserted = {form: {ax.args for ax in kb.axioms[form]} for form in GCI_FORMS}
     dc = DeductiveClosure(sig=kb.sig, sets=sets, asserted=asserted, sub=sub,
@@ -176,9 +189,11 @@ def dump_closure(dc: DeductiveClosure, path: str):
 
 
 def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
-    """Rebuild membership sets from dump files (no subsumption closure attached)."""
-    from .axioms import ARITY, RELATION_SLOTS
+    """Rebuild membership sets from dump files (no subsumption closure attached).
 
+    Names are looked up, never interned: a name outside ``sig`` raises a
+    ValueError naming the file and line, and ``sig`` is left unchanged.
+    """
     sets: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
     asserted: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
     found = False
@@ -196,10 +211,15 @@ def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
                 fields = raw.split("\t")
                 if len(fields) != ARITY[form] + 2 or fields[0] != form.value:
                     raise ValueError(f"{fpath}:{lineno}: malformed closure dump line")
-                args = tuple(
-                    sig.intern_relation(name) if slot in rel_slots else sig.intern_class(name)
-                    for slot, name in enumerate(fields[1:-1])
-                )
+                try:
+                    args = tuple(
+                        sig.relation_id(name) if slot in rel_slots else sig.class_id(name)
+                        for slot, name in enumerate(fields[1:-1])
+                    )
+                except KeyError as exc:
+                    raise ValueError(
+                        f"{fpath}:{lineno}: {exc.args[0]}; the dump does not match "
+                        "the dataset") from None
                 sets[form].add(args)
                 if fields[-1] == "asserted":
                     asserted[form].add(args)

@@ -86,8 +86,8 @@ def rank_axiom(scorer, ax: Axiom, candidates, filter_set=None,
     scores = scorer.score_tails(c, r, candidates)
     raw = rank_of(scores, idx, tie_mode)
     if filter_set:
-        keep = np.array(
-            [t == d or (c, r, int(t)) not in filter_set for t in candidates], dtype=bool)
+        keep = np.array([t == d or (c, r, t) not in filter_set
+                         for t in candidates.tolist()], dtype=bool)
         fscores = scores[keep]
         fidx = int(keep[:idx].sum())   # true tail's position among kept candidates
         frank = rank_of(fscores, fidx, tie_mode)

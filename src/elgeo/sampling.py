@@ -41,22 +41,6 @@ class SamplerConfig:
             raise ValueError("max_resample_attempts must be positive")
 
 
-def corrupt(ax: Axiom, pool, rng: np.random.Generator) -> Axiom:
-    """Replace the consequent slot with a uniform draw from pool minus the original."""
-    slot = CORRUPT_SLOT.get(ax.form)
-    if slot is None:
-        raise SamplingError(f"cannot corrupt form {ax.form.value}")
-    pool = np.asarray(pool, dtype=np.int64)
-    original = ax.args[slot]
-    candidates = pool[pool != original]
-    if len(candidates) == 0 or len(pool) < 2:
-        raise SamplingError("pool exhausted")
-    pick = int(candidates[rng.integers(len(candidates))])
-    args = list(ax.args)
-    args[slot] = pick
-    return Axiom(ax.form, tuple(args))
-
-
 @dataclass
 class SampleStats:
     requested: int = 0
@@ -89,20 +73,17 @@ class NegativeSampler:
             override = cfg.pools.get(form)
             self._pools[form] = (np.asarray(sorted(override), dtype=np.int64)
                                  if override is not None else default)
-        self._train_sets = {form: {ax.args for ax in kb.axioms[form]} for form in CORRUPT_SLOT}
         self._entailed_pools: dict[Form, list[tuple[int, ...]]] = {}
 
     def _entailed_pool(self, form: Form) -> list[tuple[int, ...]]:
         pool = self._entailed_pools.get(form)
         if pool is None:
-            pool = sorted(self.dc.sets[form] - self._train_sets[form])
+            pool = sorted(self.dc.sets[form] - self.dc.asserted[form])
             self._entailed_pools[form] = pool
         return pool
 
     def _rejected(self, form: Form, args: tuple[int, ...]) -> bool:
-        if args in self._train_sets[form]:
-            return True
-        return self.dc is not None and self.dc.contains(Axiom(form, args))
+        return args in self.dc.asserted[form] or self.dc.contains(Axiom(form, args))
 
     def corrupt_ids(self, form: Form, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized corruption of a (B, arity) id matrix.
@@ -133,16 +114,17 @@ class NegativeSampler:
         out[:, slot] = draw(active)
         keep = np.ones(B, dtype=bool)
         if self.cfg.filter_with_closure:
-            for _ in range(self.cfg.max_resample_attempts - 1):
-                bad = [i for i in active if self._rejected(form, tuple(out[i]))]
+            attempts = self.cfg.max_resample_attempts
+            for attempt in range(1, attempts + 1):
+                bad = [i for i, args in zip(active.tolist(), out[active].tolist())
+                       if self._rejected(form, tuple(args))]
                 if not bad:
                     break
                 active = np.asarray(bad)
-                out[active, slot] = draw(active)
-            else:
-                bad = [i for i in active if self._rejected(form, tuple(out[i]))]
-                if bad:
-                    keep[np.asarray(bad)] = False
+                if attempt == attempts:
+                    keep[active] = False
+                else:
+                    out[active, slot] = draw(active)
 
         if self.cfg.entailed_ratio > 0.0:
             ent_pool = self._entailed_pool(form)
@@ -157,28 +139,3 @@ class NegativeSampler:
         self.stats.produced += int(keep.sum())
         self.stats.dropped += B - int(keep.sum())
         return out, keep
-
-    def sample(self, batch: list[Axiom]) -> list[Axiom]:
-        """One negative per input axiom; dropped slots are omitted."""
-        by_form: dict[Form, list[int]] = {}
-        for i, ax in enumerate(batch):
-            if ax.form not in CORRUPT_SLOT:
-                raise SamplingError(f"cannot corrupt form {ax.form.value}")
-            by_form.setdefault(ax.form, []).append(i)
-        results: list[Axiom | None] = [None] * len(batch)
-        for form in sorted(by_form, key=lambda f: f.value):
-            idx = by_form[form]
-            rows = np.array([batch[i].args for i in idx], dtype=np.int64)
-            out, keep = self.corrupt_ids(form, rows)
-            for j, i in enumerate(idx):
-                if keep[j]:
-                    results[i] = Axiom(form, tuple(int(x) for x in out[j]))
-        return [ax for ax in results if ax is not None]
-
-
-def sample_negatives(batch: list[Axiom], cfg: SamplerConfig, kb: KnowledgeBase,
-                     dc: DeductiveClosure | None = None) -> tuple[list[Axiom], SampleStats]:
-    """One-shot sampling with a fresh rng seeded from the config."""
-    sampler = NegativeSampler(kb, cfg, dc)
-    negs = sampler.sample(batch)
-    return negs, sampler.stats

@@ -217,8 +217,9 @@ def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = Non
 
     data = {form: np.array([ax.args for ax in kb.axioms[form]], dtype=np.int64)
             for form in FORM_ORDER if kb.axioms[form]}
-    neg_enabled = {form for form in data
-                   if form in CORRUPT_SLOT and form.value.lower() in cfg.neg_forms}
+    # a list, not a set: its order fixes the order of the float sums over terms
+    neg_enabled = [form for form in data
+                   if form in CORRUPT_SLOT and form.value.lower() in cfg.neg_forms]
 
     counts = {POS_TERM[form]: len(rows) for form, rows in data.items()}
     for form in neg_enabled:

@@ -124,6 +124,42 @@ def rescan_closure(kb, S):
     return out
 
 
+def rescan_contains(kb, S):
+    """Per-row closure membership, answered from the subsumers S of rescan_saturate.
+
+    Returns ``contains(form, args)``.  Subsumption premises come from S
+    (every class is below itself and TOP; an unsatisfiable class is below
+    everything), stored rows from ``rescan_closure``.  GCI1 is looked up in
+    either conjunct order, and an asserted disjointness of A and B covers
+    every pair of their subclasses, in either order.
+    """
+    n = kb.sig.n_classes
+    unsat = {c for c in range(n) if BOT in S[c]}
+    stored = rescan_closure(kb, S)
+    disjoint = [ax.args for ax in kb.axioms[Form.GCI1_BOT]]
+
+    def below(c, d):
+        return d in S[c] or c in unsat
+
+    def contains(form, args):
+        if form is Form.GCI0:
+            return below(*args) or args in stored[form]
+        if form is Form.GCI0_BOT:
+            return args[0] in unsat or args in stored[form]
+        if form is Form.GCI1:
+            c, d, e = args
+            return args in stored[form] or (d, c, e) in stored[form]
+        if form is Form.GCI1_BOT:
+            c, d = args
+            if args in stored[form] or (d, c) in stored[form]:
+                return True
+            return any((below(c, a) and below(d, b)) or (below(c, b) and below(d, a))
+                       for a, b in disjoint)
+        return args in stored[form]
+
+    return contains
+
+
 def brute_loss(model, term, ids):
     """One loss term's value at one axiom, each formula written out in plain Python.
 

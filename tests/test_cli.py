@@ -137,6 +137,21 @@ class TestEvaluateCmd:
         assert any(rec["source"] == "closure" for rec in report["records"])
         assert os.path.exists(os.path.join(out, "roc.csv"))
 
+    def test_foreign_closure_dump_exit_2(self, toy, tmp_path, capsys):
+        run = str(tmp_path / "run")
+        main(["train", toy, run, "--preset", "relu-original",
+              "--set", "train.epochs=2", "--set", "train.dim=4"])
+        other = str(tmp_path / "hier")
+        assert main(["gen-toy", other, "--preset", "hierarchy"]) == 0
+        cl = str(tmp_path / "cl")
+        assert main(["closure", other, cl]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", os.path.join(run, "checkpoint.bin"), toy,
+                     "--closure-dir", cl])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "closure_gci0.tsv:" in err and "unknown class" in err
+
     def test_filtered_flag_prints_filtered_block(self, toy, tmp_path, capsys):
         run = str(tmp_path / "run")
         main(["train", toy, run, "--preset", "relu-original",

@@ -1,7 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from elgeo.axioms import BOT, Axiom, Form, parse_normalized
+from elgeo.axioms import ARITY, BOT, GCI_FORMS, RELATION_SLOTS, Axiom, Form, parse_normalized
 from elgeo.closure import (
     ClosureBudgetError, UnsupportedFormError, compute_closure, dump_closure,
     load_closure_dump, split_entailed,
@@ -9,7 +11,7 @@ from elgeo.closure import (
 from elgeo.dataset import build_kb
 from elgeo.reasoner import saturate
 
-from oracles import random_kb, rescan_closure, rescan_saturate
+from oracles import random_kb, rescan_closure, rescan_contains, rescan_saturate
 
 
 def make(text):
@@ -136,6 +138,41 @@ class TestProperties:
         with pytest.raises(ClosureBudgetError, match="closure.max_derived"):
             compute_closure(kb, sub, max_derived=10)
 
+    def test_budget_boundary_is_the_stored_row_count(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            kb = random_kb(rng, n_classes=10, n_axioms=30)
+            sub = saturate(kb)
+            total = sum(len(s) for s in compute_closure(kb, sub).sets.values())
+            compute_closure(kb, sub, max_derived=total)
+            with pytest.raises(ClosureBudgetError):
+                compute_closure(kb, sub, max_derived=total - 1)
+
+    def test_computed_and_loaded_membership_match_the_reference(self, tmp_path):
+        # every id tuple of every form, on KBs with unsatisfiable classes and
+        # disjointness axioms among them
+        rng = np.random.default_rng(37)
+        for i in range(30):
+            kb = random_kb(rng, n_classes=int(rng.integers(4, 15)), n_relations=2,
+                           n_axioms=int(rng.integers(5, 41)))
+            dc = compute_closure(kb, saturate(kb))
+            path = str(tmp_path / str(i))
+            dump_closure(dc, path)
+            loaded = load_closure_dump(path, kb.sig)
+            reference = rescan_contains(kb, rescan_saturate(kb))
+            classes, rels = range(kb.sig.n_classes), range(kb.sig.n_relations)
+            for form in GCI_FORMS:
+                rel_slots = RELATION_SLOTS.get(form, ())
+                for args in product(*(rels if j in rel_slots else classes
+                                      for j in range(ARITY[form]))):
+                    try:
+                        ax = Axiom(form, args)
+                    except ValueError:
+                        continue   # BOT right-hand side: only the bottom form holds it
+                    expected = reference(form, args)
+                    assert dc.contains(ax) == expected, (i, form.value, args)
+                    assert loaded.contains(ax) == expected, (i, form.value, args)
+
 
 class TestSplitEntailed:
     def test_partition(self):
@@ -169,3 +206,16 @@ def test_dump_and_reload(tmp_path):
     sig = kb.sig
     ax = Axiom(Form.GCI2, (sig.class_id("A"), sig.relation_id("r"), sig.class_id("Bp")))
     assert loaded.contains(ax)
+
+
+def test_dump_load_looks_names_up_without_interning(tmp_path):
+    kb, sub, dc = make("GCI2\tA\tr\tB\nGCI0\tB\tBp\n")
+    dump_closure(dc, str(tmp_path))
+    _, no_bp = parse_normalized("GCI2\tA\tr\tB\n")
+    with pytest.raises(ValueError, match=r"closure_gci0\.tsv:\d+: unknown class: 'Bp'"):
+        load_closure_dump(str(tmp_path), no_bp)
+    assert no_bp.class_names == ("TOP", "BOT", "A", "B")
+    _, no_r = parse_normalized("GCI2\tA\ts\tB\nGCI0\tB\tBp\n")
+    with pytest.raises(ValueError, match=r"closure_gci2\.tsv:\d+: unknown relation: 'r'"):
+        load_closure_dump(str(tmp_path), no_r)
+    assert no_r.relation_names == ("s",)

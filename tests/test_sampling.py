@@ -5,9 +5,7 @@ from elgeo.axioms import Axiom, Form, parse_normalized
 from elgeo.closure import compute_closure
 from elgeo.dataset import build_kb
 from elgeo.reasoner import saturate
-from elgeo.sampling import (
-    NegativeSampler, SamplerConfig, SamplingError, corrupt, sample_negatives,
-)
+from elgeo.sampling import NegativeSampler, SamplerConfig, SamplingError
 
 
 def kb_with_closure(text):
@@ -17,36 +15,46 @@ def kb_with_closure(text):
     return kb, dc
 
 
+def corrupt_rows(kb, form, rows, cfg, dc=None):
+    """corrupt_ids over a list of id tuples with a fresh sampler."""
+    sampler = NegativeSampler(kb, cfg, dc)
+    out, keep = sampler.corrupt_ids(form, np.array(rows, dtype=np.int64))
+    return out, keep, sampler.stats
+
+
 class TestCorrupt:
     def test_forced_draw(self):
         axioms, sig = parse_normalized("GCI2\tA\tr\tB\n")
         sig.intern_class("C")
-        rng = np.random.default_rng(0)
+        kb = build_kb(sig, axioms)
         pool = [sig.class_id("B"), sig.class_id("C")]
-        out = corrupt(axioms[0], pool, rng)
-        assert out.args[2] == sig.class_id("C")
-        assert out.args[:2] == axioms[0].args[:2]
+        out, keep, _ = corrupt_rows(kb, Form.GCI2, [axioms[0].args] * 20,
+                                    SamplerConfig(seed=0, pools={Form.GCI2: pool}))
+        assert keep.all()
+        assert (out[:, 2] == sig.class_id("C")).all()
+        assert (out[:, :2] == axioms[0].args[:2]).all()
 
     def test_pool_exhausted(self):
         axioms, sig = parse_normalized("GCI0\tA\tB\n")
-        rng = np.random.default_rng(0)
+        kb = build_kb(sig, axioms)
         with pytest.raises(SamplingError, match="pool exhausted"):
-            corrupt(axioms[0], [sig.class_id("B")], rng)
+            corrupt_rows(kb, Form.GCI0, [axioms[0].args],
+                         SamplerConfig(seed=0, pools={Form.GCI0: [sig.class_id("B")]}))
 
     def test_corrupts_designated_slot_only(self):
         text = "GCI0\tA\tB\nGCI1\tA\tB\tC\nGCI2\tA\tr\tB\nGCI3\tr\tA\tB\n"
         axioms, sig = parse_normalized(text)
-        pool = list(range(2, sig.n_classes))
-        rng = np.random.default_rng(1)
+        kb = build_kb(sig, axioms)
         slots = {Form.GCI0: 1, Form.GCI1: 2, Form.GCI2: 2, Form.GCI3: 2}
         for ax in axioms:
-            out = corrupt(ax, pool, rng)
+            out, keep, _ = corrupt_rows(kb, ax.form, [ax.args] * 50, SamplerConfig(seed=1))
+            assert keep.all()
             slot = slots[ax.form]
             for j in range(len(ax.args)):
                 if j == slot:
-                    assert out.args[j] != ax.args[j]
+                    assert (out[:, j] != ax.args[j]).all()
                 else:
-                    assert out.args[j] == ax.args[j]
+                    assert (out[:, j] == ax.args[j]).all()
 
     def test_uniform_distribution(self):
         # replacement frequencies over a 10-element pool: each of the 9
@@ -103,11 +111,11 @@ class TestFiltering:
         kb, dc = kb_with_closure("GCI2\tA\tr\tB\nGCI0\tB\tBp\nGCI0\tZ1\tZ1\n")
         cfg = SamplerConfig(filter_with_closure=True, seed=3)
         sampler = NegativeSampler(kb, cfg, dc)
-        batch = [kb.axioms[Form.GCI2][0]] * 500
-        negs = sampler.sample(batch)
+        rows = np.array([kb.axioms[Form.GCI2][0].args] * 500, dtype=np.int64)
+        _, keep = sampler.corrupt_ids(Form.GCI2, rows)
         st = sampler.stats
         assert st.requested == 500
-        assert st.produced == len(negs)
+        assert st.produced == int(keep.sum())
         assert st.dropped == st.requested - st.produced
         assert st.drop_rate == pytest.approx(st.dropped / 500)
 
@@ -116,9 +124,10 @@ class TestEntailedRatio:
     def test_full_ratio_all_closure_members(self):
         kb, dc = kb_with_closure("GCI2\tA\tr\tB\nGCI0\tB\tBp\nGCI0\tZ1\tZ1\n")
         cfg = SamplerConfig(entailed_ratio=1.0, seed=11)
-        negs, stats = sample_negatives([kb.axioms[Form.GCI2][0]] * 300, cfg, kb, dc)
-        assert len(negs) == 300
-        assert all(dc.contains(ax) for ax in negs)
+        out, keep, stats = corrupt_rows(kb, Form.GCI2, [kb.axioms[Form.GCI2][0].args] * 300,
+                                        cfg, dc)
+        assert keep.all()
+        assert all(dc.contains(Axiom(Form.GCI2, tuple(row))) for row in out.tolist())
         assert stats.entailed_injected == 300
 
     def test_zero_ratio_filtering_none_member(self):
@@ -126,26 +135,28 @@ class TestEntailedRatio:
             "GCI2\tA\tr\tB\nGCI0\tB\tBp\n"
             + "".join(f"GCI0\tW{i}\tW{i}\n" for i in range(10)))
         cfg = SamplerConfig(filter_with_closure=True, entailed_ratio=0.0, seed=13)
-        negs, _ = sample_negatives([kb.axioms[Form.GCI2][0]] * 1000, cfg, kb, dc)
+        out, keep, _ = corrupt_rows(kb, Form.GCI2, [kb.axioms[Form.GCI2][0].args] * 1000,
+                                    cfg, dc)
+        assert keep.any()
         train = {ax.args for ax in kb.train_gci2}
-        for ax in negs:
-            assert not dc.contains(ax)
-            assert ax.args not in train
+        for row in out[keep].tolist():
+            assert not dc.contains(Axiom(Form.GCI2, tuple(row)))
+            assert tuple(row) not in train
 
 
 class TestDeterminism:
     def test_same_seed_same_sequence(self):
         kb, dc = kb_with_closure("GCI2\tA\tr\tB\nGCI0\tB\tBp\nGCI0\tZ1\tZ1\n")
-        batch = [kb.axioms[Form.GCI2][0]] * 64
+        rows = [kb.axioms[Form.GCI2][0].args] * 64
         cfg = SamplerConfig(filter_with_closure=True, seed=21)
-        a, _ = sample_negatives(batch, cfg, kb, dc)
-        b, _ = sample_negatives(batch, cfg, kb, dc)
-        assert a == b
+        a_out, a_keep, _ = corrupt_rows(kb, Form.GCI2, rows, cfg, dc)
+        b_out, b_keep, _ = corrupt_rows(kb, Form.GCI2, rows, cfg, dc)
+        assert np.array_equal(a_out, b_out) and np.array_equal(a_keep, b_keep)
 
     def test_different_seed_differs(self):
         kb, _ = kb_with_closure("GCI2\tA\tr\tB\n" +
                                 "".join(f"GCI0\tW{i}\tW{i}\n" for i in range(20)))
-        batch = [kb.axioms[Form.GCI2][0]] * 64
-        a, _ = sample_negatives(batch, SamplerConfig(seed=1), kb)
-        b, _ = sample_negatives(batch, SamplerConfig(seed=2), kb)
-        assert a != b
+        rows = [kb.axioms[Form.GCI2][0].args] * 64
+        a, _, _ = corrupt_rows(kb, Form.GCI2, rows, SamplerConfig(seed=1))
+        b, _, _ = corrupt_rows(kb, Form.GCI2, rows, SamplerConfig(seed=2))
+        assert not np.array_equal(a, b)
