@@ -80,13 +80,7 @@ def cmd_closure(args) -> int:
     kb = load_dataset(args.dataset)
     sub = saturate(kb)
     dc = compute_closure(kb, sub, max_derived=max_derived, strict_printed_rules=strict)
-    os.makedirs(args.out, exist_ok=True)
     dump_closure(dc, args.out)
-    stats_path = os.path.join(args.out, "closure_stats.json")
-    with open(stats_path, "w", encoding="utf-8") as f:
-        json.dump({"derived": dc.stats, "strict_printed_rules": strict},
-                  f, sort_keys=True, indent=2)
-        f.write("\n")
     for form, count in sorted(dc.stats.items()):
         print(f"derived {form}\t{count}")
     return 0

@@ -15,11 +15,13 @@ new.  The expansion is sound but not complete.  Membership for GCI1 is
 checked modulo conjunction commutativity, and disjointness (GCI1_BOT)
 membership propagates down the hierarchy at query time; both conveniences
 are disabled by ``strict_printed_rules``.  Membership reads the stored sets
-alone, so a closure loaded from its dump answers like the computed one.
+alone, and the dump records the strictness, so a closure loaded from its dump
+answers like the computed one.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from itertools import product
@@ -32,6 +34,7 @@ from .reasoner import SubsumptionClosure
 
 DEFAULT_MAX_DERIVED = 10 ** 8
 BUDGET_KEY = "closure.max_derived"
+STATS_FILE = "closure_stats.json"
 
 
 class ClosureBudgetError(Exception):
@@ -178,7 +181,8 @@ def split_entailed(dc: DeductiveClosure, axioms: list[Axiom]) -> tuple[list[Axio
 
 
 def dump_closure(dc: DeductiveClosure, path: str):
-    """Per-form TSVs in the axiom format plus an asserted/derived column."""
+    """Per-form TSVs in the axiom format plus an asserted/derived column, and
+    ``closure_stats.json`` with the derived counts and the strictness."""
     os.makedirs(path, exist_ok=True)
     for form in GCI_FORMS:
         fpath = os.path.join(path, f"closure_{form.value.lower()}.tsv")
@@ -186,13 +190,19 @@ def dump_closure(dc: DeductiveClosure, path: str):
             for args in sorted(dc.sets[form]):
                 ax = Axiom(form, args)
                 f.write(f"{format_axiom(ax, dc.sig)}\t{dc.provenance(ax)}\n")
+    with open(os.path.join(path, STATS_FILE), "w", encoding="utf-8") as f:
+        json.dump({"derived": dc.stats, "strict_printed_rules": dc.strict},
+                  f, sort_keys=True, indent=2)
+        f.write("\n")
 
 
 def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
     """Rebuild membership sets from dump files (no subsumption closure attached).
 
     Names are looked up, never interned: a name outside ``sig`` raises a
-    ValueError naming the file and line, and ``sig`` is left unchanged.
+    ValueError naming the file and line, and ``sig`` is left unchanged.  The
+    strictness comes from ``closure_stats.json``; a dump without one is
+    non-strict, and a malformed one raises ValueError.
     """
     sets: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
     asserted: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
@@ -225,4 +235,15 @@ def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
                     asserted[form].add(args)
     if not found:
         raise FileNotFoundError(f"no closure dump files in {path}")
-    return DeductiveClosure(sig=sig, sets=sets, asserted=asserted, sub=None)
+    spath = os.path.join(path, STATS_FILE)
+    strict = False
+    if os.path.exists(spath):
+        with open(spath, encoding="utf-8") as f:
+            try:
+                strict = json.load(f).get("strict_printed_rules")
+            except (ValueError, AttributeError):
+                strict = None
+        if not isinstance(strict, bool):
+            raise ValueError(f"{spath}: expected a JSON object with a boolean "
+                             "'strict_printed_rules'")
+    return DeductiveClosure(sig=sig, sets=sets, asserted=asserted, sub=None, strict=strict)

@@ -8,8 +8,10 @@ strings) and fall back to bare strings.  Unknown keys are rejected.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from importlib import resources
 
+from .closure import DEFAULT_MAX_DERIVED
 from .training import TrainConfig
 
 
@@ -17,27 +19,10 @@ class ConfigError(Exception):
     pass
 
 
-# key -> (TrainConfig field, converter) or None for non-training keys
+# key -> (TrainConfig field, converter) or None for non-training keys; a
+# training key's converter is the type of its field's default
 SCHEMA: dict[str, tuple[str, type] | None] = {
-    "train.epochs": ("epochs", int),
-    "train.batch_size": ("batch_size", int),
-    "train.lr": ("lr", float),
-    "train.margin": ("margin", float),
-    "train.dim": ("dim", int),
-    "train.reg_mode": ("reg_mode", str),
-    "train.reg_radius": ("reg_radius", float),
-    "train.activation": ("activation", str),
-    "train.leaky_slope": ("leaky_slope", float),
-    "train.weighting": ("weighting", str),
-    "train.neg_forms": ("neg_forms", tuple),
-    "train.filter_negatives": ("filter_negatives", bool),
-    "train.entailed_ratio": ("entailed_ratio", float),
-    "train.max_resample_attempts": ("max_resample_attempts", int),
-    "train.plateau_factor": ("plateau_factor", float),
-    "train.plateau_patience": ("plateau_patience", int),
-    "train.early_stop_patience": ("early_stop_patience", int),
-    "train.val_include_negatives": ("val_include_negatives", bool),
-    "train.seed": ("seed", int),
+    **{f"train.{f.name}": (f.name, type(f.default)) for f in fields(TrainConfig)},
     "closure.max_derived": None,
     "closure.strict_printed_rules": None,
     "eval.pool": None,
@@ -46,7 +31,7 @@ SCHEMA: dict[str, tuple[str, type] | None] = {
 }
 
 DEFAULT_EXTRAS = {
-    "closure.max_derived": 10 ** 8,
+    "closure.max_derived": DEFAULT_MAX_DERIVED,
     "closure.strict_printed_rules": False,
     "eval.pool": None,
     "eval.head_pool": None,

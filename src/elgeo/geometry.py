@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -127,6 +127,11 @@ CHECKPOINT_MAGIC = b"ELGEO\x00"
 CHECKPOINT_VERSION = 1
 
 
+def param_size(n_classes: int, n_relations: int, dim: int) -> int:
+    """Length of the flat parameter vector of a model."""
+    return (n_classes + n_relations) * dim + n_classes
+
+
 @dataclass
 class EmbeddingModel:
     sig: Signature
@@ -137,9 +142,24 @@ class EmbeddingModel:
     activation: str          # "relu" | "leaky_relu"
     leaky_slope: float
     seed: int
-    centers: np.ndarray      # (n_classes, dim) float64
-    radii: np.ndarray        # (n_classes,) float64
-    rel_vectors: np.ndarray  # (n_relations, dim) float64
+    params: np.ndarray       # flat float64, cut by views() into the three below
+    centers: np.ndarray = field(init=False, repr=False)
+    radii: np.ndarray = field(init=False, repr=False)
+    rel_vectors: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.centers, self.radii, self.rel_vectors = self.views(self.params)
+
+    def views(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cut a vector laid out like params into (centers, radii, relation vectors).
+
+        The one place that knows the layout, which is also the checkpoint's
+        byte order: centers (n_classes, dim) row-major, radii (n_classes,),
+        relation vectors (n_relations, dim).
+        """
+        nc, nr, dim = self.sig.n_classes, self.sig.n_relations, self.dim
+        k = nc * dim
+        return flat[:k].reshape(nc, dim), flat[k:k + nc], flat[k + nc:].reshape(nr, dim)
 
     @classmethod
     def create(cls, sig: Signature, dim: int, margin: float = 0.1,
@@ -154,22 +174,16 @@ class EmbeddingModel:
         if rng is None:
             rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(dim)
-        centers = rng.uniform(-bound, bound, size=(sig.n_classes, dim))
-        radii = rng.uniform(-bound, bound, size=sig.n_classes)
-        rels = rng.uniform(-bound, bound, size=(max(sig.n_relations, 1), dim))
-        rels = rels[:sig.n_relations]
+        params = rng.uniform(-bound, bound, size=param_size(sig.n_classes, sig.n_relations, dim))
         return cls(sig=sig, dim=dim, margin=margin, reg_mode=reg_mode,
                    reg_radius=reg_radius, activation=activation,
-                   leaky_slope=leaky_slope, seed=seed,
-                   centers=centers, radii=radii, rel_vectors=rels)
+                   leaky_slope=leaky_slope, seed=seed, params=params)
 
     def copy(self) -> "EmbeddingModel":
-        return replace(self, centers=self.centers.copy(), radii=self.radii.copy(),
-                       rel_vectors=self.rel_vectors.copy())
+        return replace(self, params=self.params.copy())
 
     def all_finite(self) -> bool:
-        return bool(np.isfinite(self.centers).all() and np.isfinite(self.radii).all()
-                    and np.isfinite(self.rel_vectors).all())
+        return bool(np.isfinite(self.params).all())
 
     def score_tails(self, c: int, r: int, tails: np.ndarray) -> np.ndarray:
         """Completion score of (c, r, t) for every candidate tail t."""
@@ -180,12 +194,11 @@ class EmbeddingModel:
 
 
 class GradientBuffer:
-    """Dense accumulators for parameter gradients (repeated ids add up)."""
+    """Dense parameter gradients laid out like the model's params (repeated ids add up)."""
 
     def __init__(self, model: EmbeddingModel):
-        self.centers = np.zeros_like(model.centers)
-        self.radii = np.zeros_like(model.radii)
-        self.rels = np.zeros_like(model.rel_vectors)
+        self.flat = np.zeros_like(model.params)
+        self.centers, self.radii, self.rels = model.views(self.flat)
 
     def add_center(self, ids, g):
         np.add.at(self.centers, ids, g)
@@ -299,7 +312,7 @@ def gradient(model: EmbeddingModel, term: str, ids: tuple[int, ...]) -> dict:
 # --- checkpoint format -------------------------------------------------------
 
 def save_model(model: EmbeddingModel, path: str):
-    """Binary checkpoint: header JSON, raw little-endian float64 arrays, id tables."""
+    """Binary checkpoint: header JSON, the raw little-endian float64 params, id tables."""
     header = {
         "version": CHECKPOINT_VERSION,
         "dim": model.dim,
@@ -322,9 +335,7 @@ def save_model(model: EmbeddingModel, path: str):
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(hblob)))
         f.write(hblob)
-        f.write(np.ascontiguousarray(model.centers, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.radii, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.rel_vectors, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(model.params, dtype="<f8").tobytes())
         f.write(struct.pack("<Q", len(tblob)))
         f.write(tblob)
 
@@ -345,17 +356,12 @@ def load_model(path: str) -> EmbeddingModel:
         off += nbytes
         return memoryview(blob)[off - nbytes:off]
 
-    def floats(count: int) -> np.ndarray:
-        return np.frombuffer(take(count * 8), dtype="<f8").copy()
-
     (hlen,) = struct.unpack("<Q", take(8))
     header = json.loads(str(take(hlen), "utf-8"))
     if header["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {header['version']}")
     nc, nr, dim = header["n_classes"], header["n_relations"], header["dim"]
-    centers = floats(nc * dim).reshape(nc, dim)
-    radii = floats(nc)
-    rels = floats(nr * dim).reshape(nr, dim)
+    params = np.frombuffer(take(param_size(nc, nr, dim) * 8), dtype="<f8").copy()
     (tlen,) = struct.unpack("<Q", take(8))
     tables = json.loads(str(take(tlen), "utf-8"))
     if off != len(blob):
@@ -369,5 +375,4 @@ def load_model(path: str) -> EmbeddingModel:
     return EmbeddingModel(
         sig=sig, dim=dim, margin=header["margin"], reg_mode=header["reg_mode"],
         reg_radius=header["reg_radius"], activation=header["activation"],
-        leaky_slope=header["leaky_slope"], seed=header["seed"],
-        centers=centers, radii=radii, rel_vectors=rels)
+        leaky_slope=header["leaky_slope"], seed=header["seed"], params=params)

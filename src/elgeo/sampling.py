@@ -11,7 +11,7 @@ from the entailed-but-not-asserted axioms of the same form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class SamplerConfig:
     entailed_ratio: float = 0.0
     max_resample_attempts: int = 10
     seed: int = 42
-    pools: dict[Form, list[int]] = field(default_factory=dict)   # overrides per form
 
     def __post_init__(self):
         if not 0.0 <= self.entailed_ratio <= 1.0:
@@ -54,7 +53,7 @@ class SampleStats:
 
 
 class NegativeSampler:
-    """Stateful sampler: one rng stream, per-form pools and entailed pools."""
+    """Stateful sampler: one rng stream, the KB's "all" pool and per-form entailed pools."""
 
     def __init__(self, kb: KnowledgeBase, cfg: SamplerConfig,
                  dc: DeductiveClosure | None = None,
@@ -67,12 +66,7 @@ class NegativeSampler:
         self.dc = dc
         self.rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         self.stats = SampleStats()
-        default = np.asarray(sorted(kb.pool("all")), dtype=np.int64)
-        self._pools: dict[Form, np.ndarray] = {}
-        for form in CORRUPT_SLOT:
-            override = cfg.pools.get(form)
-            self._pools[form] = (np.asarray(sorted(override), dtype=np.int64)
-                                 if override is not None else default)
+        self._pool = np.asarray(sorted(kb.pool("all")), dtype=np.int64)
         self._entailed_pools: dict[Form, list[tuple[int, ...]]] = {}
 
     def _entailed_pool(self, form: Form) -> list[tuple[int, ...]]:
@@ -93,7 +87,7 @@ class NegativeSampler:
         always kept.
         """
         slot = CORRUPT_SLOT[form]
-        pool = self._pools[form]
+        pool = self._pool
         if len(pool) < 2:
             raise SamplingError("pool exhausted")
         B = len(rows)

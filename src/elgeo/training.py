@@ -144,30 +144,27 @@ def compute_weights(counts: dict[str, int], mode: str = "inverse_frequency") -> 
 
 
 class Adam:
-    """Dense Adam over the three parameter arrays."""
+    """Dense Adam over the model's flat parameter vector."""
 
     def __init__(self, model: EmbeddingModel, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.model = model
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(model.centers), np.zeros_like(model.radii),
-                  np.zeros_like(model.rel_vectors)]
-        self.v = [np.zeros_like(p) for p in self.m]
+        self.m = np.zeros_like(model.params)
+        self.v = np.zeros_like(model.params)
 
     def step(self, grads: GradientBuffer, lr: float):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        params = (self.model.centers, self.model.radii, self.model.rel_vectors)
-        gs = (grads.centers, grads.radii, grads.rels)
-        for p, m, v, g in zip(params, self.m, self.v, gs):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v, g = self.m, self.v, grads.flat
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        self.model.params -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def _positive_loss(model: EmbeddingModel, form: Form, rows: np.ndarray,
@@ -315,14 +312,6 @@ def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = Non
     return final, report
 
 
-def worker_count() -> int:
-    """Worker cap from the ELGEO_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("ELGEO_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class GridResult:
     entries: list[tuple[dict, float]] = field(default_factory=list)   # ranked
@@ -355,12 +344,10 @@ def grid_search(kb: KnowledgeBase, base_cfg: TrainConfig,
         return macro_mean_rank(model, kb)
 
     result = GridResult()
-    max_workers = worker_count()
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(lambda c: _guard(run, c), combos))
-    else:
-        outcomes = [_guard(run, c) for c in combos]
+    # each run seeds itself and the entries are sorted, so the pool size
+    # changes only the wall time
+    with ThreadPoolExecutor(max_workers=min(len(combos), os.cpu_count() or 1)) as pool:
+        outcomes = list(pool.map(lambda c: _guard(run, c), combos))
     for combo, (metric, err) in zip(combos, outcomes):
         if err is None:
             result.entries.append((combo, metric))

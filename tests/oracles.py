@@ -124,14 +124,14 @@ def rescan_closure(kb, S):
     return out
 
 
-def rescan_contains(kb, S):
+def rescan_contains(kb, S, strict=False):
     """Per-row closure membership, answered from the subsumers S of rescan_saturate.
 
     Returns ``contains(form, args)``.  Subsumption premises come from S
     (every class is below itself and TOP; an unsatisfiable class is below
-    everything), stored rows from ``rescan_closure``.  GCI1 is looked up in
-    either conjunct order, and an asserted disjointness of A and B covers
-    every pair of their subclasses, in either order.
+    everything), stored rows from ``rescan_closure``.  Unless ``strict``,
+    GCI1 is looked up in either conjunct order, and an asserted disjointness
+    of A and B covers every pair of their subclasses, in either order.
     """
     n = kb.sig.n_classes
     unsat = {c for c in range(n) if BOT in S[c]}
@@ -146,6 +146,8 @@ def rescan_contains(kb, S):
             return below(*args) or args in stored[form]
         if form is Form.GCI0_BOT:
             return args[0] in unsat or args in stored[form]
+        if strict:
+            return args in stored[form]
         if form is Form.GCI1:
             c, d, e = args
             return args in stored[form] or (d, c, e) in stored[form]

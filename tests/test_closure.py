@@ -150,28 +150,31 @@ class TestProperties:
 
     def test_computed_and_loaded_membership_match_the_reference(self, tmp_path):
         # every id tuple of every form, on KBs with unsatisfiable classes and
-        # disjointness axioms among them
+        # disjointness axioms among them, with and without strict rules
         rng = np.random.default_rng(37)
         for i in range(30):
             kb = random_kb(rng, n_classes=int(rng.integers(4, 15)), n_relations=2,
                            n_axioms=int(rng.integers(5, 41)))
-            dc = compute_closure(kb, saturate(kb))
-            path = str(tmp_path / str(i))
-            dump_closure(dc, path)
-            loaded = load_closure_dump(path, kb.sig)
-            reference = rescan_contains(kb, rescan_saturate(kb))
+            sub, S = saturate(kb), rescan_saturate(kb)
             classes, rels = range(kb.sig.n_classes), range(kb.sig.n_relations)
-            for form in GCI_FORMS:
-                rel_slots = RELATION_SLOTS.get(form, ())
-                for args in product(*(rels if j in rel_slots else classes
-                                      for j in range(ARITY[form]))):
-                    try:
-                        ax = Axiom(form, args)
-                    except ValueError:
-                        continue   # BOT right-hand side: only the bottom form holds it
-                    expected = reference(form, args)
-                    assert dc.contains(ax) == expected, (i, form.value, args)
-                    assert loaded.contains(ax) == expected, (i, form.value, args)
+            for strict in (False, True):
+                dc = compute_closure(kb, sub, strict_printed_rules=strict)
+                path = str(tmp_path / f"{i}-{strict}")
+                dump_closure(dc, path)
+                loaded = load_closure_dump(path, kb.sig)
+                reference = rescan_contains(kb, S, strict)
+                for form in GCI_FORMS:
+                    rel_slots = RELATION_SLOTS.get(form, ())
+                    for args in product(*(rels if j in rel_slots else classes
+                                          for j in range(ARITY[form]))):
+                        try:
+                            ax = Axiom(form, args)
+                        except ValueError:
+                            continue   # BOT right-hand side: only the bottom form holds it
+                        expected = reference(form, args)
+                        where = (i, strict, form.value, args)
+                        assert dc.contains(ax) == expected, where
+                        assert loaded.contains(ax) == expected, where
 
 
 class TestSplitEntailed:
@@ -206,6 +209,18 @@ def test_dump_and_reload(tmp_path):
     sig = kb.sig
     ax = Axiom(Form.GCI2, (sig.class_id("A"), sig.relation_id("r"), sig.class_id("Bp")))
     assert loaded.contains(ax)
+
+
+@pytest.mark.parametrize("stats", ["{", "[]", '{"derived": {}}',
+                                   '{"strict_printed_rules": "yes"}'])
+def test_malformed_closure_stats_raise_value_error(tmp_path, stats):
+    kb, sub, dc = make("GCI1\tA\tB\tC\n")
+    dump_closure(dc, str(tmp_path))
+    (tmp_path / "closure_stats.json").write_text(stats)
+    with pytest.raises(ValueError, match="closure_stats.json"):
+        load_closure_dump(str(tmp_path), kb.sig)
+    (tmp_path / "closure_stats.json").unlink()
+    assert not load_closure_dump(str(tmp_path), kb.sig).strict
 
 
 def test_dump_load_looks_names_up_without_interning(tmp_path):

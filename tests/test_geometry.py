@@ -3,9 +3,10 @@ import pytest
 
 from elgeo.axioms import Signature
 from elgeo.geometry import (
-    TERMS, TERM_ARITY, EmbeddingModel, gradient, load_model,
+    TERMS, TERM_ARITY, EmbeddingModel, GradientBuffer, gradient, load_model,
     loss_term, loss_value, save_model,
 )
+from elgeo.training import Adam
 
 from oracles import gradcheck_max_error
 
@@ -265,6 +266,34 @@ class TestCheckpoint:
         path2 = tmp_path / "model2.bin"
         save_model(m2, str(path2))
         assert path.read_bytes() == path2.read_bytes()
+
+
+class TestParameterBlock:
+    @staticmethod
+    def assert_views_alias(flat, centers, radii, rels):
+        # distinct values in the block show up in the views, in checkpoint order
+        flat[:] = np.arange(len(flat))
+        cut = np.concatenate([centers.ravel(), radii, rels.ravel()])
+        assert np.array_equal(cut, np.arange(len(flat)))
+
+    def test_views_alias_the_flat_block(self, tmp_path):
+        m, _ = model2d()
+        path = str(tmp_path / "model.bin")
+        save_model(m, path)
+        copy, loaded = m.copy(), load_model(path)
+        for model in (m, copy, loaded):
+            self.assert_views_alias(model.params, model.centers, model.radii,
+                                    model.rel_vectors)
+        assert not np.shares_memory(copy.params, m.params)
+        buf = GradientBuffer(m)
+        self.assert_views_alias(buf.flat, buf.centers, buf.radii, buf.rels)
+        # Adam updates the block in place, so the views see the step
+        centers, radii = m.centers.copy(), m.radii.copy()
+        buf.flat[:] = 0.0
+        buf.centers[:] = 1.0
+        Adam(m).step(buf, lr=0.1)
+        assert (m.centers < centers).all()
+        assert np.array_equal(m.radii, radii)
 
 
 class TestNonNegativity:

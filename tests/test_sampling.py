@@ -26,20 +26,18 @@ class TestCorrupt:
     def test_forced_draw(self):
         axioms, sig = parse_normalized("GCI2\tA\tr\tB\n")
         sig.intern_class("C")
-        kb = build_kb(sig, axioms)
-        pool = [sig.class_id("B"), sig.class_id("C")]
+        kb = build_kb(sig, axioms, pools={"all": [sig.class_id("B"), sig.class_id("C")]})
         out, keep, _ = corrupt_rows(kb, Form.GCI2, [axioms[0].args] * 20,
-                                    SamplerConfig(seed=0, pools={Form.GCI2: pool}))
+                                    SamplerConfig(seed=0))
         assert keep.all()
         assert (out[:, 2] == sig.class_id("C")).all()
         assert (out[:, :2] == axioms[0].args[:2]).all()
 
     def test_pool_exhausted(self):
         axioms, sig = parse_normalized("GCI0\tA\tB\n")
-        kb = build_kb(sig, axioms)
+        kb = build_kb(sig, axioms, pools={"all": [sig.class_id("B")]})
         with pytest.raises(SamplingError, match="pool exhausted"):
-            corrupt_rows(kb, Form.GCI0, [axioms[0].args],
-                         SamplerConfig(seed=0, pools={Form.GCI0: [sig.class_id("B")]}))
+            corrupt_rows(kb, Form.GCI0, [axioms[0].args], SamplerConfig(seed=0))
 
     def test_corrupts_designated_slot_only(self):
         text = "GCI0\tA\tB\nGCI1\tA\tB\tC\nGCI2\tA\tr\tB\nGCI3\tr\tA\tB\n"
@@ -61,9 +59,8 @@ class TestCorrupt:
         # candidates within 0.01 of 1/9
         axioms, sig = parse_normalized("GCI0\tA\tB\n")
         pool = [sig.class_id("B")] + [sig.intern_class(f"X{i}") for i in range(9)]
-        kb = build_kb(sig, axioms)
-        sampler = NegativeSampler(kb, SamplerConfig(seed=7,
-                                                    pools={Form.GCI0: pool}))
+        kb = build_kb(sig, axioms, pools={"all": pool})
+        sampler = NegativeSampler(kb, SamplerConfig(seed=7))
         rows = np.array([axioms[0].args] * 100_000, dtype=np.int64)
         out, keep = sampler.corrupt_ids(Form.GCI0, rows)
         assert keep.all()
@@ -96,10 +93,10 @@ class TestFiltering:
 
     def test_drop_on_exhaustion(self):
         # every pool candidate is an entailed tail: all corruptions must drop
-        kb, dc = kb_with_closure("GCI2\tA\tr\tB\nGCI0\tB\tC\nGCI0\tC\tD\n")
-        pool = [kb.sig.class_id(n) for n in ("B", "C", "D")]
-        cfg = SamplerConfig(filter_with_closure=True, max_resample_attempts=3,
-                            seed=1, pools={Form.GCI2: pool})
+        axioms, sig = parse_normalized("GCI2\tA\tr\tB\nGCI0\tB\tC\nGCI0\tC\tD\n")
+        kb = build_kb(sig, axioms, pools={"all": [sig.class_id(n) for n in ("B", "C", "D")]})
+        dc = compute_closure(kb, saturate(kb))
+        cfg = SamplerConfig(filter_with_closure=True, max_resample_attempts=3, seed=1)
         sampler = NegativeSampler(kb, cfg, dc)
         rows = np.array([kb.axioms[Form.GCI2][0].args] * 50, dtype=np.int64)
         out, keep = sampler.corrupt_ids(Form.GCI2, rows)
