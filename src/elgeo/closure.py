@@ -201,8 +201,8 @@ def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
 
     Names are looked up, never interned: a name outside ``sig`` raises a
     ValueError naming the file and line, and ``sig`` is left unchanged.  The
-    strictness comes from ``closure_stats.json``; a dump without one is
-    non-strict, and a malformed one raises ValueError.
+    strictness comes from ``closure_stats.json``; a missing or malformed
+    one raises ValueError.
     """
     sets: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
     asserted: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
@@ -236,14 +236,15 @@ def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
     if not found:
         raise FileNotFoundError(f"no closure dump files in {path}")
     spath = os.path.join(path, STATS_FILE)
-    strict = False
-    if os.path.exists(spath):
+    try:
         with open(spath, encoding="utf-8") as f:
-            try:
-                strict = json.load(f).get("strict_printed_rules")
-            except (ValueError, AttributeError):
-                strict = None
-        if not isinstance(strict, bool):
-            raise ValueError(f"{spath}: expected a JSON object with a boolean "
-                             "'strict_printed_rules'")
+            strict = json.load(f).get("strict_printed_rules")
+    except FileNotFoundError:
+        raise ValueError(f"{spath}: missing; the dump does not record its "
+                         "strictness") from None
+    except (ValueError, AttributeError):
+        strict = None
+    if not isinstance(strict, bool):
+        raise ValueError(f"{spath}: expected a JSON object with a boolean "
+                         "'strict_printed_rules'")
     return DeductiveClosure(sig=sig, sets=sets, asserted=asserted, sub=None, strict=strict)

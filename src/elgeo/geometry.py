@@ -143,11 +143,22 @@ class EmbeddingModel:
     leaky_slope: float
     seed: int
     params: np.ndarray       # flat float64, cut by views() into the three below
+    # table sizes of the block, fixed when it is built (default: the
+    # signature's then); names interned into sig later have no parameters
+    n_classes: int | None = None
+    n_relations: int | None = None
     centers: np.ndarray = field(init=False, repr=False)
     radii: np.ndarray = field(init=False, repr=False)
     rel_vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.n_classes is None:
+            self.n_classes = self.sig.n_classes
+        if self.n_relations is None:
+            self.n_relations = self.sig.n_relations
+        size = param_size(self.n_classes, self.n_relations, self.dim)
+        if self.params.shape != (size,):
+            raise ValueError(f"params has shape {self.params.shape}, expected ({size},)")
         self.centers, self.radii, self.rel_vectors = self.views(self.params)
 
     def views(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,7 +168,7 @@ class EmbeddingModel:
         byte order: centers (n_classes, dim) row-major, radii (n_classes,),
         relation vectors (n_relations, dim).
         """
-        nc, nr, dim = self.sig.n_classes, self.sig.n_relations, self.dim
+        nc, nr, dim = self.n_classes, self.n_relations, self.dim
         k = nc * dim
         return flat[:k].reshape(nc, dim), flat[k:k + nc], flat[k + nc:].reshape(nr, dim)
 
@@ -316,8 +327,8 @@ def save_model(model: EmbeddingModel, path: str):
     header = {
         "version": CHECKPOINT_VERSION,
         "dim": model.dim,
-        "n_classes": model.sig.n_classes,
-        "n_relations": model.sig.n_relations,
+        "n_classes": model.n_classes,
+        "n_relations": model.n_relations,
         "margin": model.margin,
         "reg_mode": model.reg_mode,
         "reg_radius": model.reg_radius,
@@ -326,8 +337,8 @@ def save_model(model: EmbeddingModel, path: str):
         "seed": model.seed,
     }
     tables = {
-        "classes": list(model.sig.class_names),
-        "relations": list(model.sig.relation_names),
+        "classes": list(model.sig.class_names[:model.n_classes]),
+        "relations": list(model.sig.relation_names[:model.n_relations]),
     }
     hblob = json.dumps(header, sort_keys=True).encode("utf-8")
     tblob = json.dumps(tables, sort_keys=True).encode("utf-8")

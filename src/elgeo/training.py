@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -344,10 +342,7 @@ def grid_search(kb: KnowledgeBase, base_cfg: TrainConfig,
         return macro_mean_rank(model, kb)
 
     result = GridResult()
-    # each run seeds itself and the entries are sorted, so the pool size
-    # changes only the wall time
-    with ThreadPoolExecutor(max_workers=min(len(combos), os.cpu_count() or 1)) as pool:
-        outcomes = list(pool.map(lambda c: _guard(run, c), combos))
+    outcomes = [_guard(run, c) for c in combos]
     for combo, (metric, err) in zip(combos, outcomes):
         if err is None:
             result.entries.append((combo, metric))

@@ -219,8 +219,14 @@ def test_malformed_closure_stats_raise_value_error(tmp_path, stats):
     (tmp_path / "closure_stats.json").write_text(stats)
     with pytest.raises(ValueError, match="closure_stats.json"):
         load_closure_dump(str(tmp_path), kb.sig)
+
+
+def test_dump_without_closure_stats_raises_value_error(tmp_path):
+    kb, sub, dc = make("GCI1\tA\tB\tC\n")
+    dump_closure(dc, str(tmp_path))
     (tmp_path / "closure_stats.json").unlink()
-    assert not load_closure_dump(str(tmp_path), kb.sig).strict
+    with pytest.raises(ValueError, match="closure_stats.json: missing"):
+        load_closure_dump(str(tmp_path), kb.sig)
 
 
 def test_dump_load_looks_names_up_without_interning(tmp_path):

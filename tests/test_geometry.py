@@ -295,6 +295,23 @@ class TestParameterBlock:
         assert (m.centers < centers).all()
         assert np.array_equal(m.radii, radii)
 
+    def test_names_interned_after_create_leave_the_block_alone(self, tmp_path):
+        m, _ = model2d()
+        shapes = (m.centers.shape, m.radii.shape, m.rel_vectors.shape)
+        m.sig.intern_class("Late")
+        m.sig.intern_relation("late")
+        copy, buf = m.copy(), GradientBuffer(m)
+        assert (copy.centers.shape, copy.radii.shape, copy.rel_vectors.shape) == shapes
+        assert (buf.centers.shape, buf.radii.shape, buf.rels.shape) == shapes
+        path = str(tmp_path / "model.bin")
+        save_model(m, path)
+        loaded = load_model(path)
+        assert np.array_equal(loaded.params, m.params)
+        assert "Late" not in loaded.sig.class_names
+        late = m.sig.class_id("Late")
+        with pytest.raises(KeyError):
+            loss_term(m, "gci0_pos", ([late], [1]))
+
 
 class TestNonNegativity:
     def test_relu_losses_nonnegative_score_nonpositive(self):

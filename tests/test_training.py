@@ -177,16 +177,3 @@ class TestGridSearch:
         result = grid_search(kb, small_cfg(epochs=2), grids)
         metrics = [m for _, m in result.entries]
         assert metrics == sorted(metrics)
-
-    def test_pooled_runs_match_sequential_training(self):
-        # the runs share the KB across worker threads; each must still give
-        # the metric of training its combination alone
-        from dataclasses import replace
-        from elgeo.evaluation import macro_mean_rank
-        kb = basic_kb()
-        base = small_cfg(epochs=2)
-        result = grid_search(kb, base, {"dim": (4, 6), "lr": (0.01, 0.001)})
-        assert len(result.entries) == 4
-        for combo, metric in result.entries:
-            model, _ = train(kb, replace(base, **combo))
-            assert metric == macro_mean_rank(model, kb), combo
