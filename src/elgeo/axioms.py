@@ -166,9 +166,6 @@ class Signature:
         except KeyError:
             raise KeyError(f"unknown relation: {name!r}") from None
 
-    def has_class(self, name: str) -> bool:
-        return name in self._class_ids
-
     def class_name(self, cid: int) -> str:
         return self._class_names[cid]
 

@@ -34,7 +34,12 @@ INPUT_ERRORS = (ParseError, SexprError, DatasetError, ConfigError,
 RUNTIME_ERRORS = (TrainingError, ClosureBudgetError, SamplingError)
 
 
-def _gather_config(args) -> dict:
+def _gather_config(args, flags: dict | None = None) -> dict:
+    """Preset, then config file, then --set, then the command's own flags.
+
+    ``flags`` maps config keys to flag values; a flag left unset (None)
+    keeps the key's value, so the manifest records what the command used.
+    """
     values: dict = {}
     if getattr(args, "preset", None):
         values.update(load_preset(args.preset))
@@ -42,6 +47,7 @@ def _gather_config(args) -> dict:
         values.update(load_config_file(args.config))
     if getattr(args, "set", None):
         values = apply_overrides(values, args.set)
+    values.update({key: val for key, val in (flags or {}).items() if val is not None})
     return values
 
 
@@ -72,14 +78,13 @@ def cmd_reason(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    values = _gather_config(args)
-    extra = extras(values)
-    max_derived = args.max_derived if args.max_derived is not None \
-        else int(extra["closure.max_derived"])
-    strict = args.strict_printed_rules or bool(extra["closure.strict_printed_rules"])
+    extra = extras(_gather_config(args, {
+        "closure.max_derived": args.max_derived,
+        "closure.strict_printed_rules": args.strict_printed_rules}))
     kb = load_dataset(args.dataset)
     sub = saturate(kb)
-    dc = compute_closure(kb, sub, max_derived=max_derived, strict_printed_rules=strict)
+    dc = compute_closure(kb, sub, max_derived=int(extra["closure.max_derived"]),
+                         strict_printed_rules=bool(extra["closure.strict_printed_rules"]))
     dump_closure(dc, args.out)
     for form, count in sorted(dc.stats.items()):
         print(f"derived {form}\t{count}")
@@ -144,7 +149,9 @@ def cmd_grid(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    values = _gather_config(args)
+    values = _gather_config(args, {
+        "eval.pool": args.pool, "eval.head_pool": args.head_pool,
+        "eval.tie_mode": args.tie_mode})
     extra = extras(values)
     model = load_model(args.checkpoint)
     kb = load_dataset(args.dataset)
@@ -159,15 +166,13 @@ def cmd_evaluate(args) -> int:
             raise EvaluationError(
                 "closure-aware evaluation needs --closure-dir; run 'elgeo closure' first")
         dc = load_closure_dump(args.closure_dir, kb.sig)
-    pool = args.pool or extra["eval.pool"]
-    head_pool = args.head_pool or extra["eval.head_pool"]
-    tie_mode = args.tie_mode or extra["eval.tie_mode"]
     manifest = RunManifest(command="evaluate", config=resolved(values),
                            seed=model.seed).start()
     manifest.add_input(args.checkpoint)
     manifest.add_input(args.dataset)
-    report = evaluate(model, kb, dc, pool=pool, head_pool=head_pool,
-                      tie_mode=tie_mode, closure_positives=args.closure_positives)
+    report = evaluate(model, kb, dc, pool=extra["eval.pool"],
+                      head_pool=extra["eval.head_pool"], tie_mode=extra["eval.tie_mode"],
+                      closure_positives=args.closure_positives)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         report_path = os.path.join(args.out, "eval_report.json")
@@ -263,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("out")
     p.add_argument("--max-derived", type=int, default=None)
-    p.add_argument("--strict-printed-rules", action="store_true")
+    p.add_argument("--strict-printed-rules", action="store_true", default=None)
     _add_config_flags(p)
     p.set_defaults(fn=cmd_closure)
 

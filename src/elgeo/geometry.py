@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .axioms import Signature
+from .axioms import BOT_NAME, TOP_NAME, Signature
 
 
 class Hinge(NamedTuple):
@@ -125,6 +125,12 @@ CHUNK = 1024
 
 CHECKPOINT_MAGIC = b"ELGEO\x00"
 CHECKPOINT_VERSION = 1
+# checkpoint header field -> the exact JSON value types it may hold (so no bool); None: any
+HEADER_TYPES = {
+    "version": None, "reg_mode": None, "activation": None,
+    "dim": (int,), "n_classes": (int,), "n_relations": (int,), "seed": (int,),
+    "margin": (int, float), "reg_radius": (int, float), "leaky_slope": (int, float),
+}
 
 
 def param_size(n_classes: int, n_relations: int, dim: int) -> int:
@@ -152,6 +158,10 @@ class EmbeddingModel:
     rel_vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.reg_mode not in ("strict", "relaxed"):
+            raise ValueError(f"unknown reg_mode: {self.reg_mode!r}")
+        if self.activation not in ("relu", "leaky_relu"):
+            raise ValueError(f"unknown activation: {self.activation!r}")
         if self.n_classes is None:
             self.n_classes = self.sig.n_classes
         if self.n_relations is None:
@@ -178,10 +188,6 @@ class EmbeddingModel:
                activation: str = "relu", leaky_slope: float = 0.01,
                seed: int = 42, rng: np.random.Generator | None = None) -> "EmbeddingModel":
         """Initialize parameters i.i.d. uniform on [-1/sqrt(dim), 1/sqrt(dim)]."""
-        if reg_mode not in ("strict", "relaxed"):
-            raise ValueError(f"unknown reg_mode: {reg_mode!r}")
-        if activation not in ("relu", "leaky_relu"):
-            raise ValueError(f"unknown activation: {activation!r}")
         if rng is None:
             rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(dim)
@@ -352,7 +358,7 @@ def save_model(model: EmbeddingModel, path: str):
 
 
 def load_model(path: str) -> EmbeddingModel:
-    """Read a checkpoint; a file cut short or overlong raises ValueError naming it."""
+    """Read a checkpoint; a file cut short, overlong or malformed raises ValueError naming it."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -367,23 +373,38 @@ def load_model(path: str) -> EmbeddingModel:
         off += nbytes
         return memoryview(blob)[off - nbytes:off]
 
-    (hlen,) = struct.unpack("<Q", take(8))
-    header = json.loads(str(take(hlen), "utf-8"))
+    def take_json():
+        (n,) = struct.unpack("<Q", take(8))
+        text = take(n)
+        try:
+            return json.loads(str(text, "utf-8"))
+        except ValueError as exc:   # bad UTF-8 or JSON
+            raise ValueError(f"corrupt checkpoint: {path}: {exc}") from None
+
+    header = take_json()
+    if not (isinstance(header, dict) and set(HEADER_TYPES) <= set(header) and all(
+            t is None or type(header[k]) in t for k, t in HEADER_TYPES.items())
+            and header["dim"] >= 1 and header["n_classes"] >= 2 and header["n_relations"] >= 0):
+        raise ValueError(f"corrupt checkpoint header: {path}: {header!r}")
     if header["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {header['version']}")
+        raise ValueError(f"unsupported checkpoint version in {path}: {header['version']!r}")
     nc, nr, dim = header["n_classes"], header["n_relations"], header["dim"]
     params = np.frombuffer(take(param_size(nc, nr, dim) * 8), dtype="<f8").copy()
-    (tlen,) = struct.unpack("<Q", take(8))
-    tables = json.loads(str(take(tlen), "utf-8"))
+    tables = take_json()
     if off != len(blob):
         raise ValueError(f"corrupt checkpoint: {path} has {len(blob) - off} bytes "
                          f"past its identifier tables")
-    sig = Signature()
-    for name in tables["classes"][2:]:   # TOP and BOT are pre-interned
-        sig.intern_class(name)
-    for name in tables["relations"]:
-        sig.intern_relation(name)
-    return EmbeddingModel(
-        sig=sig, dim=dim, margin=header["margin"], reg_mode=header["reg_mode"],
-        reg_radius=header["reg_radius"], activation=header["activation"],
-        leaky_slope=header["leaky_slope"], seed=header["seed"], params=params)
+    try:   # tables of the wrong shape, bad names, a bad reg_mode or activation
+        if tables["classes"][:2] != [TOP_NAME, BOT_NAME]:
+            raise ValueError(f"class names start with {tables['classes'][:2]!r}")
+        sig = Signature()
+        for name in tables["classes"][2:]:   # TOP and BOT are pre-interned
+            sig.intern_class(name)
+        for name in tables["relations"]:
+            sig.intern_relation(name)
+        return EmbeddingModel(
+            sig=sig, dim=dim, margin=header["margin"], reg_mode=header["reg_mode"],
+            reg_radius=header["reg_radius"], activation=header["activation"],
+            leaky_slope=header["leaky_slope"], seed=header["seed"], params=params)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"corrupt checkpoint: {path}: {exc}") from None

@@ -7,7 +7,7 @@ negative batches.  The per-term weights come from the counts sampled during
 an epoch (all lists are iterated fully, so the counts are known upfront) and
 the total objective is the weighted sum of per-term mean losses.
 
-Validation loss (positive GCI2 loss on the valid split by default) drives a
+Validation loss (positive GCI2 loss on the valid split) drives a
 reduce-on-plateau schedule and early stopping; the best-validation parameter
 snapshot is returned.  Without a valid split the loop runs all epochs.
 """
@@ -16,18 +16,17 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .axioms import Form
+from .axioms import GCI_FORMS, Form
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
 from .geometry import EmbeddingModel, GradientBuffer, loss_term
-from .sampling import CORRUPT_SLOT, NegativeSampler, SamplerConfig
+from .sampling import NegativeSampler, SamplerConfig
 
-FORM_ORDER = (Form.GCI0, Form.GCI1, Form.GCI2, Form.GCI3,
-              Form.GCI0_BOT, Form.GCI1_BOT, Form.GCI3_BOT)
+FORM_ORDER = GCI_FORMS
 
 POS_TERM = {
     Form.GCI0: "gci0_pos", Form.GCI1: "gci1_pos", Form.GCI2: "gci2_pos",
@@ -70,7 +69,6 @@ class TrainConfig:
     plateau_factor: float = 0.1
     plateau_patience: int = 10
     early_stop_patience: int = 20
-    val_include_negatives: bool = False
     seed: int = 42
 
     def __post_init__(self):
@@ -165,27 +163,11 @@ class Adam:
         self.model.params -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def _positive_loss(model: EmbeddingModel, form: Form, rows: np.ndarray,
-                   grad=None, coef=1.0) -> np.ndarray:
-    cols = tuple(rows[:, j] for j in range(rows.shape[1]))
-    return loss_term(model, POS_TERM[form], cols, grad=grad, coef=coef)
-
-
-def validation_loss(model: EmbeddingModel, kb: KnowledgeBase,
-                    include_negatives: bool = False,
-                    sampler: NegativeSampler | None = None) -> float:
-    """Mean positive GCI2 loss on the valid split (negatives optional)."""
-    if not kb.valid:
+def validation_loss(model: EmbeddingModel, rows: np.ndarray) -> float:
+    """Mean positive GCI2 loss over the valid split's (k, 3) id matrix; nan if k is 0."""
+    if not len(rows):
         return float("nan")
-    rows = np.array([ax.args for ax in kb.valid], dtype=np.int64)
-    vals = _positive_loss(model, Form.GCI2, rows)
-    total = float(vals.mean())
-    if include_negatives and sampler is not None:
-        neg_rows, keep = sampler.corrupt_ids(Form.GCI2, rows)
-        if keep.any():
-            cols = tuple(neg_rows[keep][:, j] for j in range(neg_rows.shape[1]))
-            total += float(loss_term(model, "gci2_neg", cols).mean())
-    return total
+    return float(loss_term(model, "gci2_pos", rows.T).mean())
 
 
 def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = None,
@@ -213,8 +195,8 @@ def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = Non
     data = {form: np.array([ax.args for ax in kb.axioms[form]], dtype=np.int64)
             for form in FORM_ORDER if kb.axioms[form]}
     # a list, not a set: its order fixes the order of the float sums over terms
-    neg_enabled = [form for form in data
-                   if form in CORRUPT_SLOT and form.value.lower() in cfg.neg_forms]
+    neg_enabled = [form for form in data if form.value.lower() in cfg.neg_forms]
+    val_rows = np.array([ax.args for ax in kb.valid], dtype=np.int64).reshape(-1, 3)
 
     counts = {POS_TERM[form]: len(rows) for form, rows in data.items()}
     for form in neg_enabled:
@@ -236,35 +218,30 @@ def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = Non
         sums = {term: 0.0 for term in counts}
         seen = {term: 0 for term in counts}
         batch_index = 0
-        while any(cursor[form] < len(data[form]) for form in data):
-            for form in FORM_ORDER:
-                if form not in data or cursor[form] >= len(data[form]):
-                    continue
+        while any(cursor[form] < len(rows) for form, rows in data.items()):
+            for form, rows in data.items():   # in FORM_ORDER
                 lo = cursor[form]
-                hi = min(lo + cfg.batch_size, len(data[form]))
-                cursor[form] = hi
-                rows = data[form][order[form][lo:hi]]
-                grad = GradientBuffer(model)
-                term = POS_TERM[form]
-                vals = _positive_loss(model, form, rows, grad=grad,
-                                      coef=weights[term] / len(rows))
-                batch_loss = weights[term] * float(vals.mean())
-                sums[term] += float(vals.sum())
-                seen[term] += len(rows)
+                if lo >= len(rows):
+                    continue
+                cursor[form] = hi = min(lo + cfg.batch_size, len(rows))
+                pos = rows[order[form][lo:hi]]
+                parts = [(POS_TERM[form], pos)]
                 if form in neg_enabled:
-                    nterm = NEG_TERM[form]
-                    neg_rows, keep = sampler.corrupt_ids(form, rows)
-                    kept = neg_rows[keep]
-                    if len(kept):
-                        cols = tuple(kept[:, j] for j in range(kept.shape[1]))
-                        nvals = loss_term(model, nterm, cols, grad=grad,
-                                          coef=weights[nterm] / len(kept))
-                        batch_loss += weights[nterm] * float(nvals.mean())
-                        sums[nterm] += float(nvals.sum())
-                        seen[nterm] += len(kept)
+                    neg_rows, keep = sampler.corrupt_ids(form, pos)
+                    parts.append((NEG_TERM[form], neg_rows[keep]))
+                grad = GradientBuffer(model)
+                batch_loss = 0.0
+                for term, ids in parts:
+                    if not len(ids):
+                        continue
+                    vals = loss_term(model, term, ids.T, grad=grad,
+                                     coef=weights[term] / len(ids))
+                    batch_loss += weights[term] * float(vals.mean())
+                    sums[term] += float(vals.sum())
+                    seen[term] += len(ids)
                 if not np.isfinite(batch_loss):
-                    raise TrainingError(
-                        f"non-finite loss in term {term} (epoch {epoch}, batch {batch_index})")
+                    raise TrainingError(f"non-finite loss in a {form.value} batch "
+                                        f"(epoch {epoch}, batch {batch_index})")
                 adam.step(grad, lr)
                 batch_index += 1
         if not model.all_finite():
@@ -273,7 +250,7 @@ def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = Non
         breakdown = {term: (sums[term] / seen[term] if seen[term] else 0.0)
                      for term in counts}
         total = sum(weights[t] * breakdown[t] for t in breakdown)
-        val = validation_loss(model, kb, cfg.val_include_negatives, sampler)
+        val = validation_loss(model, val_rows)
         report.epochs.append({
             "epoch": epoch, "total": total, "breakdown": breakdown,
             "val_loss": None if np.isnan(val) else val, "lr": lr,
@@ -295,13 +272,7 @@ def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = Non
                 break
 
     report.stop_epoch = epoch if cfg.epochs > 0 else 0
-    report.sampler_stats = {
-        "requested": sampler.stats.requested,
-        "produced": sampler.stats.produced,
-        "dropped": sampler.stats.dropped,
-        "entailed_injected": sampler.stats.entailed_injected,
-        "drop_rate": sampler.stats.drop_rate,
-    }
+    report.sampler_stats = {**asdict(sampler.stats), "drop_rate": sampler.stats.drop_rate}
     final = best_params if best_params is not None else model
     if checkpoint_path is not None:
         from .geometry import save_model
@@ -336,24 +307,12 @@ def grid_search(kb: KnowledgeBase, base_cfg: TrainConfig,
     keys = sorted(grids)
     combos = [dict(zip(keys, values)) for values in itertools.product(*(grids[k] for k in keys))]
 
-    def run(combo: dict):
-        cfg = replace(base_cfg, **combo)
-        model, _ = train(kb, cfg, dc)
-        return macro_mean_rank(model, kb)
-
     result = GridResult()
-    outcomes = [_guard(run, c) for c in combos]
-    for combo, (metric, err) in zip(combos, outcomes):
-        if err is None:
-            result.entries.append((combo, metric))
-        else:
-            result.failures.append((combo, err))
+    for combo in combos:
+        try:
+            model, _ = train(kb, replace(base_cfg, **combo), dc)
+            result.entries.append((combo, macro_mean_rank(model, kb)))
+        except Exception as exc:  # per-run failures are recorded, not fatal
+            result.failures.append((combo, f"{type(exc).__name__}: {exc}"))
     result.entries.sort(key=lambda e: (e[1], json.dumps(e[0], sort_keys=True)))
     return result
-
-
-def _guard(fn, combo):
-    try:
-        return fn(combo), None
-    except Exception as exc:  # per-run failures are recorded, not fatal
-        return float("nan"), f"{type(exc).__name__}: {exc}"

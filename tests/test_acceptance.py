@@ -10,6 +10,7 @@ import json
 import os
 import resource
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,11 +258,11 @@ def test_09_cmd_train_determinism(tmp_path):
                     "--set", "train.epochs=6", "--set", "train.dim=6"]
             assert cli_main(args) == 0
             outs.append(out)
-        ck = [open(os.path.join(o, "checkpoint.bin"), "rb").read() for o in outs]
+        ck = [Path(o, "checkpoint.bin").read_bytes() for o in outs]
         assert ck[0] == ck[1]
-        rep = [open(os.path.join(o, "report.jsonl")).read() for o in outs]
+        rep = [Path(o, "report.jsonl").read_text() for o in outs]
         assert rep[0] == rep[1]
-        summaries = [json.load(open(os.path.join(o, "summary.json"))) for o in outs]
+        summaries = [json.loads(Path(o, "summary.json").read_text()) for o in outs]
         for s in summaries:
             s.pop("checkpoint")   # differs by the output directory itself
         assert summaries[0] == summaries[1]

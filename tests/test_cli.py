@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -56,9 +57,9 @@ class TestClosureCmd:
         out = str(tmp_path / "cl")
         assert main(["closure", toy, out]) == 0
         assert os.path.exists(os.path.join(out, "closure_gci2.tsv"))
-        stats = json.load(open(os.path.join(out, "closure_stats.json")))
+        stats = json.loads(Path(out, "closure_stats.json").read_text())
         assert stats["derived"]["GCI2"] > 0
-        first = open(os.path.join(out, "closure_gci0.tsv")).readline().split("\t")
+        first = Path(out, "closure_gci0.tsv").read_text().splitlines()[0].split("\t")
         assert first[-1].strip() in ("asserted", "derived")
 
     def test_budget_exceeded_exit_1(self, toy, tmp_path, capsys):
@@ -72,9 +73,9 @@ class TestClosureCmd:
         (data / "train.tsv").write_text("GCI0\tA\tA\n")
         out = str(tmp_path / "cl")
         assert main(["closure", str(data), out]) == 0
-        gci2 = open(os.path.join(out, "closure_gci2.tsv")).read()
+        gci2 = Path(out, "closure_gci2.tsv").read_text()
         assert gci2 == ""
-        gci0 = open(os.path.join(out, "closure_gci0.tsv")).read()
+        gci0 = Path(out, "closure_gci0.tsv").read_text()
         assert "GCI0\tA\tA\tasserted" in gci0
 
 
@@ -88,7 +89,7 @@ class TestTrainCmd:
         assert main(self.args(toy, out)) == 0
         for name in ("checkpoint.bin", "report.jsonl", "summary.json", "manifest.json"):
             assert os.path.exists(os.path.join(out, name)), name
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["config"]["train.epochs"] == 5
 
@@ -96,11 +97,11 @@ class TestTrainCmd:
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
         assert main(self.args(toy, out1)) == 0
         assert main(self.args(toy, out2)) == 0
-        ck1 = open(os.path.join(out1, "checkpoint.bin"), "rb").read()
-        ck2 = open(os.path.join(out2, "checkpoint.bin"), "rb").read()
+        ck1 = Path(out1, "checkpoint.bin").read_bytes()
+        ck2 = Path(out2, "checkpoint.bin").read_bytes()
         assert ck1 == ck2
-        rep1 = open(os.path.join(out1, "report.jsonl")).read()
-        rep2 = open(os.path.join(out2, "report.jsonl")).read()
+        rep1 = Path(out1, "report.jsonl").read_text()
+        rep2 = Path(out2, "report.jsonl").read_text()
         assert rep1 == rep2
 
     def test_unknown_config_key_exit_2(self, toy, tmp_path, capsys):
@@ -133,7 +134,7 @@ class TestEvaluateCmd:
         code = main(["evaluate", os.path.join(run, "checkpoint.bin"), toy,
                      "--closure-positives", "--closure-dir", cl, "--out", out])
         assert code == 0
-        report = json.load(open(os.path.join(out, "eval_report.json")))
+        report = json.loads(Path(out, "eval_report.json").read_text())
         assert any(rec["source"] == "closure" for rec in report["records"])
         assert os.path.exists(os.path.join(out, "roc.csv"))
 
@@ -151,6 +152,22 @@ class TestEvaluateCmd:
         assert code == 2
         err = capsys.readouterr().err
         assert "closure_gci0.tsv:" in err and "unknown class" in err
+
+    def test_flags_recorded_as_config_keys(self, toy, tmp_path):
+        run = str(tmp_path / "run")
+        main(["train", toy, run, "--preset", "relu-original",
+              "--set", "train.epochs=2", "--set", "train.dim=4"])
+        ckpt = os.path.join(run, "checkpoint.bin")
+        by_flag, by_set = str(tmp_path / "flag"), str(tmp_path / "set")
+        assert main(["evaluate", ckpt, toy, "--out", by_flag, "--set", "eval.tie_mode=optimistic",
+                     "--tie-mode", "average", "--pool", "all", "--head-pool", "all"]) == 0
+        assert main(["evaluate", ckpt, toy, "--out", by_set, "--set", "eval.tie_mode=average",
+                     "--set", "eval.pool=all", "--set", "eval.head_pool=all"]) == 0
+        manifest = json.loads(Path(by_flag, "manifest.json").read_text())
+        report = json.loads(Path(by_flag, "eval_report.json").read_text())
+        assert report["tie_mode"] == manifest["config"]["eval.tie_mode"] == "average"
+        assert manifest["config"]["eval.pool"] == manifest["config"]["eval.head_pool"] == "all"
+        assert report == json.loads(Path(by_set, "eval_report.json").read_text())
 
     def test_filtered_flag_prints_filtered_block(self, toy, tmp_path, capsys):
         run = str(tmp_path / "run")
@@ -203,7 +220,7 @@ class TestGridCmd:
                      "--set", "train.epochs=1",
                      "--grid", "dim=4", "--grid", "lr=0.01,0.001"])
         assert code == 0
-        table = open(os.path.join(out, "grid_results.tsv")).read()
+        table = Path(out, "grid_results.tsv").read_text()
         assert table.count("\n") == 3   # header + 2 entries
 
 
@@ -218,7 +235,7 @@ class TestManifest:
         out = str(tmp_path / "run")
         assert main(["train", toy, out, "--preset", "relu-original",
                      "--set", "train.epochs=1", "--set", "train.dim=4"]) == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert any(p.endswith("train.tsv") for p in manifest["inputs"])
         assert any(p.endswith("checkpoint.bin") for p in manifest["outputs"])
         assert manifest["seed"] == 42

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from elgeo.axioms import parse_normalized
 from elgeo.closure import compute_closure
+from elgeo.dataset import build_kb
 from elgeo.geometry import GradientBuffer
 from elgeo.reasoner import saturate
 from elgeo.toygen import basic_kb
@@ -123,6 +125,18 @@ class TestTrain:
         _, report = train(kb, cfg, dc)
         assert "gci0_neg" in report.weights
         assert report.sampler_stats["requested"] > 0
+
+    def test_negatives_all_dropped(self):
+        # with a pool of two classes, both corruptions are asserted axioms
+        axioms, sig = parse_normalized("GCI2\tA\tr\tB\nGCI2\tA\tr\tA\n")
+        kb = build_kb(sig, axioms, pools={"all": [sig.class_id("A"), sig.class_id("B")]})
+        dc = compute_closure(kb, saturate(kb))
+        _, report = train(kb, small_cfg(epochs=3, filter_negatives=True), dc)
+        assert report.stop_epoch == 3
+        assert [rec["breakdown"]["gci2_neg"] for rec in report.epochs] == [0.0] * 3
+        assert all(rec["val_loss"] is None for rec in report.epochs)
+        stats = report.sampler_stats
+        assert stats["requested"] > 0 and stats["dropped"] == stats["requested"]
 
     def test_checkpoint_written(self, tmp_path):
         kb = basic_kb()
