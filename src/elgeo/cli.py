@@ -149,10 +149,9 @@ def cmd_grid(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    values = _gather_config(args, {
-        "eval.pool": args.pool, "eval.head_pool": args.head_pool,
-        "eval.tie_mode": args.tie_mode})
-    extra = extras(values)
+    flags = {"eval.pool": args.pool, "eval.head_pool": args.head_pool,
+             "eval.tie_mode": args.tie_mode}
+    extra = extras(_gather_config(args, flags))
     model = load_model(args.checkpoint)
     kb = load_dataset(args.dataset)
     if (model.sig.class_names != kb.sig.class_names
@@ -166,7 +165,7 @@ def cmd_evaluate(args) -> int:
             raise EvaluationError(
                 "closure-aware evaluation needs --closure-dir; run 'elgeo closure' first")
         dc = load_closure_dump(args.closure_dir, kb.sig)
-    manifest = RunManifest(command="evaluate", config=resolved(values),
+    manifest = RunManifest(command="evaluate", config={key: extra[key] for key in flags},
                            seed=model.seed).start()
     manifest.add_input(args.checkpoint)
     manifest.add_input(args.dataset)
@@ -231,7 +230,7 @@ def cmd_gen_toy(args) -> int:
                           seed=args.seed)
     elif args.preset == "scale":
         from .toygen import scale_kb
-        kb = scale_kb(n_classes=args.classes or 3000, seed=args.seed)
+        kb = scale_kb(n_classes=args.classes, seed=args.seed)
     else:
         kb = TOY_PRESETS[args.preset](args.seed)
     save_dataset(args.out, kb)
@@ -313,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-toy", help="write a bundled toy dataset")
     p.add_argument("out")
     p.add_argument("--preset", default="basic")
-    p.add_argument("--classes", type=int, default=None, help="scale preset size")
+    p.add_argument("--classes", type=int, default=3000, help="scale preset size")
     p.add_argument("--chains", type=int, default=6, help="hierarchy preset chains")
     p.add_argument("--depth", type=int, default=8, help="hierarchy chain depth")
     p.add_argument("--heads", type=int, default=12, help="hierarchy head classes")

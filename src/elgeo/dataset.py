@@ -58,19 +58,20 @@ def build_kb(sig: Signature, train: list[Axiom], valid=(), test=(),
         by_form[ax.form].append(ax)
     kb = KnowledgeBase(sig=sig, axioms=by_form, valid=list(valid), test=list(test),
                        pools=dict(pools or {}))
+    held_out: dict[tuple[int, ...], str] = {}   # GCI2 args -> first split holding them
     for split_name, split in (("valid", kb.valid), ("test", kb.test)):
         for ax in split:
             if ax.form is not Form.GCI2:
                 raise DatasetError(
                     f"{split_name} split must contain GCI2 only: {format_axiom(ax, sig)}")
-    seen: dict[Axiom, str] = {}
-    for split_name, split in (("train", train), ("valid", kb.valid), ("test", kb.test)):
-        for ax in split:
-            prev = seen.get(ax)
-            if prev is not None and prev != split_name:
+            prev = held_out.setdefault(ax.args, split_name)
+            if prev != split_name:
                 raise DatasetError(
                     f"axiom appears in both {prev} and {split_name}: {format_axiom(ax, sig)}")
-            seen[ax] = split_name
+    for ax in by_form[Form.GCI2]:   # only train's GCI2 axioms can repeat a held-out one
+        prev = held_out.get(ax.args)
+        if prev is not None:
+            raise DatasetError(f"axiom appears in both train and {prev}: {format_axiom(ax, sig)}")
     if "all" not in kb.pools:
         kb.pools["all"] = [cid for cid in range(sig.n_classes) if cid not in (TOP, BOT)]
     for name, members in kb.pools.items():

@@ -27,7 +27,6 @@ import numpy as np
 from .axioms import Axiom, Form
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
-from .geometry import EmbeddingModel
 
 
 class EvaluationError(Exception):
@@ -256,17 +255,6 @@ def evaluate(scorer, kb: KnowledgeBase, dc: DeductiveClosure | None = None,
             rec.entailed = True
             closure_records.append(rec)
     return aggregate(records, tie_mode, closure_records)
-
-
-def macro_mean_rank(model: EmbeddingModel, kb: KnowledgeBase,
-                    split: str = "valid", pool: str | None = None) -> float:
-    """Raw macro mean rank of a split; the grid-search selection metric."""
-    axioms = {"test": kb.test, "valid": kb.valid}[split]
-    if not axioms:
-        raise EvaluationError(f"{split} split is empty")
-    candidates = kb.pool(pool)
-    ranks = [rank_axiom(model, ax, candidates).rank for ax in axioms]
-    return float(np.mean(ranks))
 
 
 # --- naive frequency baseline -------------------------------------------------

@@ -7,12 +7,12 @@ concept.  A nominal ``(one a)`` is read as the atomic class ``{a}``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 RESERVED_PREFIX = "_N"   # reserved for classes introduced by the normalizer
 
 _AXIOM_HEADS = ("subclassof", "equivalent", "subrole", "rolechain")
-_CONCEPT_HEADS = ("and", "some", "one", "top", "bot")
 
 
 class SexprError(Exception):
@@ -83,67 +83,46 @@ def rolechain(r1: str, r2: str, s: str) -> GeneralAxiom:
 
 # --- reader -----------------------------------------------------------------
 
+_TOKEN = re.compile(r"[()]|[^\s()]+")   # \s matches exactly the str.isspace() characters
+
+
 @dataclass(frozen=True)
 class _Node:
     """Raw s-expression node before translation."""
     sym: str | None
     children: tuple["_Node", ...]
-    line: int
-    col: int
+    pos: int                       # text offset of the symbol or of the opening '('
+
+
+class _Error(Exception):
+    """(reason, offset); parse_general turns it into a positioned SexprError."""
 
 
 def _read_nodes(text: str) -> list[_Node]:
-    nodes: list[_Node] = []
-    stack: list[tuple[list[_Node], int, int]] = []
-    items = nodes
-    line, col = 1, 1
-    i = 0
-    tok_start = None
-    tok_line = tok_col = 0
-
-    def flush(end: int):
-        nonlocal tok_start
-        if tok_start is not None:
-            items.append(_Node(text[tok_start:end], (), tok_line, tok_col))
-            tok_start = None
-
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            flush(i)
-            stack.append((items, line, col))
+    items: list[_Node] = []
+    stack: list[tuple[list[_Node], int]] = []
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "(":
+            stack.append((items, m.start()))
             items = []
-        elif ch == ")":
-            flush(i)
+        elif tok == ")":
             if not stack:
-                raise SexprError("unbalanced ')'", line, col)
-            children = items
-            items, oline, ocol = stack.pop()
-            items.append(_Node(None, tuple(children), oline, ocol))
-        elif ch.isspace():
-            flush(i)
+                raise _Error("unbalanced ')'", m.start())
+            parent, start = stack.pop()
+            parent.append(_Node(None, tuple(items), start))
+            items = parent
         else:
-            if tok_start is None:
-                tok_start = i
-                tok_line, tok_col = line, col
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-        i += 1
-    flush(len(text))
+            items.append(_Node(tok, (), m.start()))
     if stack:
-        _, oline, ocol = stack[-1]
-        raise SexprError("unbalanced '('", oline, ocol)
-    return nodes
+        raise _Error("unbalanced '('", stack[-1][1])
+    return items
 
 
 def _check_identifier(name: str, node: _Node):
     if name.startswith(RESERVED_PREFIX):
-        raise SexprError(
-            f"identifier {name!r} uses the reserved prefix {RESERVED_PREFIX!r}",
-            node.line, node.col)
+        raise _Error(f"identifier {name!r} uses the reserved prefix {RESERVED_PREFIX!r}",
+                     node.pos)
 
 
 def _to_concept(node: _Node) -> Concept:
@@ -153,67 +132,68 @@ def _to_concept(node: _Node) -> Concept:
         if node.sym == "bot":
             return BOT_CONCEPT
         if node.sym in _AXIOM_HEADS or node.sym in ("and", "some", "one"):
-            raise SexprError(f"{node.sym!r} cannot be used as a class name",
-                             node.line, node.col)
+            raise _Error(f"{node.sym!r} cannot be used as a class name", node.pos)
         _check_identifier(node.sym, node)
         return atom(node.sym)
     if not node.children or node.children[0].sym is None:
-        raise SexprError("expected a head symbol", node.line, node.col)
+        raise _Error("expected a head symbol", node.pos)
     head = node.children[0].sym
     args = node.children[1:]
     if head == "and":
         if len(args) < 2:
-            raise SexprError("'and' needs at least 2 arguments", node.line, node.col)
+            raise _Error("'and' needs at least 2 arguments", node.pos)
         return conj(_to_concept(a) for a in args)
     if head == "some":
         if len(args) != 2:
-            raise SexprError("'some' needs exactly 2 arguments", node.line, node.col)
-        rel = args[0]
-        if rel.sym is None:
-            raise SexprError("relation name must be a symbol", rel.line, rel.col)
-        return some(rel.sym, _to_concept(args[1]))
+            raise _Error("'some' needs exactly 2 arguments", node.pos)
+        return some(_role_name(args[0]), _to_concept(args[1]))
     if head == "one":
         if len(args) != 1 or args[0].sym is None:
-            raise SexprError("'one' needs exactly 1 individual name", node.line, node.col)
+            raise _Error("'one' needs exactly 1 individual name", node.pos)
         _check_identifier(args[0].sym, args[0])
         return atom("{" + args[0].sym + "}")
     if head in ("top", "bot"):
         if args:
-            raise SexprError(f"'{head}' takes no arguments", node.line, node.col)
+            raise _Error(f"'{head}' takes no arguments", node.pos)
         return TOP_CONCEPT if head == "top" else BOT_CONCEPT
-    raise SexprError(f"unknown head symbol: {head}", node.line, node.col)
+    raise _Error(f"unknown head symbol: {head}", node.pos)
 
 
 def _role_name(node: _Node) -> str:
     if node.sym is None:
-        raise SexprError("relation name must be a symbol", node.line, node.col)
+        raise _Error("relation name must be a symbol", node.pos)
     return node.sym
 
 
 def _to_axiom(node: _Node) -> GeneralAxiom:
     if node.sym is not None:
-        raise SexprError(f"expected an axiom, got symbol {node.sym!r}",
-                         node.line, node.col)
+        raise _Error(f"expected an axiom, got symbol {node.sym!r}", node.pos)
     if not node.children or node.children[0].sym is None:
-        raise SexprError("expected an axiom head symbol", node.line, node.col)
+        raise _Error("expected an axiom head symbol", node.pos)
     head = node.children[0].sym
     args = node.children[1:]
     if head in ("subclassof", "equivalent"):
         if len(args) != 2:
-            raise SexprError(f"'{head}' needs exactly 2 arguments", node.line, node.col)
+            raise _Error(f"'{head}' needs exactly 2 arguments", node.pos)
         left, right = _to_concept(args[0]), _to_concept(args[1])
         return subclassof(left, right) if head == "subclassof" else equivalent(left, right)
     if head == "subrole":
         if len(args) != 2:
-            raise SexprError("'subrole' needs exactly 2 relation names", node.line, node.col)
+            raise _Error("'subrole' needs exactly 2 relation names", node.pos)
         return subrole(_role_name(args[0]), _role_name(args[1]))
     if head == "rolechain":
         if len(args) != 3:
-            raise SexprError("'rolechain' needs exactly 3 relation names", node.line, node.col)
+            raise _Error("'rolechain' needs exactly 3 relation names", node.pos)
         return rolechain(*(_role_name(a) for a in args))
-    raise SexprError(f"unknown head symbol: {head}", node.line, node.col)
+    raise _Error(f"unknown head symbol: {head}", node.pos)
 
 
 def parse_general(text: str) -> list[GeneralAxiom]:
     """Parse an s-expression document into a list of general axioms."""
-    return [_to_axiom(node) for node in _read_nodes(text)]
+    try:
+        return [_to_axiom(node) for node in _read_nodes(text)]
+    except _Error as exc:
+        reason, pos = exc.args
+        line = text.count("\n", 0, pos) + 1
+        col = pos - text.rfind("\n", 0, pos)
+        raise SexprError(reason, line, col) from None

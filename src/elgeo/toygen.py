@@ -133,6 +133,8 @@ def skew_kb(n_heads: int = 40, n_tails: int = 30, n_train: int = 200,
 
 def scale_kb(n_classes: int = 3000, n_edges: int = 300_000, seed: int = 0) -> KnowledgeBase:
     """Large random GCI2 edge set for memory/throughput checks."""
+    if n_edges > n_classes ** 2:
+        raise ValueError(f"cannot draw {n_edges} distinct edges among {n_classes} classes")
     rng = np.random.default_rng(seed)
     sig = Signature()
     names = [f"C{i:05d}" for i in range(n_classes)]

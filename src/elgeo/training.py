@@ -299,7 +299,7 @@ def grid_search(kb: KnowledgeBase, base_cfg: TrainConfig,
                 grids: dict[str, tuple] | None = None,
                 dc: DeductiveClosure | None = None) -> GridResult:
     """Train every grid combination and rank by validation macro mean rank."""
-    from .evaluation import macro_mean_rank
+    from .evaluation import evaluate
 
     grids = dict(DEFAULT_GRIDS) if grids is None else grids
     if not grids or any(len(v) == 0 for v in grids.values()):
@@ -311,7 +311,7 @@ def grid_search(kb: KnowledgeBase, base_cfg: TrainConfig,
     for combo in combos:
         try:
             model, _ = train(kb, replace(base_cfg, **combo), dc)
-            result.entries.append((combo, macro_mean_rank(model, kb)))
+            result.entries.append((combo, evaluate(model, kb, split="valid").macro_mr))
         except Exception as exc:  # per-run failures are recorded, not fatal
             result.failures.append((combo, f"{type(exc).__name__}: {exc}"))
     result.entries.sort(key=lambda e: (e[1], json.dumps(e[0], sort_keys=True)))

@@ -169,6 +169,18 @@ class TestEvaluateCmd:
         assert manifest["config"]["eval.pool"] == manifest["config"]["eval.head_pool"] == "all"
         assert report == json.loads(Path(by_set, "eval_report.json").read_text())
 
+    def test_manifest_records_only_eval_keys(self, toy, tmp_path):
+        from elgeo.manifest import config_digest
+        run, out = str(tmp_path / "run"), str(tmp_path / "ev")
+        main(["train", toy, run, "--preset", "relu-original",
+              "--set", "train.epochs=2", "--set", "train.dim=4"])
+        assert main(["evaluate", os.path.join(run, "checkpoint.bin"), toy, "--out", out,
+                     "--preset", "relu-original", "--tie-mode", "average"]) == 0
+        config = json.loads(Path(out, "manifest.json").read_text())["config"]
+        assert config == {"eval.pool": None, "eval.head_pool": None, "eval.tie_mode": "average"}
+        report = json.loads(Path(out, "eval_report.json").read_text())
+        assert report["config_digest"] == config_digest(config)
+
     def test_filtered_flag_prints_filtered_block(self, toy, tmp_path, capsys):
         run = str(tmp_path / "run")
         main(["train", toy, run, "--preset", "relu-original",
@@ -211,6 +223,13 @@ class TestGenToy:
 
     def test_unknown_preset_exit_2(self, tmp_path):
         assert main(["gen-toy", str(tmp_path / "x"), "--preset", "nope"]) == 2
+
+    @pytest.mark.parametrize("classes", ["0", "10"])
+    def test_scale_with_too_few_classes_exit_2(self, tmp_path, capsys, classes):
+        out = tmp_path / "x"
+        assert main(["gen-toy", str(out), "--preset", "scale", "--classes", classes]) == 2
+        assert "distinct edges" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGridCmd:

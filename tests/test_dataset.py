@@ -2,7 +2,7 @@ import pytest
 
 from elgeo.axioms import Form
 from elgeo.dataset import DatasetError, load_dataset, save_dataset
-from elgeo.toygen import basic_kb
+from elgeo.toygen import basic_kb, scale_kb
 
 
 def write(tmp_path, name, text):
@@ -37,11 +37,22 @@ class TestLoad:
         with pytest.raises(DatasetError, match="test split must contain GCI2 only"):
             load_dataset(str(tmp_path))
 
-    def test_duplicate_across_splits(self, tmp_path):
-        write(tmp_path, "train.tsv", TRAIN)
-        write(tmp_path, "test.tsv", "GCI2\tA\tr\tB\n")
-        with pytest.raises(DatasetError, match="train and test.*GCI2\tA\tr\tB"):
+    @pytest.mark.parametrize("first, second",
+                             [("train", "valid"), ("train", "test"), ("valid", "test")])
+    def test_duplicate_across_splits(self, tmp_path, first, second):
+        splits = {"train": TRAIN, "valid": "GCI2\tA\tr\tA\n", "test": "GCI2\tB\tr\tB\n"}
+        for name in (first, second):
+            splits[name] += "GCI2\tC\tr\tB\n"
+        for name, text in splits.items():
+            write(tmp_path, f"{name}.tsv", text)
+        with pytest.raises(DatasetError, match=f"{first} and {second}.*GCI2\tC\tr\tB"):
             load_dataset(str(tmp_path))
+
+    def test_duplicate_inside_a_split_accepted(self, tmp_path):
+        write(tmp_path, "train.tsv", TRAIN + "GCI2\tA\tr\tB\n")
+        write(tmp_path, "valid.tsv", "GCI2\tA\tr\tA\nGCI2\tA\tr\tA\n")
+        kb = load_dataset(str(tmp_path))
+        assert len(kb.train_gci2) == 5 and len(kb.valid) == 2
 
     def test_pools(self, tmp_path):
         write(tmp_path, "train.tsv", TRAIN)
@@ -78,3 +89,15 @@ def test_save_load_roundtrip(tmp_path):
 def test_basic_kb_splits_are_gci2(tmp_path):
     kb = basic_kb()
     assert all(ax.form is Form.GCI2 for ax in kb.valid + kb.test)
+
+
+@pytest.mark.parametrize("n_classes", [0, 10])
+def test_scale_kb_rejects_more_edges_than_class_pairs(n_classes):
+    with pytest.raises(ValueError, match="distinct edges"):
+        scale_kb(n_classes=n_classes)
+
+
+def test_scale_kb_can_draw_every_class_pair():
+    kb = scale_kb(n_classes=3, n_edges=9)
+    assert sorted((h, t) for h, _, t in (ax.args for ax in kb.train_gci2)) == \
+        [(h, t) for h in range(2, 5) for t in range(2, 5)]

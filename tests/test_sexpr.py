@@ -30,10 +30,20 @@ class TestParseGeneral:
         with pytest.raises(SexprError, match="'some' needs exactly 2"):
             parse_general("(subclassof A (some r))")
 
-    def test_error_position(self):
+    @pytest.mark.parametrize("text, line, col, reason", [
+        ("(subclassof A B)\n(subclassof A (or B C))", 2, 15, "unknown head symbol: or"),
+        ("(subclassof A B)\n\t(foo A B)", 2, 2, "unknown head symbol: foo"),
+        ("(subrole r s)\n(subclassof A B)\n(subclassof A (and B C", 3, 15, "unbalanced '('"),
+        ("(subclassof A B)\r\n (subrole r s))", 2, 15, "unbalanced ')'"),
+        ("(subclassof A B)\r(foo)", 1, 18, "unknown head symbol: foo"),
+        ("(subclassof A\n   _N1)", 2, 4, "reserved prefix"),
+        ("(subclassof A (some (r) B))", 1, 21, "relation name must be a symbol"),
+    ])
+    def test_error_position(self, text, line, col, reason):
         with pytest.raises(SexprError) as err:
-            parse_general("(subclassof A B)\n(subclassof A (or B C))")
-        assert err.value.line == 2
+            parse_general(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert reason in err.value.reason
 
     def test_top_bot_symbols(self):
         axioms = parse_general("(subclassof top bot)")
