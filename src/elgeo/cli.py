@@ -78,13 +78,9 @@ def cmd_reason(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    extra = extras(_gather_config(args, {
-        "closure.max_derived": args.max_derived,
-        "closure.strict_printed_rules": args.strict_printed_rules}))
+    extra = extras(_gather_config(args, {"closure.max_derived": args.max_derived}))
     kb = load_dataset(args.dataset)
-    sub = saturate(kb)
-    dc = compute_closure(kb, sub, max_derived=int(extra["closure.max_derived"]),
-                         strict_printed_rules=bool(extra["closure.strict_printed_rules"]))
+    dc = compute_closure(kb, saturate(kb), max_derived=int(extra["closure.max_derived"]))
     dump_closure(dc, args.out)
     for form, count in sorted(dc.stats.items()):
         print(f"derived {form}\t{count}")
@@ -169,6 +165,8 @@ def cmd_evaluate(args) -> int:
                            seed=model.seed).start()
     manifest.add_input(args.checkpoint)
     manifest.add_input(args.dataset)
+    if args.closure_dir:
+        manifest.add_input(args.closure_dir)
     report = evaluate(model, kb, dc, pool=extra["eval.pool"],
                       head_pool=extra["eval.head_pool"], tie_mode=extra["eval.tie_mode"],
                       closure_positives=args.closure_positives)
@@ -267,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("out")
     p.add_argument("--max-derived", type=int, default=None)
-    p.add_argument("--strict-printed-rules", action="store_true", default=None)
     _add_config_flags(p)
     p.set_defaults(fn=cmd_closure)
 

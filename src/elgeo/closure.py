@@ -13,10 +13,9 @@ rewrite premises drawn from the (transitively closed) subsumption closure:
 Because the premises are transitively closed, a second pass derives nothing
 new.  The expansion is sound but not complete.  Membership for GCI1 is
 checked modulo conjunction commutativity, and disjointness (GCI1_BOT)
-membership propagates down the hierarchy at query time; both conveniences
-are disabled by ``strict_printed_rules``.  Membership reads the stored sets
-alone, and the dump records the strictness, so a closure loaded from its dump
-answers like the computed one.
+membership propagates down the hierarchy at query time.  Membership reads
+the stored sets alone, so a closure loaded from its dump answers like the
+computed one.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ class DeductiveClosure:
     sets: dict[Form, set[tuple[int, ...]]]
     asserted: dict[Form, set[tuple[int, ...]]]
     sub: SubsumptionClosure | None = None
-    strict: bool = False
     stats: dict[str, int] = field(default_factory=dict)
 
     def contains(self, ax: Axiom) -> bool:
@@ -73,8 +71,6 @@ class DeductiveClosure:
         if form is Form.GCI0 or form is Form.GCI0_BOT:
             # BOT's rows are tautologies and stay implicit
             return args[0] == BOT or args in stored
-        if self.strict:
-            return args in stored
         if form is Form.GCI1:
             c, d, e = args
             return args in stored or (d, c, e) in stored
@@ -106,8 +102,7 @@ class DeductiveClosure:
 
 
 def compute_closure(kb: KnowledgeBase, sub: SubsumptionClosure,
-                    max_derived: int = DEFAULT_MAX_DERIVED,
-                    strict_printed_rules: bool = False) -> DeductiveClosure:
+                    max_derived: int = DEFAULT_MAX_DERIVED) -> DeductiveClosure:
     """Expand the KB into per-form entailed-axiom sets (see module docstring)."""
     n = kb.sig.n_classes
     # C -> known subclasses of C; BOT's rows are tautologies and stay implicit
@@ -166,8 +161,7 @@ def compute_closure(kb: KnowledgeBase, sub: SubsumptionClosure,
         grow(Form.GCI1_BOT, (c,), (d,))
 
     asserted = {form: {ax.args for ax in kb.axioms[form]} for form in GCI_FORMS}
-    dc = DeductiveClosure(sig=kb.sig, sets=sets, asserted=asserted, sub=sub,
-                          strict=strict_printed_rules)
+    dc = DeductiveClosure(sig=kb.sig, sets=sets, asserted=asserted, sub=sub)
     dc.stats = dc.derived_counts()
     return dc
 
@@ -182,7 +176,7 @@ def split_entailed(dc: DeductiveClosure, axioms: list[Axiom]) -> tuple[list[Axio
 
 def dump_closure(dc: DeductiveClosure, path: str):
     """Per-form TSVs in the axiom format plus an asserted/derived column, and
-    ``closure_stats.json`` with the derived counts and the strictness."""
+    ``closure_stats.json`` with the derived counts (never read back)."""
     os.makedirs(path, exist_ok=True)
     for form in GCI_FORMS:
         fpath = os.path.join(path, f"closure_{form.value.lower()}.tsv")
@@ -191,8 +185,7 @@ def dump_closure(dc: DeductiveClosure, path: str):
                 ax = Axiom(form, args)
                 f.write(f"{format_axiom(ax, dc.sig)}\t{dc.provenance(ax)}\n")
     with open(os.path.join(path, STATS_FILE), "w", encoding="utf-8") as f:
-        json.dump({"derived": dc.stats, "strict_printed_rules": dc.strict},
-                  f, sort_keys=True, indent=2)
+        json.dump({"derived": dc.stats}, f, sort_keys=True, indent=2)
         f.write("\n")
 
 
@@ -200,9 +193,7 @@ def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
     """Rebuild membership sets from dump files (no subsumption closure attached).
 
     Names are looked up, never interned: a name outside ``sig`` raises a
-    ValueError naming the file and line, and ``sig`` is left unchanged.  The
-    strictness comes from ``closure_stats.json``; a missing or malformed
-    one raises ValueError.
+    ValueError naming the file and line, and ``sig`` is left unchanged.
     """
     sets: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
     asserted: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
@@ -235,16 +226,4 @@ def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
                     asserted[form].add(args)
     if not found:
         raise FileNotFoundError(f"no closure dump files in {path}")
-    spath = os.path.join(path, STATS_FILE)
-    try:
-        with open(spath, encoding="utf-8") as f:
-            strict = json.load(f).get("strict_printed_rules")
-    except FileNotFoundError:
-        raise ValueError(f"{spath}: missing; the dump does not record its "
-                         "strictness") from None
-    except (ValueError, AttributeError):
-        strict = None
-    if not isinstance(strict, bool):
-        raise ValueError(f"{spath}: expected a JSON object with a boolean "
-                         "'strict_printed_rules'")
-    return DeductiveClosure(sig=sig, sets=sets, asserted=asserted, sub=None, strict=strict)
+    return DeductiveClosure(sig=sig, sets=sets, asserted=asserted)

@@ -19,23 +19,19 @@ class ConfigError(Exception):
     pass
 
 
+# non-training keys and their defaults
+DEFAULT_EXTRAS = {
+    "closure.max_derived": DEFAULT_MAX_DERIVED,
+    "eval.pool": None,
+    "eval.head_pool": None,
+    "eval.tie_mode": "optimistic",
+}
+
 # key -> (TrainConfig field, converter) or None for non-training keys; a
 # training key's converter is the type of its field's default
 SCHEMA: dict[str, tuple[str, type] | None] = {
     **{f"train.{f.name}": (f.name, type(f.default)) for f in fields(TrainConfig)},
-    "closure.max_derived": None,
-    "closure.strict_printed_rules": None,
-    "eval.pool": None,
-    "eval.head_pool": None,
-    "eval.tie_mode": None,
-}
-
-DEFAULT_EXTRAS = {
-    "closure.max_derived": DEFAULT_MAX_DERIVED,
-    "closure.strict_printed_rules": False,
-    "eval.pool": None,
-    "eval.head_pool": None,
-    "eval.tie_mode": "optimistic",
+    **dict.fromkeys(DEFAULT_EXTRAS),
 }
 
 PRESET_NAMES = (

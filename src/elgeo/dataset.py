@@ -3,7 +3,8 @@
 A dataset directory holds ``train.tsv`` (any normal forms) and optionally
 ``valid.tsv``/``test.tsv`` (completion targets, GCI2 only) and ``pools.tsv``
 (lines ``pool_name<TAB>class_id``).  A pool named ``all`` is synthesized from
-every non-reserved class unless the file defines its own.
+every non-reserved class unless the file defines its own.  A pool may name
+classes that occur in no split; they are interned like any other class.
 """
 
 from __future__ import annotations

@@ -304,10 +304,6 @@ def naive_fit(axioms: list[Axiom], relation: int, head_pool, tail_pool,
                       symmetric=symmetric)
 
 
-def naive_score(nm: NaiveModel, c: int, r: int, d: int) -> float:
-    return float(nm.score_tails(c, r, np.array([d]))[0])
-
-
 def emit_roc(report: RankingReport, path: str):
     """CSV export of the report's curves: curve_name, fpr, tpr."""
     with open(path, "w", encoding="utf-8", newline="") as f:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import Axiom, Form
+from .axioms import ARITY, Axiom, Form
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
 
@@ -67,12 +67,14 @@ class NegativeSampler:
         self.rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         self.stats = SampleStats()
         self._pool = np.asarray(sorted(kb.pool("all")), dtype=np.int64)
-        self._entailed_pools: dict[Form, list[tuple[int, ...]]] = {}
+        self._entailed_pools: dict[Form, np.ndarray] = {}
 
-    def _entailed_pool(self, form: Form) -> list[tuple[int, ...]]:
+    def _entailed_pool(self, form: Form) -> np.ndarray:
+        """The form's entailed-but-not-asserted id tuples as a sorted (k, arity) array."""
         pool = self._entailed_pools.get(form)
         if pool is None:
-            pool = sorted(self.dc.sets[form] - self.dc.asserted[form])
+            pool = np.array(sorted(self.dc.sets[form] - self.dc.asserted[form]),
+                            dtype=np.int64).reshape(-1, ARITY[form])
             self._entailed_pools[form] = pool
         return pool
 
@@ -122,12 +124,11 @@ class NegativeSampler:
 
         if self.cfg.entailed_ratio > 0.0:
             ent_pool = self._entailed_pool(form)
-            if ent_pool:
+            if len(ent_pool):
                 mask = self.rng.random(B) < self.cfg.entailed_ratio
                 picks = self.rng.integers(0, len(ent_pool), size=B)
-                for i in np.flatnonzero(mask):
-                    out[i] = ent_pool[picks[i]]
-                    keep[i] = True
+                out[mask] = ent_pool[picks[mask]]
+                keep |= mask
                 self.stats.entailed_injected += int(mask.sum())
         self.stats.requested += B
         self.stats.produced += int(keep.sum())

@@ -142,10 +142,10 @@ def compute_weights(counts: dict[str, int], mode: str = "inverse_frequency") -> 
 class Adam:
     """Dense Adam over the model's flat parameter vector."""
 
-    def __init__(self, model: EmbeddingModel, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, model: EmbeddingModel):
         self.model = model
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = np.zeros_like(model.params)
         self.v = np.zeros_like(model.params)

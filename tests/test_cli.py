@@ -67,6 +67,15 @@ class TestClosureCmd:
         assert main(["closure", toy, out, "--max-derived", "10"]) == 1
         assert "closure.max_derived" in capsys.readouterr().err
 
+    def test_strict_printed_rules_flag_is_gone(self, toy, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["closure", toy, str(tmp_path / "cl"), "--strict-printed-rules"])
+        assert exc.value.code == 2
+        code = main(["closure", toy, str(tmp_path / "cl"),
+                     "--set", "closure.strict_printed_rules=true"])
+        assert code == 2
+        assert "unknown config key" in capsys.readouterr().err
+
     def test_empty_kb_reflexive_dump_only(self, tmp_path):
         data = tmp_path / "empty"
         data.mkdir()
@@ -137,6 +146,17 @@ class TestEvaluateCmd:
         report = json.loads(Path(out, "eval_report.json").read_text())
         assert any(rec["source"] == "closure" for rec in report["records"])
         assert os.path.exists(os.path.join(out, "roc.csv"))
+
+    def test_manifest_records_the_closure_dump(self, toy, tmp_path):
+        run, cl, out = (str(tmp_path / name) for name in ("run", "cl", "ev"))
+        main(["train", toy, run, "--preset", "relu-original",
+              "--set", "train.epochs=2", "--set", "train.dim=4"])
+        assert main(["closure", toy, cl]) == 0
+        assert main(["evaluate", os.path.join(run, "checkpoint.bin"), toy,
+                     "--closure-dir", cl, "--out", out]) == 0
+        inputs = json.loads(Path(out, "manifest.json").read_text())["inputs"]
+        for name in os.listdir(cl):
+            assert os.path.join(cl, name) in inputs, name
 
     def test_foreign_closure_dump_exit_2(self, toy, tmp_path, capsys):
         run = str(tmp_path / "run")

@@ -61,6 +61,18 @@ class TestLoad:
         assert [kb.sig.class_name(i) for i in kb.pool("heads")] == ["A", "B"]
         assert [kb.sig.class_name(i) for i in kb.pool("tails")] == ["C"]
 
+    def test_pool_class_outside_every_split_is_interned(self, tmp_path):
+        write(tmp_path, "train.tsv", TRAIN)
+        write(tmp_path, "pools.tsv", "tails\tC\ntails\tZ\n")
+        kb = load_dataset(str(tmp_path))
+        z = kb.sig.class_id("Z")
+        assert kb.pool("tails") == [kb.sig.class_id("C"), z]
+        assert z in kb.pool("all")
+        save_dataset(str(tmp_path / "copy"), kb)
+        kb2 = load_dataset(str(tmp_path / "copy"))
+        assert kb2.sig.class_names == kb.sig.class_names
+        assert kb2.pools == kb.pools
+
     def test_default_all_pool_excludes_reserved(self, tmp_path):
         write(tmp_path, "train.tsv", TRAIN)
         kb = load_dataset(str(tmp_path))

@@ -6,7 +6,7 @@ from elgeo.closure import compute_closure
 from elgeo.dataset import build_kb
 from elgeo.evaluation import (
     EvaluationError, RankRecord, aggregate, emit_roc, evaluate,
-    naive_fit, naive_score, rank_axiom, rank_of, trapezoid_auc,
+    naive_fit, rank_axiom, rank_of, trapezoid_auc,
 )
 from elgeo.reasoner import saturate
 
@@ -226,8 +226,8 @@ class TestNaive:
         ax = Axiom(Form.GCI2, (sig.class_id("A"), 0, sig.class_id("X")))
         nm = naive_fit([ax], 0, pools["h"], pools["t"])
         assert nm.pair_count == 1
-        assert naive_score(nm, sig.class_id("A"), 0, sig.class_id("X")) == 1.0
-        assert naive_score(nm, sig.class_id("A"), 0, sig.class_id("Y")) == 0.0
+        assert nm.score_tails(sig.class_id("A"), 0, [sig.class_id("X")])[0] == 1.0
+        assert nm.score_tails(sig.class_id("A"), 0, [sig.class_id("Y")])[0] == 0.0
 
     def test_symmetric_mirrors(self):
         sig = Signature()
@@ -236,13 +236,13 @@ class TestNaive:
         ax = Axiom(Form.GCI2, (pool[0], 0, pool[1]))
         nm = naive_fit([ax], 0, pool, pool, symmetric=True)
         assert nm.pair_count == 2
-        assert naive_score(nm, pool[2], 0, pool[0]) == pytest.approx(0.5)
-        assert naive_score(nm, pool[2], 0, pool[1]) == pytest.approx(0.5)
+        assert nm.score_tails(pool[2], 0, [pool[0]])[0] == pytest.approx(0.5)
+        assert nm.score_tails(pool[2], 0, [pool[1]])[0] == pytest.approx(0.5)
 
     def test_empty_train_scores_zero(self):
         sig, pools = self.sig()
         nm = naive_fit([], 0, pools["h"], pools["t"])
-        assert naive_score(nm, pools["h"][0], 0, pools["t"][0]) == 0.0
+        assert nm.score_tails(pools["h"][0], 0, [pools["t"][0]])[0] == 0.0
 
     def test_column_sums_normalized(self):
         sig, pools = self.sig()
@@ -251,8 +251,8 @@ class TestNaive:
                Axiom(Form.GCI2, (pools["h"][0], 0, pools["t"][1]))]
         nm = naive_fit(axs, 0, pools["h"], pools["t"])
         # column sum 2 over 3 total entries
-        assert naive_score(nm, pools["h"][1], 0, pools["t"][0]) == pytest.approx(2 / 3)
-        total = sum(naive_score(nm, pools["h"][0], 0, t) for t in pools["t"])
+        assert nm.score_tails(pools["h"][1], 0, [pools["t"][0]])[0] == pytest.approx(2 / 3)
+        total = sum(nm.score_tails(pools["h"][0], 0, [t])[0] for t in pools["t"])
         assert total == pytest.approx(1.0)
 
     def test_head_invariance(self):
@@ -260,8 +260,8 @@ class TestNaive:
         axs = [Axiom(Form.GCI2, (pools["h"][0], 0, pools["t"][0]))]
         nm = naive_fit(axs, 0, pools["h"], pools["t"])
         for t in pools["t"]:
-            assert naive_score(nm, pools["h"][0], 0, t) == \
-                naive_score(nm, pools["h"][1], 0, t)
+            assert nm.score_tails(pools["h"][0], 0, [t])[0] == \
+                nm.score_tails(pools["h"][1], 0, [t])[0]
 
     def test_tail_outside_pool(self):
         sig, pools = self.sig()
