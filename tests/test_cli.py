@@ -67,10 +67,12 @@ class TestClosureCmd:
         assert main(["closure", toy, out, "--max-derived", "10"]) == 1
         assert "closure.max_derived" in capsys.readouterr().err
 
-    def test_strict_printed_rules_flag_is_gone(self, toy, tmp_path, capsys):
+    def test_strict_printed_rules_flag_is_gone(self, toy, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["closure", toy, str(tmp_path / "cl"), "--strict-printed-rules"])
         assert exc.value.code == 2
+
+    def test_strict_printed_rules_key_is_gone(self, toy, tmp_path, capsys):
         code = main(["closure", toy, str(tmp_path / "cl"),
                      "--set", "closure.strict_printed_rules=true"])
         assert code == 2
