@@ -81,14 +81,14 @@ class Axiom:
                 f"{self.form.value} takes {ARITY[self.form]} arguments, got {len(self.args)}")
         # BOT may only appear in the class slots of the dedicated bottom forms
         # (and anywhere on a left-hand side); use make_axiom to canonicalize.
-        rhs = _RHS_CLASS_SLOT.get(self.form)
+        rhs = CONSEQUENT_SLOT.get(self.form)
         if rhs is not None and self.args[rhs] == BOT:
             raise ValueError(
                 f"{self.form.value} with BOT right-hand side; use make_axiom to canonicalize")
 
 
-# Right-hand class slot of the non-bottom GCI forms.
-_RHS_CLASS_SLOT = {Form.GCI0: 1, Form.GCI1: 2, Form.GCI2: 2, Form.GCI3: 2}
+# Right-hand (consequent) class slot of the non-bottom GCI forms.
+CONSEQUENT_SLOT = {Form.GCI0: 1, Form.GCI1: 2, Form.GCI2: 2, Form.GCI3: 2}
 
 
 def make_axiom(form: Form, args: tuple[int, ...]) -> Axiom:

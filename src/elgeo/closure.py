@@ -192,7 +192,8 @@ def dump_closure(dc: DeductiveClosure, path: str):
 def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
     """Rebuild membership sets from dump files (no subsumption closure attached).
 
-    Names are looked up, never interned: a name outside ``sig`` raises a
+    Names are looked up, never interned: a name outside ``sig``, like a wrong
+    form tag, field count or provenance (``asserted``/``derived``), raises a
     ValueError naming the file and line, and ``sig`` is left unchanged.
     """
     sets: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
@@ -210,7 +211,8 @@ def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
                 if not raw:
                     continue
                 fields = raw.split("\t")
-                if len(fields) != ARITY[form] + 2 or fields[0] != form.value:
+                if (len(fields) != ARITY[form] + 2 or fields[0] != form.value
+                        or fields[-1] not in ("asserted", "derived")):
                     raise ValueError(f"{fpath}:{lineno}: malformed closure dump line")
                 try:
                     args = tuple(

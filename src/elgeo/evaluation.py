@@ -1,15 +1,17 @@
 """Ranking evaluation: hits@k, macro/micro mean rank and AUC, filtered variants.
 
-Every test axiom's candidate tails are scored, the true tail's rank is taken
-(optimistic tie handling by default; ``average`` adds half the tie count),
-and a filtered rank is computed after removing candidates asserted in the
-train split (never the true tail).  Aggregate AUCs integrate, with the
-trapezoid rule, the curve x = rank_value/N, y = fraction of axioms ranked at
-or below that value, built over the distinct observed ranks; micro variants
-average the per-head-class aggregates.  Because the grid of that curve is
-the set of observed rank values, filtered AUC can land slightly under raw
-AUC even though per-record filtered ranks never exceed raw ranks; per-record
-AUCs (over the common raw candidate count) never cross.
+Every test axiom's true tail is ranked among the candidate tails by one
+rule: 1, plus 1 for each candidate scoring higher, plus 1/2 for each other
+candidate scoring the same in ``average`` tie mode (``optimistic``, the
+default, adds nothing for ties).  The raw rank counts every candidate, the
+filtered rank only those not asserted in the train split (the true tail is
+never removed).  Aggregate AUCs integrate, with the trapezoid rule, the
+curve x = rank_value/N, y = fraction of axioms ranked at or below that
+value, built over the distinct observed ranks; micro variants average the
+per-head-class aggregates.  Because the grid of that curve is the set of
+observed rank values, filtered AUC can land slightly under raw AUC even
+though per-record filtered ranks never exceed raw ranks; per-record AUCs
+(over the common raw candidate count) never cross.
 
 The naive baseline scores a tail by its train-set frequency alone,
 optionally symmetrized, and plugs into the same ranking pipeline.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,16 +58,8 @@ class RankRecord:
         return (self.n_cand - self.frank) / (self.n_cand - 1) if self.n_cand > 1 else 1.0
 
 
-def rank_of(scores: np.ndarray, index: int, tie_mode: str = "optimistic") -> float:
-    """Rank of scores[index] among scores, higher score = better rank."""
-    s = scores[index]
-    greater = int((scores > s).sum())
-    if tie_mode == "optimistic":
-        return float(1 + greater)
-    if tie_mode == "average":
-        ties = int((scores == s).sum()) - 1
-        return 1 + greater + ties / 2.0
-    raise ValueError(f"unknown tie mode: {tie_mode!r}")
+# weight of each other candidate whose score equals the true tail's
+TIE_WEIGHT = {"optimistic": 0.0, "average": 0.5}
 
 
 def rank_axiom(scorer, ax: Axiom, candidates, filter_set=None,
@@ -81,16 +75,18 @@ def rank_axiom(scorer, ax: Axiom, candidates, filter_set=None,
     where = np.flatnonzero(candidates == d)
     if len(where) == 0:
         raise EvaluationError(f"true tail not among candidates for head id {c}")
-    idx = int(where[0])
+    if tie_mode not in TIE_WEIGHT:
+        raise ValueError(f"unknown tie mode: {tie_mode!r}")
+    tie = TIE_WEIGHT[tie_mode]
     scores = scorer.score_tails(c, r, candidates)
-    raw = rank_of(scores, idx, tie_mode)
+    s = scores[where[0]]
+    # each candidate's share of the rank; the true tail's own tie is taken back
+    ahead = (scores > s) + tie * (scores == s)
+    raw = float(1 - tie + ahead.sum())
     if filter_set:
         keep = np.array([t == d or (c, r, t) not in filter_set
                          for t in candidates.tolist()], dtype=bool)
-        fscores = scores[keep]
-        fidx = int(keep[:idx].sum())   # true tail's position among kept candidates
-        frank = rank_of(fscores, fidx, tie_mode)
-        n_f = int(keep.sum())
+        frank, n_f = float(1 - tie + ahead[keep].sum()), int(keep.sum())
     else:
         frank, n_f = raw, len(candidates)
     return RankRecord(head=c, rel=r, tail=d, rank=raw, frank=frank,
@@ -101,18 +97,10 @@ def trapezoid_auc(ranks, n: int) -> tuple[float, list[tuple[float, float]]]:
     """AUC over the distinct-rank curve; returns (area, curve points)."""
     if not len(ranks):
         return float("nan"), []
-    hist = Counter(ranks)
-    xs = sorted(hist)
-    total = len(ranks)
-    points = []
-    cum = 0
-    for x in xs:
-        cum += hist[x]
-        points.append((x / n, cum / total))
-    points.append((1.0, 1.0))
-    px = np.array([p[0] for p in points])
-    py = np.array([p[1] for p in points])
-    return float(np.trapezoid(py, px)), points
+    xs, counts = np.unique(ranks, return_counts=True)
+    px = np.append(xs / n, 1.0)
+    py = np.append(np.cumsum(counts) / len(ranks), 1.0)
+    return float(np.trapezoid(py, px)), list(zip(px.tolist(), py.tolist()))
 
 
 @dataclass
@@ -162,55 +150,35 @@ class RankingReport:
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
+def _summarize(ranks: np.ndarray, groups: list[np.ndarray], n: int) -> tuple:
+    """hits@10, hits@100, macro MR, micro MR, macro AUC, micro AUC and the curve
+    of one rank column; micro values average over ``groups``, one index array per head."""
+    auc, curve = trapezoid_auc(ranks, n)
+    return (float((ranks <= 10).mean()), float((ranks <= 100).mean()),
+            float(ranks.mean()), float(np.mean([ranks[g].mean() for g in groups])),
+            auc, float(np.mean([trapezoid_auc(ranks[g], n)[0] for g in groups])), curve)
+
+
 def aggregate(records: list[RankRecord], tie_mode: str = "optimistic",
               closure_records: list[RankRecord] | None = None) -> RankingReport:
     """Fold rank records into the aggregate report (test records only)."""
     if not records:
         raise EvaluationError("no rank records to aggregate")
-    closure_records = closure_records or []
-    rep = RankingReport(records=list(records), closure_records=list(closure_records),
-                        tie_mode=tie_mode)
-    ranks = np.array([r.rank for r in records])
-    franks = np.array([r.frank for r in records])
+    rep = RankingReport(list(records), list(closure_records or []), tie_mode)
     n = max(r.n_cand for r in records)
-    rep.hits10 = float((ranks <= 10).mean())
-    rep.hits100 = float((ranks <= 100).mean())
-    rep.fhits10 = float((franks <= 10).mean())
-    rep.fhits100 = float((franks <= 100).mean())
-    rep.macro_mr = float(ranks.mean())
-    rep.macro_fmr = float(franks.mean())
-    rep.macro_auc, roc_raw = trapezoid_auc(ranks, n)
-    rep.macro_fauc, roc_filt = trapezoid_auc(franks, n)
-    rep.roc["raw"] = roc_raw
-    rep.roc["filtered"] = roc_filt
+    heads = np.array([r.head for r in records])
+    order = np.argsort(heads, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(heads[order])) + 1)
+    (rep.hits10, rep.hits100, rep.macro_mr, rep.micro_mr, rep.macro_auc, rep.micro_auc,
+     rep.roc["raw"]) = _summarize(np.array([r.rank for r in records]), groups, n)
+    (rep.fhits10, rep.fhits100, rep.macro_fmr, rep.micro_fmr, rep.macro_fauc, rep.micro_fauc,
+     rep.roc["filtered"]) = _summarize(np.array([r.frank for r in records]), groups, n)
 
-    by_head: dict[int, list[RankRecord]] = defaultdict(list)
-    for r in records:
-        by_head[r.head].append(r)
-    head_mr, head_fmr, head_auc, head_fauc = [], [], [], []
-    for head in sorted(by_head):
-        rs = by_head[head]
-        hr = np.array([r.rank for r in rs])
-        hf = np.array([r.frank for r in rs])
-        head_mr.append(hr.mean())
-        head_fmr.append(hf.mean())
-        head_auc.append(trapezoid_auc(hr, n)[0])
-        head_fauc.append(trapezoid_auc(hf, n)[0])
-    rep.micro_mr = float(np.mean(head_mr))
-    rep.micro_fmr = float(np.mean(head_fmr))
-    rep.micro_auc = float(np.mean(head_auc))
-    rep.micro_fauc = float(np.mean(head_fauc))
-
-    flagged = [r for r in records if r.entailed is not None]
-    if flagged or closure_records:
-        entailed = [r for r in records if r.entailed] + [r for r in closure_records]
-        novel = [r for r in flagged if not r.entailed]
-        if entailed:
-            rep.roc["entailed"] = trapezoid_auc(
-                np.array([r.frank for r in entailed]), n)[1]
-        if novel:
-            rep.roc["novel"] = trapezoid_auc(
-                np.array([r.frank for r in novel]), n)[1]
+    novel = [r for r in records if r.entailed is not None and not r.entailed]
+    for name, recs in (("entailed", [r for r in records if r.entailed] + rep.closure_records),
+                       ("novel", novel)):
+        if recs:
+            rep.roc[name] = trapezoid_auc(np.array([r.frank for r in recs]), n)[1]
     return rep
 
 
@@ -221,8 +189,9 @@ def evaluate(scorer, kb: KnowledgeBase, dc: DeductiveClosure | None = None,
     """Rank every axiom of a split over a tail pool; closure-aware when dc given.
 
     With ``dc`` each test record carries an entailed/novel flag.  With
-    ``closure_positives`` the entailed GCI2 axioms inside the pools (minus
-    all splits) are ranked as extra positives and feed the entailed curve.
+    ``closure_positives`` the entailed GCI2 axioms inside the pools, minus
+    every axiom of the train, valid and test splits, are ranked as extra
+    positives and feed the entailed curve.
     """
     axioms = {"test": kb.test, "valid": kb.valid}[split]
     if not axioms:
@@ -245,7 +214,7 @@ def evaluate(scorer, kb: KnowledgeBase, dc: DeductiveClosure | None = None,
         heads = set(kb.pool(head_pool) if head_pool else candidates)
         tails = set(candidates)
         rels = {ax.args[1] for ax in axioms}
-        skip = {ax.args for ax in kb.train_gci2} | {ax.args for ax in kb.test}
+        skip = filter_set | {ax.args for ax in kb.valid + kb.test}
         extras = sorted(
             args for args in dc.sets[Form.GCI2]
             if args not in skip and args[0] in heads and args[1] in rels and args[2] in tails)

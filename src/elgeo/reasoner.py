@@ -58,8 +58,7 @@ class SubsumptionClosure:
 def saturate(kb: KnowledgeBase) -> SubsumptionClosure:
     n = kb.sig.n_classes
     subsumers: list[set[int]] = [set() for _ in range(n)]
-    edges: dict[int, set[tuple[int, int]]] = {}
-    succ: dict[tuple[int, int], set[int]] = {}   # (r, C) -> successors D
+    edges: set[tuple[int, int, int]] = set()     # (r, C, D)
     incoming: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # D -> [(r, C)]
 
     # axiom indexes, keyed by the slots that trigger each rule
@@ -104,10 +103,8 @@ def saturate(kb: KnowledgeBase) -> SubsumptionClosure:
             work.append(("s", c, d))
 
     def add_edge(r: int, c: int, d: int):
-        pairs = edges.setdefault(r, set())
-        if (c, d) not in pairs:
-            pairs.add((c, d))
-            succ.setdefault((r, c), set()).add(d)
+        if (r, c, d) not in edges:
+            edges.add((r, c, d))
             incoming[d].append((r, c))
             work.append(("e", r, c, d))
 

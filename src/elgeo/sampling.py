@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import ARITY, Axiom, Form
+from .axioms import ARITY, CONSEQUENT_SLOT, Axiom, Form
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
-
-CORRUPT_SLOT = {Form.GCI0: 1, Form.GCI1: 2, Form.GCI2: 2, Form.GCI3: 2}
 
 
 class SamplingError(Exception):
@@ -88,7 +86,7 @@ class NegativeSampler:
         exhausted get masked out.  Rows replaced from the entailed pool are
         always kept.
         """
-        slot = CORRUPT_SLOT[form]
+        slot = CONSEQUENT_SLOT[form]
         pool = self._pool
         if len(pool) < 2:
             raise SamplingError("pool exhausted")

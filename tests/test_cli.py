@@ -175,6 +175,19 @@ class TestEvaluateCmd:
         err = capsys.readouterr().err
         assert "closure_gci0.tsv:" in err and "unknown class" in err
 
+    def test_bad_provenance_in_closure_dump_exit_2(self, toy, tmp_path, capsys):
+        run, cl = str(tmp_path / "run"), tmp_path / "cl"
+        main(["train", toy, run, "--preset", "relu-original",
+              "--set", "train.epochs=2", "--set", "train.dim=4"])
+        assert main(["closure", toy, str(cl)]) == 0
+        tsv = cl / "closure_gci0.tsv"
+        tsv.write_text(tsv.read_text().replace("\tasserted\n", "\tbogus\n"))
+        capsys.readouterr()
+        code = main(["evaluate", os.path.join(run, "checkpoint.bin"), toy,
+                     "--closure-dir", str(cl)])
+        assert code == 2
+        assert "closure_gci0.tsv:" in capsys.readouterr().err
+
     def test_flags_recorded_as_config_keys(self, toy, tmp_path):
         run = str(tmp_path / "run")
         main(["train", toy, run, "--preset", "relu-original",

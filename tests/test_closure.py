@@ -1,8 +1,12 @@
 import json
+import os
+import re
+import tempfile
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elgeo.axioms import ARITY, BOT, GCI_FORMS, RELATION_SLOTS, Axiom, Form, parse_normalized
 from elgeo.closure import (
@@ -230,3 +234,54 @@ def test_dump_load_looks_names_up_without_interning(tmp_path):
     with pytest.raises(ValueError, match=r"closure_gci2\.tsv:\d+: unknown relation: 'r'"):
         load_closure_dump(str(tmp_path), no_r)
     assert no_r.relation_names == ("s",)
+
+
+def test_dump_with_crlf_line_endings_loads(tmp_path):
+    kb, sub, dc = make("GCI2\tA\tr\tB\nGCI0\tB\tBp\nGCI1_BOT\tA\tB\n")
+    dump_closure(dc, str(tmp_path))
+    for tsv in tmp_path.glob("*.tsv"):
+        tsv.write_bytes(tsv.read_bytes().replace(b"\n", b"\r\n"))
+    loaded = load_closure_dump(str(tmp_path), kb.sig)
+    assert loaded.sets == dc.sets and loaded.asserted == dc.asserted
+
+
+def _damage(fields: list[str], how: str) -> list[str]:
+    """One closure dump line's fields, damaged in the named way."""
+    if how == "unknown name":
+        return fields[:1] + ["NotInTheSignature"] + fields[2:]
+    if how == "missing field":
+        return fields[:-1]
+    if how == "wrong form tag":
+        return [next(f.value for f in GCI_FORMS if f.value != fields[0])] + fields[1:]
+    return fields[:-1] + ["bogus"]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       how=st.sampled_from(["unknown name", "missing field", "wrong form tag",
+                            "bad provenance", "none"]),
+       pick=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_damaged_dump_names_file_and_line(seed, how, pick):
+    rng = np.random.default_rng(seed)
+    kb = random_kb(rng, n_classes=int(rng.integers(3, 9)), n_relations=2,
+                   n_axioms=int(rng.integers(3, 16)))
+    dc = compute_closure(kb, saturate(kb))
+    sizes = (kb.sig.n_classes, kb.sig.n_relations)
+    with tempfile.TemporaryDirectory() as path:
+        dump_closure(dc, path)
+        if how == "none":
+            loaded = load_closure_dump(path, kb.sig)
+            assert loaded.sets == dc.sets and loaded.asserted == dc.asserted
+            return
+        tsvs = sorted(name for name in os.listdir(path)
+                      if name.endswith(".tsv") and os.path.getsize(os.path.join(path, name)))
+        name = tsvs[pick % len(tsvs)]
+        with open(os.path.join(path, name), encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        line = pick // len(tsvs) % len(lines)
+        lines[line] = "\t".join(_damage(lines[line].split("\t"), how))
+        with open(os.path.join(path, name), "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{name}:{line + 1}: ")):
+            load_closure_dump(path, kb.sig)
+    assert (kb.sig.n_classes, kb.sig.n_relations) == sizes

@@ -6,9 +6,10 @@ from elgeo.closure import compute_closure
 from elgeo.dataset import build_kb
 from elgeo.evaluation import (
     EvaluationError, RankRecord, aggregate, emit_roc, evaluate,
-    naive_fit, rank_axiom, rank_of, trapezoid_auc,
+    naive_fit, rank_axiom, trapezoid_auc,
 )
 from elgeo.reasoner import saturate
+from elgeo.toygen import basic_kb
 
 from oracles import brute_aggregate, brute_rank, brute_trapezoid_auc
 
@@ -23,23 +24,30 @@ class FixedScorer:
         return np.array([self.table[int(t)] for t in tails])
 
 
-class TestRankOf:
+def raw_rank(scores, index, tie_mode="optimistic"):
+    """Raw rank of candidate ``index`` among tails scored by ``scores``, via rank_axiom."""
+    tails = list(range(2, 2 + len(scores)))    # ids past TOP and BOT
+    ax = Axiom(Form.GCI2, (0, 0, tails[index]))
+    return rank_axiom(FixedScorer(dict(zip(tails, scores))), ax, tails, None, tie_mode).rank
+
+
+class TestRankRule:
     def test_strict_maximum(self):
         scores = np.array([0.9, 0.5, 0.5, 0.2])
-        assert rank_of(scores, 0) == 1
+        assert raw_rank(scores, 0) == 1
 
     def test_tie_conventions(self):
         scores = np.array([0.5, 0.5, 0.5, 0.9])
-        assert rank_of(scores, 0, "optimistic") == 2
-        assert rank_of(scores, 0, "average") == 3
+        assert raw_rank(scores, 0, "optimistic") == 2
+        assert raw_rank(scores, 0, "average") == 3
 
     def test_massive_tie_optimistic_rank_one(self):
         scores = np.zeros(2000)
-        assert rank_of(scores, 7, "optimistic") == 1
+        assert raw_rank(scores, 7, "optimistic") == 1
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            rank_of(np.zeros(3), 0, "pessimistic")
+            raw_rank(np.zeros(3), 0, "pessimistic")
 
 
 class TestRankAxiom:
@@ -69,6 +77,22 @@ class TestRankAxiom:
         filter_set = {(sig.class_id("A"), 0, sig.class_id("C"))}
         rec = rank_axiom(scorer, ax, cands, filter_set)
         assert rec.n_fcand == 4
+
+    def test_both_ranks_match_brute_in_each_tie_mode(self):
+        rng = np.random.default_rng(53)
+        tails = list(range(2, 14))
+        for _ in range(100):
+            scores = np.round(rng.random(len(tails)), 1)   # coarse values force ties
+            idx = int(rng.integers(len(tails)))
+            dropped = {i for i in range(len(tails)) if rng.random() < 0.4}
+            fset = {(0, 0, tails[i]) for i in dropped}
+            keep = [i for i in range(len(tails)) if i == idx or i not in dropped]
+            ax = Axiom(Form.GCI2, (0, 0, tails[idx]))
+            for mode in ("optimistic", "average"):
+                rec = rank_axiom(FixedScorer(dict(zip(tails, scores))), ax, tails, fset, mode)
+                assert rec.rank == brute_rank(list(scores), idx, mode)
+                assert rec.frank == brute_rank([scores[i] for i in keep], keep.index(idx), mode)
+                assert rec.n_fcand == len(keep)
 
     def test_missing_true_tail(self):
         sig, ax, cands = self.make()
@@ -198,6 +222,16 @@ class TestEvaluate:
         skip = {ax.args for ax in kb.train_gci2} | {ax.args for ax in kb.test}
         for rec in rep.closure_records:
             assert (rec.head, rec.rel, rec.tail) not in skip
+
+    def test_closure_positives_skip_every_split(self):
+        kb = basic_kb()
+        dc = compute_closure(kb, saturate(kb))
+        scorer = FixedScorer({c: 0.1 * c for c in range(kb.sig.n_classes)})
+        splits = {ax.args for ax in kb.train_gci2 + kb.valid + kb.test}
+        for split in ("test", "valid"):
+            rep = evaluate(scorer, kb, dc, closure_positives=True, split=split)
+            assert rep.closure_records
+            assert not splits & {(r.head, r.rel, r.tail) for r in rep.closure_records}
 
     def test_record_wise_fmr_bound(self):
         kb = self.kb()
