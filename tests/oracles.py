@@ -360,6 +360,35 @@ def random_kb(rng: np.random.Generator, n_classes=8, n_relations=2, n_axioms=20,
             axioms.append(ax)
     return build_kb(sig, axioms)
 
+
+def loss_value(model, term, ids):
+    """Single-axiom loss value."""
+    from elgeo.geometry import loss_term
+
+    return float(loss_term(model, term, [[i] for i in ids])[0])
+
+
+def gradient(model, term, ids):
+    """Sparse analytic gradient of one term at one axiom.
+
+    Keys are ("center", id), ("radius", id), ("relation", id); only the rows
+    whose gradient is nonzero appear, so a touched row that sums to zero is
+    left out.
+    """
+    from elgeo.geometry import GradientBuffer, loss_term
+
+    buf = GradientBuffer(model)
+    loss_term(model, term, [[i] for i in ids], grad=buf)
+    out: dict = {}
+    for i in np.flatnonzero(np.abs(buf.centers).sum(axis=1)):
+        out[("center", int(i))] = buf.centers[i].copy()
+    for i in np.flatnonzero(buf.radii):
+        out[("radius", int(i))] = float(buf.radii[i])
+    for i in np.flatnonzero(np.abs(buf.rels).sum(axis=1)):
+        out[("relation", int(i))] = buf.rels[i].copy()
+    return out
+
+
 def gradcheck_max_error(draws=100, dim=8, seed=0, h=1e-6):
     """Worst relative error, analytic vs central finite differences.
 
@@ -370,7 +399,7 @@ def gradcheck_max_error(draws=100, dim=8, seed=0, h=1e-6):
     from elgeo.axioms import Signature
     from elgeo.geometry import (
         TERMS, TERM_ARITY, TERM_RELATION_SLOTS, EmbeddingModel,
-        GradientBuffer, loss_term, loss_value,
+        GradientBuffer, loss_term,
     )
 
     rng = np.random.default_rng(seed)

@@ -1,8 +1,10 @@
-"""Checkpoints cut short, with bytes past their end, or with a malformed header fail loudly."""
+"""Checkpoints cut short, with bytes past their end, with a malformed header or with
+non-finite parameters fail loudly."""
 
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from elgeo.axioms import Signature
@@ -104,3 +106,28 @@ def test_evaluate_with_misspelled_activation_exits_2(tmp_path, capsys):
     rewrite(path, MUTATIONS["activation typo"])
     assert main(["evaluate", str(path), toy]) == 2
     assert "checkpoint.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_raises_value_error_naming_the_file(tmp_path, value):
+    sig = Signature()
+    sig.intern_class("a")
+    sig.intern_relation("r")
+    m = EmbeddingModel.create(sig, dim=2, seed=1)
+    m.params[-1] = value
+    path = tmp_path / "nonfinite.bin"
+    save_model(m, str(path))
+    with pytest.raises(ValueError, match="nonfinite.bin"):
+        load_model(str(path))
+
+
+def test_evaluate_with_nan_checkpoint_exits_2(tmp_path, capsys):
+    # NaN scores compare false, so every true tail would rank first
+    toy = str(tmp_path / "toy")
+    assert main(["gen-toy", toy, "--preset", "basic"]) == 0
+    m = EmbeddingModel.create(load_dataset(toy).sig, dim=4)
+    m.params[:] = np.nan
+    path = tmp_path / "nan.bin"
+    save_model(m, str(path))
+    assert main(["evaluate", str(path), toy]) == 2
+    assert "nan.bin" in capsys.readouterr().err

@@ -3,12 +3,11 @@ import pytest
 
 from elgeo.axioms import Signature
 from elgeo.geometry import (
-    TERMS, TERM_ARITY, EmbeddingModel, GradientBuffer, gradient, load_model,
-    loss_term, loss_value, save_model,
+    TERMS, TERM_ARITY, EmbeddingModel, GradientBuffer, load_model, loss_term, save_model,
 )
 from elgeo.training import Adam
 
-from oracles import gradcheck_max_error
+from oracles import gradcheck_max_error, gradient, loss_value
 
 
 def model2d(margin=0.0, reg_mode="strict", reg_radius=1.0,
@@ -311,6 +310,46 @@ class TestParameterBlock:
         late = m.sig.class_id("Late")
         with pytest.raises(KeyError):
             loss_term(m, "gci0_pos", ([late], [1]))
+
+
+class TestGradientScatter:
+    """``GradientBuffer.add_*`` against a per-row loop that adds in row order."""
+
+    TABLES = {"add_center": "centers", "add_radius": "radii", "add_rel": "rels"}
+
+    @staticmethod
+    def buffer():
+        sig = Signature()
+        for i in range(4):
+            sig.intern_class(f"k{i}")
+        for i in range(3):
+            sig.intern_relation(f"r{i}")
+        return GradientBuffer(EmbeddingModel.create(sig, dim=3, seed=0))
+
+    @pytest.mark.parametrize("method", sorted(TABLES))
+    def test_matches_a_row_loop_bit_for_bit(self, method):
+        rng = np.random.default_rng(7)
+        buf, ref = self.buffer(), self.buffer()
+        table = getattr(buf, self.TABLES[method])
+        for _ in range(3):   # several calls into the same buffer
+            ids = rng.integers(len(table), size=40)   # 40 draws: ids repeat
+            # magnitudes spread over 16 decades, so any other order rounds differently
+            g = rng.standard_normal((40,) + table.shape[1:]) * 10.0 ** rng.integers(
+                -8, 8, size=(40,) + table.shape[1:])
+            getattr(buf, method)(ids, g)
+            for i, row in zip(ids, g):
+                getattr(ref, self.TABLES[method])[i] += row
+        assert np.array_equal(buf.flat, ref.flat)
+
+    @pytest.mark.parametrize("method", sorted(TABLES))
+    def test_id_past_the_table_raises_and_leaves_flat_untouched(self, method):
+        buf = self.buffer()
+        buf.flat[:] = np.arange(len(buf.flat))
+        before = buf.flat.copy()
+        table = getattr(buf, self.TABLES[method])
+        with pytest.raises(IndexError):
+            getattr(buf, method)([0, len(table)], np.ones((2,) + table.shape[1:]))
+        assert np.array_equal(buf.flat, before)
 
 
 class TestNonNegativity:

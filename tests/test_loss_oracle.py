@@ -12,11 +12,10 @@ import pytest
 from elgeo import geometry
 from elgeo.axioms import Signature
 from elgeo.geometry import (
-    TERMS, TERM_ARITY, TERM_RELATION_SLOTS, EmbeddingModel, GradientBuffer,
-    gradient, loss_term,
+    TERMS, TERM_ARITY, TERM_RELATION_SLOTS, EmbeddingModel, GradientBuffer, loss_term,
 )
 
-from oracles import brute_loss
+from oracles import brute_loss, gradient
 
 BATCH = 12
 MODES = [(activation, reg_mode)
