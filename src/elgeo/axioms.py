@@ -6,8 +6,11 @@ The reserved classes TOP and BOT always occupy ids 0 and 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 TOP = 0
@@ -57,6 +60,18 @@ GCI_FORMS = (
     Form.GCI0, Form.GCI1, Form.GCI2, Form.GCI3,
     Form.GCI0_BOT, Form.GCI1_BOT, Form.GCI3_BOT,
 )
+
+
+def pack_keys(form: Form, cols, n_classes: int, n_relations: int) -> np.ndarray:
+    """int64 keys of ``form`` axioms given as one id array per slot: a mixed radix, base
+    ``n_relations`` at relation slots and ``n_classes`` elsewhere, so keys sort like
+    their rows.  ValueError when an id is out of range or a key could overflow int64."""
+    dims = tuple(n_relations if k in RELATION_SLOTS.get(form, ()) else n_classes
+                 for k in range(ARITY[form]))
+    if math.prod(dims) >= 2 ** 63:
+        raise ValueError(f"{form.value} keys over {n_classes} classes and "
+                         f"{n_relations} relations do not fit in int64")
+    return np.ravel_multi_index(tuple(cols), dims)
 
 
 class ParseError(Exception):

@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
-from .axioms import Axiom, Form
+from .axioms import Axiom, Form, pack_keys
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
+from .geometry import CHUNK
 
 
 class EvaluationError(Exception):
@@ -61,6 +63,54 @@ class RankRecord:
 # weight of each other candidate whose score equals the true tail's
 TIE_WEIGHT = {"optimistic": 0.0, "average": 0.5}
 
+# Rows (queries x candidates) per score_tails call: bounds the blocks whatever the pool size.
+BLOCK = 16 * CHUNK
+
+
+def _gci2_rows(axioms: list[Axiom]) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(ax.args for ax in axioms), np.int64,
+                       3 * len(axioms)).reshape(-1, 3)
+
+
+def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which ``keys`` occur in ``sorted_keys``, by binary search."""
+    if not len(sorted_keys):
+        return np.zeros(keys.shape, dtype=bool)
+    return sorted_keys.take(np.searchsorted(sorted_keys, keys), mode="clip") == keys
+
+
+def _rank_rows(scorer, rows: np.ndarray, candidates, train_keys: np.ndarray, dims,
+               tie_mode: str) -> list[RankRecord]:
+    """Rank the tail of each (head, rel, tail) row among the candidates, one
+    score_tails call per block of queries, with one head and relation id per
+    candidate row.  The filtered rank leaves out each candidate whose key is in
+    the sorted ``train_keys`` (``pack_keys`` over ``dims``), unless it equals
+    the true tail."""
+    pool = np.asarray(candidates, dtype=np.int64)
+    n = len(pool)
+    step = max(1, BLOCK // max(n, 1))
+    records = []
+    for block in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
+        c, r, d = block.T
+        true = pool == d[:, None]
+        missing = ~true.any(axis=1)
+        if missing.any():
+            raise EvaluationError(
+                f"true tail not among candidates for head id {c[missing.argmax()]}")
+        if tie_mode not in TIE_WEIGHT:
+            raise ValueError(f"unknown tie mode: {tie_mode!r}")
+        tie = TIE_WEIGHT[tie_mode]
+        cols = (np.repeat(c, n), np.repeat(r, n), np.tile(pool, len(d)))
+        scores = np.reshape(scorer.score_tails(*cols), true.shape)
+        s = scores[np.arange(len(d)), true.argmax(axis=1), None]
+        # each candidate's share of the rank; the true tail's own tie is taken back
+        ahead = (scores > s) + tie * (scores == s)
+        keep = true | ~_member(train_keys, pack_keys(Form.GCI2, cols, *dims)).reshape(true.shape)
+        ranks = 1 - tie + np.stack([ahead.sum(axis=1), (ahead * keep).sum(axis=1)], axis=1)
+        records += [RankRecord(*row, *rank, n, n_f) for row, rank, n_f in
+                    zip(block.tolist(), ranks.tolist(), keep.sum(axis=1).tolist())]
+    return records
+
 
 def rank_axiom(scorer, ax: Axiom, candidates, filter_set=None,
                tie_mode: str = "optimistic") -> RankRecord:
@@ -70,27 +120,12 @@ def rank_axiom(scorer, ax: Axiom, candidates, filter_set=None,
     (head, rel, tail) triples to drop from the candidate list (train axioms);
     the true tail itself is never dropped.
     """
-    c, r, d = ax.args
+    rows = np.array([ax.args, *(filter_set or ())], dtype=np.int64)
     candidates = np.asarray(candidates, dtype=np.int64)
-    where = np.flatnonzero(candidates == d)
-    if len(where) == 0:
-        raise EvaluationError(f"true tail not among candidates for head id {c}")
-    if tie_mode not in TIE_WEIGHT:
-        raise ValueError(f"unknown tie mode: {tie_mode!r}")
-    tie = TIE_WEIGHT[tie_mode]
-    scores = scorer.score_tails(c, r, candidates)
-    s = scores[where[0]]
-    # each candidate's share of the rank; the true tail's own tie is taken back
-    ahead = (scores > s) + tie * (scores == s)
-    raw = float(1 - tie + ahead.sum())
-    if filter_set:
-        keep = np.array([t == d or (c, r, t) not in filter_set
-                         for t in candidates.tolist()], dtype=bool)
-        frank, n_f = float(1 - tie + ahead[keep].sum()), int(keep.sum())
-    else:
-        frank, n_f = raw, len(candidates)
-    return RankRecord(head=c, rel=r, tail=d, rank=raw, frank=frank,
-                      n_cand=len(candidates), n_fcand=n_f)
+    dims = (int(max(rows[:, ::2].max(), candidates.max(initial=0))) + 1,
+            int(rows[:, 1].max()) + 1)
+    keys = np.sort(pack_keys(Form.GCI2, rows[1:].T, *dims))
+    return _rank_rows(scorer, rows[:1], candidates, keys, dims, tie_mode)[0]
 
 
 def trapezoid_auc(ranks, n: int) -> tuple[float, list[tuple[float, float]]]:
@@ -150,13 +185,30 @@ class RankingReport:
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _summarize(ranks: np.ndarray, groups: list[np.ndarray], n: int) -> tuple:
+def _summarize(ranks: np.ndarray, heads: np.ndarray, n: int) -> tuple:
     """hits@10, hits@100, macro MR, micro MR, macro AUC, micro AUC and the curve
-    of one rank column; micro values average over ``groups``, one index array per head."""
+    of one rank column; micro values average over the head classes in id order.
+    Each head's AUC sums ``trapezoid_auc``'s terms for its ranks, bit for bit."""
     auc, curve = trapezoid_auc(ranks, n)
-    return (float((ranks <= 10).mean()), float((ranks <= 100).mean()),
-            float(ranks.mean()), float(np.mean([ranks[g].mean() for g in groups])),
-            auc, float(np.mean([trapezoid_auc(ranks[g], n)[0] for g in groups])), curve)
+    o = np.lexsort((ranks, heads))
+    h, x = heads[o], ranks[o]
+    starts = np.flatnonzero(np.append(True, h[1:] != h[:-1]))
+    size = np.diff(np.append(starts, len(x)))
+    # curve points: each head's distinct ranks, with the share ranked at or below, then (1, 1)
+    last = np.flatnonzero(np.append((x[1:] != x[:-1]) | (h[1:] != h[:-1]), True))
+    head = np.searchsorted(starts, last, side="right") - 1
+    px, py = x[last] / n, (last + 1 - starts[head]) / size[head]
+    end = np.append(head[1:] != head[:-1], True)
+    nx, ny = (np.where(end, 1.0, np.roll(v, -1)) for v in (px, py))
+    terms = (nx - px) * (ny + py) / 2.0
+    bounds = np.append(np.searchsorted(last, starts), len(last))
+    head_auc = terms[bounds[:-1]]
+    for i in np.flatnonzero(np.diff(bounds) > 1):   # np.add.reduce, as np.trapezoid sums
+        head_auc[i] = np.add.reduce(terms[bounds[i]:bounds[i + 1]])
+    # ranks are multiples of 1/2, so every summation order gives the same sums
+    return (float((ranks <= 10).mean()), float((ranks <= 100).mean()), float(ranks.mean()),
+            float(np.mean(np.add.reduceat(x, starts) / size)), auc, float(np.mean(head_auc)),
+            curve)
 
 
 def aggregate(records: list[RankRecord], tie_mode: str = "optimistic",
@@ -167,12 +219,10 @@ def aggregate(records: list[RankRecord], tie_mode: str = "optimistic",
     rep = RankingReport(list(records), list(closure_records or []), tie_mode)
     n = max(r.n_cand for r in records)
     heads = np.array([r.head for r in records])
-    order = np.argsort(heads, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(heads[order])) + 1)
     (rep.hits10, rep.hits100, rep.macro_mr, rep.micro_mr, rep.macro_auc, rep.micro_auc,
-     rep.roc["raw"]) = _summarize(np.array([r.rank for r in records]), groups, n)
+     rep.roc["raw"]) = _summarize(np.array([r.rank for r in records]), heads, n)
     (rep.fhits10, rep.fhits100, rep.macro_fmr, rep.micro_fmr, rep.macro_fauc, rep.micro_fauc,
-     rep.roc["filtered"]) = _summarize(np.array([r.frank for r in records]), groups, n)
+     rep.roc["filtered"]) = _summarize(np.array([r.frank for r in records]), heads, n)
 
     novel = [r for r in records if r.entailed is not None and not r.entailed]
     for name, recs in (("entailed", [r for r in records if r.entailed] + rep.closure_records),
@@ -199,13 +249,13 @@ def evaluate(scorer, kb: KnowledgeBase, dc: DeductiveClosure | None = None,
     candidates = kb.pool(pool)
     if not candidates:
         raise EvaluationError("empty candidate pool")
-    filter_set = {ax.args for ax in kb.train_gci2}
-    records = []
-    for ax in axioms:
-        rec = rank_axiom(scorer, ax, candidates, filter_set, tie_mode)
-        if dc is not None:
+    dims = (kb.sig.n_classes, kb.sig.n_relations)
+    train_keys = pack_keys(Form.GCI2, _gci2_rows(kb.train_gci2).T, *dims)
+    train_keys.sort()
+    records = _rank_rows(scorer, _gci2_rows(axioms), candidates, train_keys, dims, tie_mode)
+    if dc is not None:
+        for rec, ax in zip(records, axioms):
             rec.entailed = dc.contains(ax)
-        records.append(rec)
 
     closure_records = []
     if closure_positives:
@@ -214,15 +264,15 @@ def evaluate(scorer, kb: KnowledgeBase, dc: DeductiveClosure | None = None,
         heads = set(kb.pool(head_pool) if head_pool else candidates)
         tails = set(candidates)
         rels = {ax.args[1] for ax in axioms}
-        skip = filter_set | {ax.args for ax in kb.valid + kb.test}
-        extras = sorted(
+        extras = np.array(sorted(
             args for args in dc.sets[Form.GCI2]
-            if args not in skip and args[0] in heads and args[1] in rels and args[2] in tails)
-        for args in extras:
-            rec = rank_axiom(scorer, Axiom(Form.GCI2, args), candidates, filter_set, tie_mode)
-            rec.source = "closure"
-            rec.entailed = True
-            closure_records.append(rec)
+            if args[0] in heads and args[1] in rels and args[2] in tails),
+            dtype=np.int64).reshape(-1, 3)
+        skip = np.sort(np.concatenate(
+            [train_keys, pack_keys(Form.GCI2, _gci2_rows(kb.valid + kb.test).T, *dims)]))
+        extras = extras[~_member(skip, pack_keys(Form.GCI2, extras.T, *dims))]
+        closure_records = [replace(rec, source="closure", entailed=True) for rec in
+                           _rank_rows(scorer, extras, candidates, train_keys, dims, tie_mode)]
     return aggregate(records, tie_mode, closure_records)
 
 
@@ -238,11 +288,16 @@ class NaiveModel:
     col_sums: dict[int, int]
     symmetric: bool = False
 
-    def score_tails(self, c: int, r: int, tails) -> np.ndarray:
+    def __post_init__(self):   # col_sums as a dense array over class ids
+        self.counts = np.zeros(max(self.col_sums, default=-1) + 1)
+        self.counts[list(self.col_sums)] = list(self.col_sums.values())
+
+    def score_tails(self, c, r, tails) -> np.ndarray:
         tails = np.asarray(tails, dtype=np.int64)
         if self.pair_count == 0:
             return np.zeros(len(tails))
-        return np.array([self.col_sums.get(int(t), 0) / self.pair_count for t in tails])
+        known = (tails >= 0) & (tails < len(self.counts))
+        return np.where(known, self.counts.take(tails, mode="clip"), 0.0) / self.pair_count
 
 
 def naive_fit(axioms: list[Axiom], relation: int, head_pool, tail_pool,
@@ -265,11 +320,8 @@ def naive_fit(axioms: list[Axiom], relation: int, head_pool, tail_pool,
                 raise EvaluationError(
                     f"symmetric mirroring needs head id {c} inside the tail pool")
             pairs.add((d, c))
-    col_sums: dict[int, int] = defaultdict(int)
-    for _, t in pairs:
-        col_sums[t] += 1
     return NaiveModel(relation=relation, tail_pool=tuple(int(t) for t in tail_pool),
-                      pair_count=len(pairs), col_sums=dict(col_sums),
+                      pair_count=len(pairs), col_sums=dict(Counter(t for _, t in pairs)),
                       symmetric=symmetric)
 
 

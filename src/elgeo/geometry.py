@@ -202,12 +202,12 @@ class EmbeddingModel:
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.params).all())
 
-    def score_tails(self, c: int, r: int, tails: np.ndarray) -> np.ndarray:
-        """Completion score of (c, r, t) for every candidate tail t."""
+    def score_tails(self, c, r, tails: np.ndarray) -> np.ndarray:
+        """Completion score of (c, r, t) for every candidate tail t; ``c`` and ``r``
+        are ids or per-tail id arrays, broadcast to ``tails``."""
         tails = np.asarray(tails, dtype=np.int64)
-        cs = np.full(len(tails), c, dtype=np.int64)
-        rs = np.full(len(tails), r, dtype=np.int64)
-        return loss_term(self, "score_gci2", (cs, rs, tails))
+        return loss_term(self, "score_gci2",
+                         (np.broadcast_to(c, tails.shape), np.broadcast_to(r, tails.shape), tails))
 
 
 class GradientBuffer:

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from elgeo.axioms import (
     ARITY, BOT, RELATION_SLOTS, Axiom, Form, ParseError, Signature,
-    make_axiom, parse_normalized, serialize_normalized,
+    make_axiom, pack_keys, parse_normalized, serialize_normalized,
 )
 
 
@@ -128,3 +129,30 @@ def test_roundtrip_identity(case):
     doc = serialize_normalized(axioms, sig)
     parsed, _ = parse_normalized(doc, sig)
     assert parsed == axioms
+
+
+class TestPackKeys:
+    @given(seed=st.integers(0, 2 ** 32 - 1), form=st.sampled_from(list(Form)))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_in_row_order(self, seed, form):
+        rng = np.random.default_rng(seed)
+        nc, nr = int(rng.integers(2, 10 ** 6)), int(rng.integers(1, 1000))
+        dims = [nr if k in RELATION_SLOTS.get(form, ()) else nc for k in range(ARITY[form])]
+        rows = np.stack([rng.integers(0, d, size=50) for d in dims], axis=1)
+        keys = pack_keys(form, rows.T, nc, nr)
+        assert keys.dtype == np.int64
+        assert np.array_equal(np.stack(np.unravel_index(keys, dims), axis=1), rows)
+        # keys sort like their id rows
+        assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(rows.T[::-1]))
+
+    def test_largest_key_that_fits(self):
+        top = 2 ** 31 - 1
+        assert pack_keys(Form.GCI2, ([top], [0], [top]), 2 ** 31, 1)[0] == 2 ** 62 - 1
+
+    def test_overflow_raises(self):
+        with pytest.raises(ValueError, match="do not fit in int64"):
+            pack_keys(Form.GCI2, ([0], [0], [0]), 2 ** 31, 2)
+
+    def test_id_out_of_range_raises(self):
+        with pytest.raises(ValueError):
+            pack_keys(Form.GCI0, ([5], [0]), 5, 1)

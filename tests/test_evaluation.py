@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elgeo.axioms import Axiom, Form, Signature, parse_normalized
 from elgeo.closure import compute_closure
 from elgeo.dataset import build_kb
 from elgeo.evaluation import (
-    EvaluationError, RankRecord, aggregate, emit_roc, evaluate,
+    EvaluationError, NaiveModel, RankRecord, aggregate, emit_roc, evaluate,
     naive_fit, rank_axiom, trapezoid_auc,
 )
+from elgeo.geometry import CHUNK, EmbeddingModel
 from elgeo.reasoner import saturate
 from elgeo.toygen import basic_kb
 
@@ -99,6 +101,104 @@ class TestRankAxiom:
         scorer = FixedScorer({c: 0.0 for c in cands})
         with pytest.raises(EvaluationError, match="true tail"):
             rank_axiom(scorer, ax, cands[:1], None)
+
+
+class HeadTailScorer:
+    """Score table keyed by (head, tail); relation ignored.  Takes a head id or
+    one head id per tail."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def score_tails(self, c, r, tails):
+        tails = np.asarray(tails)
+        return self.table[np.broadcast_to(c, tails.shape), tails]
+
+
+MODES = ("optimistic", "average")
+
+
+class TestBlockRanking:
+    def kb(self, rng, n_pool, heads, train_share):
+        """A KB over pool "cands" with one test axiom per head and train GCI2
+        axioms on about ``train_share`` of each test query's other tails."""
+        sig = Signature()
+        ids = [sig.intern_class(f"C{i}") for i in range(n_pool + 3)]
+        for name in ("r", "s"):
+            sig.intern_relation(name)
+        pool = ids[:n_pool]
+        test = [Axiom(Form.GCI2, (h, int(rng.integers(2)), pool[int(rng.integers(n_pool))]))
+                for h in heads]
+        held_out = {ax.args for ax in test}
+        train = {Axiom(Form.GCI2, (ax.args[0], ax.args[1], t)) for ax in test for t in pool
+                 if (ax.args[0], ax.args[1], t) not in held_out and rng.random() < train_share}
+        return build_kb(sig, sorted(train, key=lambda ax: ax.args), test=test,
+                        pools={"cands": pool})
+
+    def test_records_match_rank_axiom_and_brute_across_blocks(self):
+        from elgeo.evaluation import BLOCK
+        rng = np.random.default_rng(59)
+        n_pool = BLOCK // 3 + 1    # two queries a block, and the pool divides no block
+        heads = [2 + i % 3 for i in range(7)]   # seven queries span four blocks
+        for share in (0.0, 0.3):   # filter off, then on
+            kb = self.kb(rng, n_pool, heads, share)
+            pool = kb.pool("cands")
+            # few distinct scores, so most candidates tie with some other
+            scorer = HeadTailScorer(rng.integers(0, 5, size=(5, kb.sig.n_classes)) / 4.0)
+            fset = {ax.args for ax in kb.train_gci2}
+            for mode in MODES:
+                rep = evaluate(scorer, kb, pool="cands", tie_mode=mode)
+                assert len(rep.records) == len(heads)
+                for ax, rec in zip(kb.test, rep.records):
+                    one = rank_axiom(scorer, ax, pool, fset, mode)
+                    assert vars(rec) == vars(one)
+                    c, r, d = ax.args
+                    scores = scorer.table[c, pool].tolist()
+                    idx = pool.index(d)
+                    keep = [i for i, t in enumerate(pool) if t == d or (c, r, t) not in fset]
+                    assert rec.rank == brute_rank(scores, idx, mode)
+                    assert rec.frank == brute_rank([scores[i] for i in keep],
+                                                   keep.index(idx), mode)
+                    assert rec.n_cand == n_pool and rec.n_fcand == len(keep)
+
+    def test_duplicate_true_tail_kept_and_true_axiom_never_filtered(self):
+        pool = [2, 3, 4, 3, 5]
+        scores = [0.5, 0.5, 0.9, 0.5, 0.1]
+        scorer = FixedScorer(dict(zip(pool, scores)))
+        ax = Axiom(Form.GCI2, (6, 0, 3))
+        for mode in MODES:
+            rec = rank_axiom(scorer, ax, pool, {(6, 0, 3), (6, 0, 2)}, mode)
+            assert rec.n_cand == 5 and rec.n_fcand == 4   # 2 dropped, both copies of 3 kept
+            assert rec.rank == brute_rank(scores, 1, mode)
+            assert rec.frank == brute_rank([0.5, 0.9, 0.5, 0.1], 0, mode)
+
+    def test_missing_tail_in_a_later_block(self):
+        rng = np.random.default_rng(61)
+        n_pool = CHUNK * 9   # one query a block at 16k rows
+        kb = self.kb(rng, n_pool, [2, 3, 4, 5], 0.0)
+        kb.pools["cands"] = [t for t in kb.pools["cands"] if t != kb.test[2].args[2]]
+        scorer = HeadTailScorer(np.zeros((6, kb.sig.n_classes)))
+        with pytest.raises(EvaluationError,
+                           match="^true tail not among candidates for head id 4$"):
+            evaluate(scorer, kb, pool="cands")
+
+    def test_score_tails_per_row_ids_match_scalar_calls(self):
+        sig = Signature()
+        for i in range(40):
+            sig.intern_class(f"C{i}")
+        for name in ("r", "s", "t"):
+            sig.intern_relation(name)
+        rng = np.random.default_rng(67)
+        model = EmbeddingModel.create(sig, dim=5)
+        model.params[:] = rng.normal(size=model.params.shape)
+        tails = rng.integers(2, 40, size=CHUNK - 3)   # queries straddle chunk boundaries
+        heads, rels = rng.integers(0, 40, size=5), rng.integers(0, 3, size=5)
+        per_query = np.concatenate([model.score_tails(int(c), int(r), tails)
+                                    for c, r in zip(heads, rels)])
+        n = len(tails)
+        block = model.score_tails(np.repeat(heads, n), np.repeat(rels, n),
+                                  np.tile(tails, len(heads)))
+        assert np.array_equal(block, per_query)
 
 
 class TestAggregate:
@@ -193,6 +293,27 @@ class TestMetricOracle:
         rep = aggregate(recs)
         assert rep.hits10 == pytest.approx((ranks <= 10).mean())
         assert rep.hits100 == pytest.approx((ranks <= 100).mean())
+
+
+def per_head_loop(ranks, heads, n):
+    """Micro MR and micro AUC as a loop over head classes, one NumPy call per head."""
+    groups = [np.flatnonzero(heads == h) for h in np.unique(heads)]
+    return (float(np.mean([ranks[g].mean() for g in groups])),
+            float(np.mean([trapezoid_auc(ranks[g], n)[0] for g in groups])))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_micro_aggregates_match_per_head_loop(seed):
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(2, 60)), int(rng.integers(1, 80))
+    heads = rng.integers(0, int(rng.integers(1, 12)), size=k)
+    ranks = rng.integers(2, 2 * n + 1, size=k) / 2.0   # half ranks, as ties average
+    franks = np.minimum(ranks, rng.integers(2, 2 * n + 1, size=k) / 2.0)
+    rep = aggregate([RankRecord(int(h), 0, 0, rank=float(a), frank=float(b), n_cand=n,
+                                n_fcand=n) for h, a, b in zip(heads, ranks, franks)])
+    assert (rep.micro_mr, rep.micro_auc) == per_head_loop(ranks, heads, n)
+    assert (rep.micro_fmr, rep.micro_fauc) == per_head_loop(franks, heads, n)
 
 
 class TestEvaluate:
@@ -296,6 +417,19 @@ class TestNaive:
         for t in pools["t"]:
             assert nm.score_tails(pools["h"][0], 0, [t])[0] == \
                 nm.score_tails(pools["h"][1], 0, [t])[0]
+
+    def test_scores_match_dict_formula(self):
+        rng = np.random.default_rng(71)
+        for _ in range(50):
+            col_sums = {int(t): int(rng.integers(1, 9))
+                        for t in rng.choice(40, size=int(rng.integers(0, 12)), replace=False)}
+            pair_count = sum(col_sums.values())
+            nm = NaiveModel(relation=0, tail_pool=tuple(range(40)), pair_count=pair_count,
+                            col_sums=col_sums)
+            tails = rng.integers(-3, 60, size=100)   # ids outside every table too
+            expected = np.array([col_sums.get(int(t), 0) / pair_count if pair_count else 0.0
+                                 for t in tails])
+            assert np.array_equal(nm.score_tails(0, 0, tails), expected)
 
     def test_tail_outside_pool(self):
         sig, pools = self.sig()
