@@ -7,6 +7,7 @@ The reserved classes TOP and BOT always occupy ids 0 and 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -74,6 +75,13 @@ def pack_keys(form: Form, cols, n_classes: int, n_relations: int) -> np.ndarray:
     return np.ravel_multi_index(tuple(cols), dims)
 
 
+def key_member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which ``keys`` occur in ``sorted_keys``, by binary search."""
+    if not len(sorted_keys):
+        return np.zeros(keys.shape, dtype=bool)
+    return sorted_keys.take(np.searchsorted(sorted_keys, keys), mode="clip") == keys
+
+
 class ParseError(Exception):
     """Malformed axiom input; carries the 1-based line number."""
 
@@ -104,20 +112,37 @@ class Axiom:
 
 # Right-hand (consequent) class slot of the non-bottom GCI forms.
 CONSEQUENT_SLOT = {Form.GCI0: 1, Form.GCI1: 2, Form.GCI2: 2, Form.GCI3: 2}
+# The bottom form a BOT consequent rewrites to, keeping that form's leading slots
+# (C inside some R.bottom forces C empty).
+BOT_FORM = {Form.GCI0: Form.GCI0_BOT, Form.GCI1: Form.GCI1_BOT,
+            Form.GCI2: Form.GCI0_BOT, Form.GCI3: Form.GCI3_BOT}
 
 
 def make_axiom(form: Form, args: tuple[int, ...]) -> Axiom:
     """Build an axiom, rewriting a BOT right-hand side into the bottom form."""
-    if form is Form.GCI0 and args[1] == BOT:
-        return Axiom(Form.GCI0_BOT, (args[0],))
-    if form is Form.GCI1 and args[2] == BOT:
-        return Axiom(Form.GCI1_BOT, (args[0], args[1]))
-    if form is Form.GCI2 and args[2] == BOT:
-        # C inside some R.bottom forces C empty.
-        return Axiom(Form.GCI0_BOT, (args[0],))
-    if form is Form.GCI3 and args[2] == BOT:
-        return Axiom(Form.GCI3_BOT, (args[0], args[1]))
+    bottom = BOT_FORM.get(form)
+    if bottom is not None and args[CONSEQUENT_SLOT[form]] == BOT:
+        return Axiom(bottom, tuple(args[:ARITY[bottom]]))
     return Axiom(form, args)
+
+
+class AxiomRows(Sequence):
+    """Read-only sequence of one form's axioms over a (k, arity) int64 id array,
+    ``ids``, which it takes over and makes non-writeable; items are ``Axiom``s."""
+
+    def __init__(self, form: Form, ids: np.ndarray):
+        self.form = form
+        self.ids = np.asarray(ids, dtype=np.int64).reshape(-1, ARITY[form])
+        self.ids.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> Axiom:
+        return Axiom(self.form, tuple(self.ids[i].tolist()))
+
+    def __iter__(self):
+        return (Axiom(self.form, tuple(args)) for args in self.ids.tolist())
 
 
 class Signature:
@@ -150,24 +175,20 @@ class Signature:
         return tuple(self._rel_names)
 
     def intern_class(self, name: str) -> int:
-        if not name:
-            raise ValueError("empty class identifier")
-        cid = self._class_ids.get(name)
-        if cid is None:
-            cid = len(self._class_names)
-            self._class_ids[name] = cid
-            self._class_names.append(name)
-        return cid
+        return self._intern(name, self._class_ids, self._class_names, "class")
 
     def intern_relation(self, name: str) -> int:
+        return self._intern(name, self._rel_ids, self._rel_names, "relation")
+
+    @staticmethod
+    def _intern(name: str, ids: dict[str, int], names: list[str], kind: str) -> int:
         if not name:
-            raise ValueError("empty relation identifier")
-        rid = self._rel_ids.get(name)
-        if rid is None:
-            rid = len(self._rel_names)
-            self._rel_ids[name] = rid
-            self._rel_names.append(name)
-        return rid
+            raise ValueError(f"empty {kind} identifier")
+        i = ids.get(name)
+        if i is None:
+            i = ids[name] = len(names)
+            names.append(name)
+        return i
 
     def class_id(self, name: str) -> int:
         try:
@@ -188,48 +209,68 @@ class Signature:
         return self._rel_names[rid]
 
 
-def parse_normalized(text: str, sig: Signature | None = None) -> tuple[list[Axiom], Signature]:
-    """Parse a normalized axiom document: one axiom per line, TAB-separated.
-
-    The first field is the form tag; '#' starts a comment line; blank lines
-    are skipped.  Identifiers are interned in first-appearance order.
-    """
+def parse_rows(text: str, sig: Signature | None = None):
+    """Parse a normalized axiom document: one axiom per line, TAB-separated, the form
+    tag first; '#' starts a comment line; blank lines are skipped.  Identifiers are
+    interned in first-appearance order; a BOT consequent moves its row to the bottom
+    form, as in ``make_axiom``.  Returns each form's (k, arity) int64 id array and
+    each row's form, both in file order, and the signature."""
     if sig is None:
         sig = Signature()
-    axioms: list[Axiom] = []
+    classes, relations = (sig._class_ids, sig._class_names), (sig._rel_ids, sig._rel_names)
+    # tag -> (form, field count, one interning table per slot)
+    specs = {form.value: (form, ARITY[form] + 1, [
+        relations if k in RELATION_SLOTS.get(form, ()) else classes for k in range(ARITY[form])])
+        for form in Form}
+    flat: dict[Form, list[int]] = {form: [] for form in Form}
+    forms: list[Form] = []
     # split on plain newlines only: any other character is identifier-legal
     for lineno, raw in enumerate(text.split("\n"), 1):
         raw = raw.rstrip("\r")
         if not raw.strip() or raw.startswith("#"):
             continue
         fields = raw.split("\t")
-        try:
-            form = Form(fields[0])
-        except ValueError:
-            raise ParseError(f"unknown form tag: {fields[0]!r}", lineno) from None
-        expected = ARITY[form] + 1
+        spec = specs.get(fields[0])
+        if spec is None:
+            raise ParseError(f"unknown form tag: {fields[0]!r}", lineno)
+        form, expected, tables = spec
         if len(fields) != expected:
             raise ParseError(f"expected {expected} fields, got {len(fields)}", lineno)
-        rel_slots = RELATION_SLOTS.get(form, ())
-        args = []
-        for slot, name in enumerate(fields[1:]):
-            if not name:
-                raise ParseError("empty identifier", lineno)
-            if slot in rel_slots:
-                args.append(sig.intern_relation(name))
-            else:
-                args.append(sig.intern_class(name))
-        axioms.append(make_axiom(form, tuple(args)))
-    return axioms, sig
+        row = []
+        for name, (ids, names) in zip(fields[1:], tables):
+            i = ids.get(name)
+            if i is None:
+                if not name:
+                    raise ParseError("empty identifier", lineno)
+                i = ids[name] = len(names)
+                names.append(name)
+            row.append(i)
+        bottom = BOT_FORM.get(form)
+        if bottom is not None and row[CONSEQUENT_SLOT[form]] == BOT:
+            form = bottom
+            del row[ARITY[form]:]
+        flat[form] += row
+        forms.append(form)
+    arrays = {form: np.array(ids, dtype=np.int64).reshape(-1, ARITY[form])
+              for form, ids in flat.items()}
+    return arrays, forms, sig
+
+
+def parse_normalized(text: str, sig: Signature | None = None) -> tuple[list[Axiom], Signature]:
+    """``parse_rows`` as a list of axioms in file order."""
+    arrays, forms, sig = parse_rows(text, sig)
+    rows = {form: iter(ids.tolist()) for form, ids in arrays.items()}
+    return [Axiom(form, tuple(next(rows[form]))) for form in forms], sig
+
+
+def format_row(form: Form, args, sig: Signature) -> str:
+    rel_slots = RELATION_SLOTS.get(form, ())
+    return "\t".join([form.value] + [sig.relation_name(a) if slot in rel_slots
+                                      else sig.class_name(a) for slot, a in enumerate(args)])
 
 
 def format_axiom(ax: Axiom, sig: Signature) -> str:
-    rel_slots = RELATION_SLOTS.get(ax.form, ())
-    names = [
-        sig.relation_name(a) if slot in rel_slots else sig.class_name(a)
-        for slot, a in enumerate(ax.args)
-    ]
-    return "\t".join([ax.form.value] + names)
+    return format_row(ax.form, ax.args, sig)
 
 
 def serialize_normalized(axioms: list[Axiom], sig: Signature) -> str:

@@ -10,7 +10,7 @@ import json
 import os
 import sys
 
-from .axioms import Form, ParseError, serialize_normalized
+from .axioms import AxiomRows, Form, ParseError, serialize_normalized
 from .closure import (
     ClosureBudgetError, compute_closure, dump_closure, load_closure_dump,
 )
@@ -194,7 +194,7 @@ def cmd_naive(args) -> int:
     kb = load_dataset(args.dataset)
     if not kb.test:
         raise EvaluationError("test split is empty")
-    rels = {ax.args[1] for ax in kb.test}
+    rels = set(kb.test.ids[:, 1].tolist())
     if args.relation:
         rel = kb.sig.relation_id(args.relation)
     elif len(rels) == 1:
@@ -203,8 +203,9 @@ def cmd_naive(args) -> int:
         raise EvaluationError("test split uses several relations; pass --relation")
     tail_pool = kb.pool(args.pool)
     head_pool = kb.pool(args.head_pool) if args.head_pool else tail_pool
-    train_axioms = [ax for ax in kb.train_gci2 if ax.args[1] == rel]
-    nm = naive_fit(train_axioms, rel, head_pool, tail_pool, symmetric=args.symmetric)
+    rows = kb.train_gci2.ids
+    nm = naive_fit(AxiomRows(Form.GCI2, rows[rows[:, 1] == rel]), rel, head_pool, tail_pool,
+                   symmetric=args.symmetric)
     report = evaluate(nm, kb, pool=args.pool, tie_mode=args.tie_mode)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -104,6 +104,7 @@ class DeductiveClosure:
 def compute_closure(kb: KnowledgeBase, sub: SubsumptionClosure,
                     max_derived: int = DEFAULT_MAX_DERIVED) -> DeductiveClosure:
     """Expand the KB into per-form entailed-axiom sets (see module docstring)."""
+    asserted = {form: set(kb.rows(form)) for form in GCI_FORMS}
     n = kb.sig.n_classes
     # C -> known subclasses of C; BOT's rows are tautologies and stay implicit
     down: list[list[int]] = [[] for _ in range(n)]
@@ -134,33 +135,27 @@ def compute_closure(kb: KnowledgeBase, sub: SubsumptionClosure,
             ups = ups - {BOT}
         grow(Form.GCI0, (c,), ups)
 
-    for ax in kb.axioms[Form.GCI1]:
-        c, d, e = ax.args
+    for c, d, e in asserted[Form.GCI1]:
         grow(Form.GCI1, down[c], (d,), (e,))
-    for ax in kb.axioms[Form.GCI2]:
-        c, r, d = ax.args
+    for c, r, d in asserted[Form.GCI2]:
         ups = up(d)
         if BOT in ups:
             grow(Form.GCI0_BOT, down[c])
             ups = ups - {BOT}
         grow(Form.GCI2, down[c], (r,), ups)
-    for ax in kb.axioms[Form.GCI3]:
-        r, c, d = ax.args
+    for r, c, d in asserted[Form.GCI3]:
         ups = up(d)
         if BOT in ups:
             grow(Form.GCI3_BOT, (r,), down[c])
             ups = ups - {BOT}
         grow(Form.GCI3, (r,), down[c], ups)
-    for ax in kb.axioms[Form.GCI0_BOT]:
-        grow(Form.GCI0_BOT, down[ax.args[0]])
-    for ax in kb.axioms[Form.GCI3_BOT]:
-        r, c = ax.args
+    for c, in asserted[Form.GCI0_BOT]:
+        grow(Form.GCI0_BOT, down[c])
+    for r, c in asserted[Form.GCI3_BOT]:
         grow(Form.GCI3_BOT, (r,), down[c])
-    for ax in kb.axioms[Form.GCI1_BOT]:
-        c, d = ax.args
+    for c, d in asserted[Form.GCI1_BOT]:
         grow(Form.GCI1_BOT, (c,), (d,))
 
-    asserted = {form: {ax.args for ax in kb.axioms[form]} for form in GCI_FORMS}
     dc = DeductiveClosure(sig=kb.sig, sets=sets, asserted=asserted, sub=sub)
     dc.stats = dc.derived_counts()
     return dc

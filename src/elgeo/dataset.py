@@ -10,12 +10,15 @@ classes that occur in no split; they are interned like any other class.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .axioms import (
-    BOT, TOP, Axiom, Form, Signature,
-    format_axiom, parse_normalized, serialize_normalized,
+    ARITY, BOT, TOP, Axiom, AxiomRows, Form, Signature,
+    format_row, key_member, pack_keys, parse_rows,
 )
+from .manifest import write_atomic
 
 
 class DatasetError(Exception):
@@ -24,15 +27,24 @@ class DatasetError(Exception):
 
 @dataclass
 class KnowledgeBase:
+    """Train axioms per form, and the GCI2 valid and test splits, as ``AxiomRows``."""
+
     sig: Signature
-    axioms: dict[Form, list[Axiom]]
-    valid: list[Axiom] = field(default_factory=list)
-    test: list[Axiom] = field(default_factory=list)
-    pools: dict[str, list[int]] = field(default_factory=dict)
+    axioms: dict[Form, AxiomRows]
+    valid: AxiomRows
+    test: AxiomRows
+    pools: dict[str, list[int]]
 
     @property
-    def train_gci2(self) -> list[Axiom]:
+    def train_gci2(self) -> AxiomRows:
         return self.axioms[Form.GCI2]
+
+    def rows(self, form: Form) -> list[tuple[int, ...]]:
+        """The form's train axioms as id tuples holding one shared int object per id, so
+        that the sets and indexes built from them keep no int object per row."""
+        ints = list(range(max(self.sig.n_classes, self.sig.n_relations)))
+        flat = map(ints.__getitem__, self.axioms[form].ids.ravel().tolist())
+        return list(zip(*[flat] * ARITY[form]))
 
     def all_train_axioms(self) -> list[Axiom]:
         out = []
@@ -51,88 +63,113 @@ class KnowledgeBase:
             raise DatasetError(f"unknown pool: {key!r}") from None
 
 
-def build_kb(sig: Signature, train: list[Axiom], valid=(), test=(),
+def _group(axioms) -> tuple[dict[Form, np.ndarray], list[Form]]:
+    """Axioms as ``parse_rows`` gives a file: per-form id arrays and row forms, in order."""
+    rows: dict[Form, list] = {form: [] for form in Form}
+    forms = []
+    for ax in axioms:
+        rows[ax.form].append(ax.args)
+        forms.append(ax.form)
+    return {form: np.array(r, dtype=np.int64).reshape(-1, ARITY[form])
+            for form, r in rows.items()}, forms
+
+
+def build_kb(sig: Signature, train, valid=(), test=(),
              pools: dict[str, list[int]] | None = None) -> KnowledgeBase:
-    """Assemble and validate a knowledge base from axiom lists."""
-    by_form: dict[Form, list[Axiom]] = {form: [] for form in Form}
-    for ax in train:
-        by_form[ax.form].append(ax)
-    kb = KnowledgeBase(sig=sig, axioms=by_form, valid=list(valid), test=list(test),
-                       pools=dict(pools or {}))
-    held_out: dict[tuple[int, ...], str] = {}   # GCI2 args -> first split holding them
-    for split_name, split in (("valid", kb.valid), ("test", kb.test)):
-        for ax in split:
-            if ax.form is not Form.GCI2:
-                raise DatasetError(
-                    f"{split_name} split must contain GCI2 only: {format_axiom(ax, sig)}")
-            prev = held_out.setdefault(ax.args, split_name)
-            if prev != split_name:
-                raise DatasetError(
-                    f"axiom appears in both {prev} and {split_name}: {format_axiom(ax, sig)}")
-    for ax in by_form[Form.GCI2]:   # only train's GCI2 axioms can repeat a held-out one
-        prev = held_out.get(ax.args)
-        if prev is not None:
-            raise DatasetError(f"axiom appears in both train and {prev}: {format_axiom(ax, sig)}")
-    if "all" not in kb.pools:
-        kb.pools["all"] = [cid for cid in range(sig.n_classes) if cid not in (TOP, BOT)]
-    for name, members in kb.pools.items():
+    """Assemble and validate a knowledge base from axiom iterables."""
+    return _assemble(sig, _group(train), _group(valid), _group(test), pools)
+
+
+def _assemble(sig: Signature, train, valid, test, pools) -> KnowledgeBase:
+    """Validate three splits, each (per-form id arrays, row forms in file order),
+    and the pools, and wrap them in a knowledge base.  An error names the first
+    offending axiom in split and file order."""
+    dims = (sig.n_classes, sig.n_relations)
+    # split -> sorted packed keys of its GCI2 rows; valid is checked against none
+    held = {"valid": np.zeros(0, dtype=np.int64)}
+    for name, (ids, forms) in (("valid", valid), ("test", test)):
+        # only rows ahead of the first other form count, and those are GCI2
+        bad = next((k for k, form in enumerate(forms) if form is not Form.GCI2), len(forms))
+        rows = ids[Form.GCI2][:bad]
+        keys = pack_keys(Form.GCI2, rows.T, *dims)
+        clash = key_member(held["valid"], keys)
+        if clash.any():
+            raise DatasetError("axiom appears in both valid and test: "
+                               f"{format_row(Form.GCI2, rows[clash.argmax()], sig)}")
+        if bad < len(forms):   # the first row of another form is that form's first row
+            raise DatasetError(f"{name} split must contain GCI2 only: "
+                               f"{format_row(forms[bad], ids[forms[bad]][0], sig)}")
+        held[name] = np.sort(keys)
+    rows = train[0][Form.GCI2]   # only train's GCI2 rows can repeat a held-out axiom
+    in_valid, in_test = (key_member(held[name], pack_keys(Form.GCI2, rows.T, *dims))
+                         for name in ("valid", "test"))
+    if (in_valid | in_test).any():
+        first = (in_valid | in_test).argmax()
+        raise DatasetError(f"axiom appears in both train and "
+                           f"{'valid' if in_valid[first] else 'test'}: "
+                           f"{format_row(Form.GCI2, rows[first], sig)}")
+    pools = dict(pools or {})
+    if "all" not in pools:
+        pools["all"] = [cid for cid in range(sig.n_classes) if cid not in (TOP, BOT)]
+    for name, members in pools.items():
         for cid in members:
             if not 0 <= cid < sig.n_classes:
                 raise DatasetError(f"pool {name!r} references unknown class id {cid}")
-    return kb
+    return KnowledgeBase(sig=sig, axioms={form: AxiomRows(form, ids)
+                                          for form, ids in train[0].items()},
+                         valid=AxiomRows(Form.GCI2, valid[0][Form.GCI2]),
+                         test=AxiomRows(Form.GCI2, test[0][Form.GCI2]), pools=pools)
 
 
 def _parse_pools(text: str, sig: Signature) -> dict[str, list[int]]:
-    pools: dict[str, list[int]] = {}
+    pools: dict[str, dict[int, None]] = {}   # members in first-appearance order
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.startswith("#"):
             continue
         fields = raw.split("\t")
         if len(fields) != 2 or not fields[0] or not fields[1]:
             raise DatasetError(f"pools.tsv line {lineno}: expected 'pool_name<TAB>class_id'")
-        members = pools.setdefault(fields[0], [])
-        cid = sig.intern_class(fields[1])
-        if cid not in members:
-            members.append(cid)
-    return pools
+        pools.setdefault(fields[0], {})[sig.intern_class(fields[1])] = None
+    return {name: list(members) for name, members in pools.items()}
 
 
 def load_dataset(path: str) -> KnowledgeBase:
     """Load a dataset directory into an indexed knowledge base."""
-    train_path = os.path.join(path, "train.tsv")
-    if not os.path.exists(train_path):
+    if not os.path.exists(os.path.join(path, "train.tsv")):
         raise DatasetError(f"missing train.tsv in {path}")
     sig = Signature()
-    with open(train_path, encoding="utf-8") as f:
-        train, _ = parse_normalized(f.read(), sig)
-    splits = {}
-    for name in ("valid", "test"):
+    splits = []
+    for name in ("train", "valid", "test"):
         fpath = os.path.join(path, f"{name}.tsv")
         if os.path.exists(fpath):
             with open(fpath, encoding="utf-8") as f:
-                splits[name], _ = parse_normalized(f.read(), sig)
+                splits.append(parse_rows(f.read(), sig)[:2])
         else:
-            splits[name] = []
+            splits.append(_group(()))
     pools_path = os.path.join(path, "pools.tsv")
     pools = None
     if os.path.exists(pools_path):
         with open(pools_path, encoding="utf-8") as f:
             pools = _parse_pools(f.read(), sig)
-    return build_kb(sig, train, splits["valid"], splits["test"], pools)
+    return _assemble(sig, *splits, pools)
 
 
 def save_dataset(path: str, kb: KnowledgeBase):
-    """Write a knowledge base back out as a dataset directory."""
+    """Write a knowledge base back out as a dataset directory, one file at a time
+    through ``write_atomic``."""
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "train.tsv"), "w", encoding="utf-8") as f:
-        f.write(serialize_normalized(kb.all_train_axioms(), kb.sig))
+
+    def lines(splits):
+        for rows in splits:
+            for args in rows.ids.tolist():
+                yield format_row(rows.form, args, kb.sig) + "\n"
+
+    write_atomic(os.path.join(path, "train.tsv"), lines(kb.axioms.values()))
     for name, split in (("valid", kb.valid), ("test", kb.test)):
         if split:
-            with open(os.path.join(path, f"{name}.tsv"), "w", encoding="utf-8") as f:
-                f.write(serialize_normalized(split, kb.sig))
+            write_atomic(os.path.join(path, f"{name}.tsv"), lines([split]))
     named = {k: v for k, v in kb.pools.items() if k != "all"}
     if named:
-        with open(os.path.join(path, "pools.tsv"), "w", encoding="utf-8") as f:
-            for name, members in named.items():
-                for cid in members:
-                    f.write(f"{name}\t{kb.sig.class_name(cid)}\n")
+        write_atomic(os.path.join(path, "pools.tsv"),
+                     (f"{name}\t{kb.sig.class_name(cid)}\n"
+                      for name, members in named.items() for cid in members))

@@ -23,11 +23,10 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
-from .axioms import Axiom, Form, pack_keys
+from .axioms import Axiom, AxiomRows, Form, key_member, pack_keys
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
 from .geometry import CHUNK
@@ -67,18 +66,6 @@ TIE_WEIGHT = {"optimistic": 0.0, "average": 0.5}
 BLOCK = 16 * CHUNK
 
 
-def _gci2_rows(axioms: list[Axiom]) -> np.ndarray:
-    return np.fromiter(chain.from_iterable(ax.args for ax in axioms), np.int64,
-                       3 * len(axioms)).reshape(-1, 3)
-
-
-def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Which ``keys`` occur in ``sorted_keys``, by binary search."""
-    if not len(sorted_keys):
-        return np.zeros(keys.shape, dtype=bool)
-    return sorted_keys.take(np.searchsorted(sorted_keys, keys), mode="clip") == keys
-
-
 def _rank_rows(scorer, rows: np.ndarray, candidates, train_keys: np.ndarray, dims,
                tie_mode: str) -> list[RankRecord]:
     """Rank the tail of each (head, rel, tail) row among the candidates, one
@@ -105,7 +92,7 @@ def _rank_rows(scorer, rows: np.ndarray, candidates, train_keys: np.ndarray, dim
         s = scores[np.arange(len(d)), true.argmax(axis=1), None]
         # each candidate's share of the rank; the true tail's own tie is taken back
         ahead = (scores > s) + tie * (scores == s)
-        keep = true | ~_member(train_keys, pack_keys(Form.GCI2, cols, *dims)).reshape(true.shape)
+        keep = true | ~key_member(train_keys, pack_keys(Form.GCI2, cols, *dims)).reshape(true.shape)
         ranks = 1 - tie + np.stack([ahead.sum(axis=1), (ahead * keep).sum(axis=1)], axis=1)
         records += [RankRecord(*row, *rank, n, n_f) for row, rank, n_f in
                     zip(block.tolist(), ranks.tolist(), keep.sum(axis=1).tolist())]
@@ -250,12 +237,12 @@ def evaluate(scorer, kb: KnowledgeBase, dc: DeductiveClosure | None = None,
     if not candidates:
         raise EvaluationError("empty candidate pool")
     dims = (kb.sig.n_classes, kb.sig.n_relations)
-    train_keys = pack_keys(Form.GCI2, _gci2_rows(kb.train_gci2).T, *dims)
+    train_keys = pack_keys(Form.GCI2, kb.train_gci2.ids.T, *dims)
     train_keys.sort()
-    records = _rank_rows(scorer, _gci2_rows(axioms), candidates, train_keys, dims, tie_mode)
+    records = _rank_rows(scorer, axioms.ids, candidates, train_keys, dims, tie_mode)
     if dc is not None:
-        for rec, ax in zip(records, axioms):
-            rec.entailed = dc.contains(ax)
+        for rec in records:
+            rec.entailed = dc.contains(Axiom(Form.GCI2, (rec.head, rec.rel, rec.tail)))
 
     closure_records = []
     if closure_positives:
@@ -263,14 +250,14 @@ def evaluate(scorer, kb: KnowledgeBase, dc: DeductiveClosure | None = None,
             raise EvaluationError("closure positives need a deductive closure")
         heads = set(kb.pool(head_pool) if head_pool else candidates)
         tails = set(candidates)
-        rels = {ax.args[1] for ax in axioms}
+        rels = set(axioms.ids[:, 1].tolist())
         extras = np.array(sorted(
             args for args in dc.sets[Form.GCI2]
             if args[0] in heads and args[1] in rels and args[2] in tails),
             dtype=np.int64).reshape(-1, 3)
-        skip = np.sort(np.concatenate(
-            [train_keys, pack_keys(Form.GCI2, _gci2_rows(kb.valid + kb.test).T, *dims)]))
-        extras = extras[~_member(skip, pack_keys(Form.GCI2, extras.T, *dims))]
+        held_out = np.concatenate([kb.valid.ids, kb.test.ids])
+        skip = np.sort(np.concatenate([train_keys, pack_keys(Form.GCI2, held_out.T, *dims)]))
+        extras = extras[~key_member(skip, pack_keys(Form.GCI2, extras.T, *dims))]
         closure_records = [replace(rec, source="closure", entailed=True) for rec in
                            _rank_rows(scorer, extras, candidates, train_keys, dims, tie_mode)]
     return aggregate(records, tie_mode, closure_records)
@@ -300,16 +287,21 @@ class NaiveModel:
         return np.where(known, self.counts.take(tails, mode="clip"), 0.0) / self.pair_count
 
 
-def naive_fit(axioms: list[Axiom], relation: int, head_pool, tail_pool,
+def naive_fit(axioms, relation: int, head_pool, tail_pool,
               symmetric: bool = False) -> NaiveModel:
-    """Build the 0/1 pair matrix of one relation's train axioms."""
+    """Build the 0/1 pair matrix of one relation's train axioms, given as a list
+    of Axioms or as ``AxiomRows``, whose id rows are read directly."""
     heads = set(int(h) for h in head_pool)
     tails = set(int(t) for t in tail_pool)
     pairs: set[tuple[int, int]] = set()
-    for ax in axioms:
-        if ax.form is not Form.GCI2:
+    if isinstance(axioms, AxiomRows):
+        forms, rows = [axioms.form] * len(axioms), axioms.ids.tolist()
+    else:
+        forms, rows = [ax.form for ax in axioms], [ax.args for ax in axioms]
+    for form, args in zip(forms, rows):
+        if form is not Form.GCI2:
             raise EvaluationError("naive model fits GCI2 axioms only")
-        c, r, d = ax.args
+        c, r, d = args
         if r != relation:
             raise EvaluationError(f"axiom relation {r} does not match {relation}")
         if d not in tails:

@@ -69,3 +69,16 @@ class RunManifest:
         with open(path, "w", encoding="utf-8") as f:
             json.dump(self.to_dict(), f, sort_keys=True, indent=2)
             f.write("\n")
+
+
+def write_atomic(path: str, chunks):
+    """Write strings to ``path`` through a temporary file in its directory and
+    ``os.replace``: a failed write leaves the previous file and no temporary one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

@@ -70,28 +70,22 @@ def saturate(kb: KnowledgeBase) -> SubsumptionClosure:
     gci1_bot_by_part: dict[int, list[int]] = {}              # D1 -> [D2]
     gci3_bot_keys: set[tuple[int, int]] = set()
 
-    for ax in kb.axioms[Form.GCI0]:
-        gci0_by_sub.setdefault(ax.args[0], []).append(ax.args[1])
-    for ax in kb.axioms[Form.GCI1]:
-        c, d, e = ax.args
+    for c, d in kb.rows(Form.GCI0):
+        gci0_by_sub.setdefault(c, []).append(d)
+    for c, d, e in kb.rows(Form.GCI1):
         gci1_by_part.setdefault(c, []).append((d, e))
         if d != c:
             gci1_by_part.setdefault(d, []).append((c, e))
-    for ax in kb.axioms[Form.GCI2]:
-        c, r, d = ax.args
+    for c, r, d in kb.rows(Form.GCI2):
         gci2_by_sub.setdefault(c, []).append((r, d))
-    for ax in kb.axioms[Form.GCI3]:
-        r, c, d = ax.args
+    for r, c, d in kb.rows(Form.GCI3):
         gci3_by_key.setdefault((r, c), []).append(d)
-    for ax in kb.axioms[Form.GCI0_BOT]:
-        gci0_bot.add(ax.args[0])
-    for ax in kb.axioms[Form.GCI1_BOT]:
-        c, d = ax.args
+    gci0_bot.update(c for c, in kb.rows(Form.GCI0_BOT))
+    for c, d in kb.rows(Form.GCI1_BOT):
         gci1_bot_by_part.setdefault(c, []).append(d)
         if d != c:
             gci1_bot_by_part.setdefault(d, []).append(c)
-    for ax in kb.axioms[Form.GCI3_BOT]:
-        gci3_bot_keys.add(ax.args)
+    gci3_bot_keys.update(kb.rows(Form.GCI3_BOT))
     # classes D' that R4/R6 can fire on: fillers of some GCI3 or GCI3_BOT
     fillers = {dp for _, dp in gci3_by_key} | {dp for _, dp in gci3_bot_keys}
 

@@ -192,11 +192,10 @@ def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = Non
                       seed=cfg.seed),
         dc, rng=np.random.default_rng(sampler_ss))
 
-    data = {form: np.array([ax.args for ax in kb.axioms[form]], dtype=np.int64)
-            for form in FORM_ORDER if kb.axioms[form]}
+    data = {form: kb.axioms[form].ids for form in FORM_ORDER if kb.axioms[form]}
     # a list, not a set: its order fixes the order of the float sums over terms
     neg_enabled = [form for form in data if form.value.lower() in cfg.neg_forms]
-    val_rows = np.array([ax.args for ax in kb.valid], dtype=np.int64).reshape(-1, 3)
+    val_rows = kb.valid.ids
 
     counts = {POS_TERM[form]: len(rows) for form, rows in data.items()}
     for form in neg_enabled:

@@ -434,3 +434,68 @@ def gradcheck_max_error(draws=100, dim=8, seed=0, h=1e-6):
                         err = np.abs(analytic - numeric) / scale
                         worst = max(worst, float(err.max()))
     return worst
+
+
+# --- loader references: the per-line parser and split checks of the Axiom-list loader ---
+
+from elgeo.axioms import ARITY, RELATION_SLOTS, Axiom, ParseError, format_axiom  # noqa: E402
+
+def reference_make_axiom(form, args):
+    """The BOT-consequent rewrite, one branch per form."""
+    if form is Form.GCI0 and args[1] == BOT:
+        return Axiom(Form.GCI0_BOT, (args[0],))
+    if form is Form.GCI1 and args[2] == BOT:
+        return Axiom(Form.GCI1_BOT, (args[0], args[1]))
+    if form is Form.GCI2 and args[2] == BOT:
+        return Axiom(Form.GCI0_BOT, (args[0],))
+    if form is Form.GCI3 and args[2] == BOT:
+        return Axiom(Form.GCI3_BOT, (args[0], args[1]))
+    return Axiom(form, args)
+
+
+def reference_parse_normalized(text, sig=None):
+    """Per-line parse into Axioms, interning slot by slot through the Signature."""
+    if sig is None:
+        sig = Signature()
+    axioms = []
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        raw = raw.rstrip("\r")
+        if not raw.strip() or raw.startswith("#"):
+            continue
+        fields = raw.split("\t")
+        try:
+            form = Form(fields[0])
+        except ValueError:
+            raise ParseError(f"unknown form tag: {fields[0]!r}", lineno) from None
+        expected = ARITY[form] + 1
+        if len(fields) != expected:
+            raise ParseError(f"expected {expected} fields, got {len(fields)}", lineno)
+        rel_slots = RELATION_SLOTS.get(form, ())
+        args = []
+        for slot, name in enumerate(fields[1:]):
+            if not name:
+                raise ParseError("empty identifier", lineno)
+            if slot in rel_slots:
+                args.append(sig.intern_relation(name))
+            else:
+                args.append(sig.intern_class(name))
+        axioms.append(reference_make_axiom(form, tuple(args)))
+    return axioms, sig
+
+
+def reference_split_error(sig, train, valid, test):
+    """The message of the first split error of Axiom lists, checked axiom by axiom
+    (held-out splits GCI2 only and disjoint, train apart from both); None if none."""
+    held_out = {}
+    for split_name, split in (("valid", valid), ("test", test)):
+        for ax in split:
+            if ax.form is not Form.GCI2:
+                return f"{split_name} split must contain GCI2 only: {format_axiom(ax, sig)}"
+            prev = held_out.setdefault(ax.args, split_name)
+            if prev != split_name:
+                return f"axiom appears in both {prev} and {split_name}: {format_axiom(ax, sig)}"
+    for ax in train:
+        prev = held_out.get(ax.args) if ax.form is Form.GCI2 else None
+        if prev is not None:
+            return f"axiom appears in both train and {prev}: {format_axiom(ax, sig)}"
+    return None

@@ -186,7 +186,7 @@ class TestSplitEntailed:
 
     def test_all_asserted(self):
         kb, sub, dc = make("GCI2\tA\tr\tB\nGCI1\tA\tB\tC\n")
-        axioms = kb.axioms[Form.GCI2] + kb.axioms[Form.GCI1]
+        axioms = [*kb.axioms[Form.GCI2], *kb.axioms[Form.GCI1]]
         entailed, novel = split_entailed(dc, axioms)
         assert entailed == axioms and novel == []
 

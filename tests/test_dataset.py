@@ -100,7 +100,7 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_basic_kb_splits_are_gci2(tmp_path):
     kb = basic_kb()
-    assert all(ax.form is Form.GCI2 for ax in kb.valid + kb.test)
+    assert all(ax.form is Form.GCI2 for ax in [*kb.valid, *kb.test])
 
 
 @pytest.mark.parametrize("n_classes", [0, 10])

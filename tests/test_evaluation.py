@@ -348,7 +348,7 @@ class TestEvaluate:
         kb = basic_kb()
         dc = compute_closure(kb, saturate(kb))
         scorer = FixedScorer({c: 0.1 * c for c in range(kb.sig.n_classes)})
-        splits = {ax.args for ax in kb.train_gci2 + kb.valid + kb.test}
+        splits = {ax.args for ax in [*kb.train_gci2, *kb.valid, *kb.test]}
         for split in ("test", "valid"):
             rep = evaluate(scorer, kb, dc, closure_positives=True, split=split)
             assert rep.closure_records
