@@ -7,6 +7,9 @@ the tail distribution is skewed, which is exactly what the skewed generator
 produces.
 """
 
+import os
+import tempfile
+
 from elgeo.evaluation import emit_roc, evaluate, naive_fit
 from elgeo.toygen import skew_kb
 from elgeo.training import TrainConfig, train
@@ -31,6 +34,7 @@ print("\ntrained embedding:")
 for key, val in sorted(trained_report.metrics().items()):
     print(f"  {key:12s} {val:8.4f}")
 
-emit_roc(naive_report, "/tmp/naive_roc.csv")
-print("\nROC points written to /tmp/naive_roc.csv")
+roc_path = os.path.join(tempfile.mkdtemp(prefix="elgeo-demo-"), "naive_roc.csv")
+emit_roc(naive_report, roc_path)
+print(f"\nROC points written to {roc_path}")
 print("note the high naive AUC: tail frequency alone explains most of it")

@@ -21,7 +21,7 @@ from .config import (
 from .dataset import DatasetError, load_dataset, save_dataset
 from .evaluation import EvaluationError, emit_roc, evaluate, naive_fit
 from .geometry import load_model
-from .manifest import RunManifest, config_digest
+from .manifest import RunManifest, config_digest, write_atomic, write_json
 from .normalize import normalize
 from .reasoner import dump_subsumptions, saturate
 from .sampling import SamplingError
@@ -55,8 +55,7 @@ def cmd_normalize(args) -> int:
     with open(args.input, encoding="utf-8") as f:
         general = parse_general(f.read())
     axioms, sig = normalize(general)
-    with open(args.output, "w", encoding="utf-8") as f:
-        f.write(serialize_normalized(axioms, sig))
+    write_atomic(args.output, [serialize_normalized(axioms, sig)])
     counts: dict[str, int] = {}
     for ax in axioms:
         counts[ax.form.value] = counts.get(ax.form.value, 0) + 1
@@ -70,8 +69,7 @@ def cmd_normalize(args) -> int:
 def cmd_reason(args) -> int:
     kb = load_dataset(args.dataset)
     closure = saturate(kb)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(dump_subsumptions(closure))
+    write_atomic(args.out, [dump_subsumptions(closure)])
     print(f"classes\t{kb.sig.n_classes}")
     print(f"unsatisfiable\t{len(closure.unsat)}")
     return 0
@@ -87,30 +85,30 @@ def cmd_closure(args) -> int:
     return 0
 
 
-def _load_closure_if_needed(kb, cfg):
-    if cfg.filter_negatives or cfg.entailed_ratio > 0.0:
-        return compute_closure(kb, saturate(kb))
-    return None
-
-
-def cmd_train(args) -> int:
+def _start_training_run(args):
+    """What train and grid share: the config, the dataset, its closure when the
+    config needs one, the output directory and a started manifest."""
     values = _gather_config(args)
     cfg = to_train_config(values)
     kb = load_dataset(args.dataset)
-    dc = _load_closure_if_needed(kb, cfg)
+    dc = (compute_closure(kb, saturate(kb))
+          if cfg.filter_negatives or cfg.entailed_ratio > 0.0 else None)
     os.makedirs(args.out, exist_ok=True)
-    manifest = RunManifest(command="train", config=resolved(values), seed=cfg.seed).start()
+    manifest = RunManifest(command=args.command, config=resolved(values),
+                           seed=cfg.seed).start()
     manifest.add_input(args.dataset)
+    return cfg, kb, dc, manifest
+
+
+def cmd_train(args) -> int:
+    cfg, kb, dc, manifest = _start_training_run(args)
     ckpt = os.path.join(args.out, "checkpoint.bin")
     model, report = train(kb, cfg, dc, checkpoint_path=ckpt)
     report_path = os.path.join(args.out, "report.jsonl")
     report.to_jsonl(report_path)
     summary_path = os.path.join(args.out, "summary.json")
-    summary = report.summary()
-    summary["config_digest"] = config_digest(manifest.config)
-    with open(summary_path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(summary_path,
+               {**report.summary(), "config_digest": config_digest(manifest.config)})
     manifest.outputs = [ckpt, report_path, summary_path]
     manifest.finish().write(os.path.join(args.out, "manifest.json"))
     print(f"stopped at epoch {report.stop_epoch} (best {report.best_epoch}); "
@@ -119,10 +117,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    values = _gather_config(args)
-    cfg = to_train_config(values)
-    kb = load_dataset(args.dataset)
-    dc = _load_closure_if_needed(kb, cfg)
     grids = None
     if args.grid:
         grids = {}
@@ -131,13 +125,10 @@ def cmd_grid(args) -> int:
                 raise ConfigError(f"--grid entries look like name=v1,v2: {item!r}")
             key, _, rhs = item.partition("=")
             grids[key.strip()] = tuple(json.loads(f"[{rhs}]"))
-    os.makedirs(args.out, exist_ok=True)
-    manifest = RunManifest(command="grid", config=resolved(values), seed=cfg.seed).start()
-    manifest.add_input(args.dataset)
+    cfg, kb, dc, manifest = _start_training_run(args)
     result = grid_search(kb, cfg, grids, dc)
     table_path = os.path.join(args.out, "grid_results.tsv")
-    with open(table_path, "w", encoding="utf-8") as f:
-        f.write(result.to_table())
+    write_atomic(table_path, [result.to_table()])
     manifest.outputs = [table_path]
     manifest.finish().write(os.path.join(args.out, "manifest.json"))
     print(result.to_table(), end="")
@@ -173,11 +164,8 @@ def cmd_evaluate(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         report_path = os.path.join(args.out, "eval_report.json")
-        doc = json.loads(report.to_json())
-        doc["config_digest"] = config_digest(manifest.config)
-        with open(report_path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(report_path,
+                   {**report.to_dict(), "config_digest": config_digest(manifest.config)})
         roc_path = os.path.join(args.out, "roc.csv")
         emit_roc(report, roc_path)
         manifest.outputs = [report_path, roc_path]
@@ -209,9 +197,7 @@ def cmd_naive(args) -> int:
     report = evaluate(nm, kb, pool=args.pool, tie_mode=args.tie_mode)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "naive_report.json"), "w", encoding="utf-8") as f:
-            f.write(report.to_json())
-            f.write("\n")
+        write_json(os.path.join(args.out, "naive_report.json"), report.to_dict())
         emit_roc(report, os.path.join(args.out, "naive_roc.csv"))
     for key, value in sorted(report.metrics().items()):
         print(f"{key}\t{value:.4f}")

@@ -20,15 +20,15 @@ computed one.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from itertools import product
 
 from .axioms import (
-    ARITY, BOT, RELATION_SLOTS, Axiom, Form, GCI_FORMS, Signature, format_axiom,
+    ARITY, BOT, RELATION_SLOTS, Axiom, Form, GCI_FORMS, Signature, format_row,
 )
 from .dataset import KnowledgeBase
+from .manifest import write_atomic, write_json
 from .reasoner import SubsumptionClosure
 
 DEFAULT_MAX_DERIVED = 10 ** 8
@@ -174,14 +174,12 @@ def dump_closure(dc: DeductiveClosure, path: str):
     ``closure_stats.json`` with the derived counts (never read back)."""
     os.makedirs(path, exist_ok=True)
     for form in GCI_FORMS:
-        fpath = os.path.join(path, f"closure_{form.value.lower()}.tsv")
-        with open(fpath, "w", encoding="utf-8") as f:
-            for args in sorted(dc.sets[form]):
-                ax = Axiom(form, args)
-                f.write(f"{format_axiom(ax, dc.sig)}\t{dc.provenance(ax)}\n")
-    with open(os.path.join(path, STATS_FILE), "w", encoding="utf-8") as f:
-        json.dump({"derived": dc.stats}, f, sort_keys=True, indent=2)
-        f.write("\n")
+        asserted = dc.asserted[form]
+        write_atomic(os.path.join(path, f"closure_{form.value.lower()}.tsv"), (
+            f"{format_row(form, args, dc.sig)}\t"
+            f"{'asserted' if args in asserted else 'derived'}\n"
+            for args in sorted(dc.sets[form])))
+    write_json(os.path.join(path, STATS_FILE), {"derived": dc.stats})
 
 
 def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:

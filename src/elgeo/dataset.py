@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import (
-    ARITY, BOT, TOP, Axiom, AxiomRows, Form, Signature,
+    ARITY, BOT, RELATION_SLOTS, TOP, AxiomRows, Form, Signature,
     format_row, key_member, pack_keys, parse_rows,
 )
 from .manifest import write_atomic
@@ -46,12 +46,6 @@ class KnowledgeBase:
         flat = map(ints.__getitem__, self.axioms[form].ids.ravel().tolist())
         return list(zip(*[flat] * ARITY[form]))
 
-    def all_train_axioms(self) -> list[Axiom]:
-        out = []
-        for form in Form:
-            out.extend(self.axioms[form])
-        return out
-
     def form_counts(self) -> dict[str, int]:
         return {form.value: len(self.axioms[form]) for form in Form if self.axioms[form]}
 
@@ -80,11 +74,31 @@ def build_kb(sig: Signature, train, valid=(), test=(),
     return _assemble(sig, _group(train), _group(valid), _group(test), pools)
 
 
+def _check_ids(name: str, ids: dict[Form, np.ndarray], forms: list[Form], sig: Signature):
+    """DatasetError naming the split's first axiom, in file order, with an id
+    outside ``sig``: relation slots against its relations, the rest its classes."""
+    tops = {form: [sig.n_relations if k in RELATION_SLOTS.get(form, ()) else sig.n_classes
+                   for k in range(ARITY[form])] for form in ids}
+    if not any(((rows < 0) | (rows >= np.array(tops[form], dtype=np.int64))).any()
+               for form, rows in ids.items()):
+        return
+    rows = {form: iter(a.tolist()) for form, a in ids.items()}
+    for form in forms:
+        args = next(rows[form])
+        for slot, (cid, top) in enumerate(zip(args, tops[form])):
+            if not 0 <= cid < top:
+                kind = "relation" if slot in RELATION_SLOTS.get(form, ()) else "class"
+                raise DatasetError(f"{name} axiom {form.value} {tuple(args)} references "
+                                   f"unknown {kind} id {cid}")
+
+
 def _assemble(sig: Signature, train, valid, test, pools) -> KnowledgeBase:
     """Validate three splits, each (per-form id arrays, row forms in file order),
     and the pools, and wrap them in a knowledge base.  An error names the first
     offending axiom in split and file order."""
     dims = (sig.n_classes, sig.n_relations)
+    for name, split in (("train", train), ("valid", valid), ("test", test)):
+        _check_ids(name, *split, sig)
     # split -> sorted packed keys of its GCI2 rows; valid is checked against none
     held = {"valid": np.zeros(0, dtype=np.int64)}
     for name, (ids, forms) in (("valid", valid), ("test", test)):
@@ -156,7 +170,8 @@ def load_dataset(path: str) -> KnowledgeBase:
 
 def save_dataset(path: str, kb: KnowledgeBase):
     """Write a knowledge base back out as a dataset directory, one file at a time
-    through ``write_atomic``."""
+    through ``write_atomic``.  An empty split or an empty set of named pools
+    removes the directory's file of that name, so that loading gives this KB."""
     os.makedirs(path, exist_ok=True)
 
     def lines(splits):
@@ -164,12 +179,15 @@ def save_dataset(path: str, kb: KnowledgeBase):
             for args in rows.ids.tolist():
                 yield format_row(rows.form, args, kb.sig) + "\n"
 
-    write_atomic(os.path.join(path, "train.tsv"), lines(kb.axioms.values()))
-    for name, split in (("valid", kb.valid), ("test", kb.test)):
-        if split:
-            write_atomic(os.path.join(path, f"{name}.tsv"), lines([split]))
     named = {k: v for k, v in kb.pools.items() if k != "all"}
-    if named:
-        write_atomic(os.path.join(path, "pools.tsv"),
-                     (f"{name}\t{kb.sig.class_name(cid)}\n"
-                      for name, members in named.items() for cid in members))
+    for name, chunks in (
+            ("train", lines(kb.axioms.values())),
+            ("valid", kb.valid and lines([kb.valid])),
+            ("test", kb.test and lines([kb.test])),
+            ("pools", named and (f"{pool}\t{kb.sig.class_name(cid)}\n"
+                                 for pool, members in named.items() for cid in members))):
+        fpath = os.path.join(path, f"{name}.tsv")
+        if chunks:
+            write_atomic(fpath, chunks)
+        elif os.path.exists(fpath):
+            os.remove(fpath)

@@ -10,8 +10,7 @@ curve x = rank_value/N, y = fraction of axioms ranked at or below that
 value, built over the distinct observed ranks; micro variants average the
 per-head-class aggregates.  Because the grid of that curve is the set of
 observed rank values, filtered AUC can land slightly under raw AUC even
-though per-record filtered ranks never exceed raw ranks; per-record AUCs
-(over the common raw candidate count) never cross.
+though per-record filtered ranks never exceed raw ranks.
 
 The naive baseline scores a tail by its train-set frequency alone,
 optionally symmetrized, and plugs into the same ranking pipeline.
@@ -19,8 +18,6 @@ optionally symmetrized, and plugs into the same ranking pipeline.
 
 from __future__ import annotations
 
-import csv
-import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -30,6 +27,7 @@ from .axioms import Axiom, AxiomRows, Form, key_member, pack_keys
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
 from .geometry import CHUNK
+from .manifest import write_atomic
 
 
 class EvaluationError(Exception):
@@ -47,16 +45,6 @@ class RankRecord:
     n_fcand: int
     source: str = "test"          # test | closure
     entailed: bool | None = None
-
-    @property
-    def auc(self) -> float:
-        """Per-record AUC over the raw candidate count."""
-        return (self.n_cand - self.rank) / (self.n_cand - 1) if self.n_cand > 1 else 1.0
-
-    @property
-    def fauc(self) -> float:
-        """Per-record filtered AUC over the same raw candidate count."""
-        return (self.n_cand - self.frank) / (self.n_cand - 1) if self.n_cand > 1 else 1.0
 
 
 # weight of each other candidate whose score equals the true tail's
@@ -154,8 +142,9 @@ class RankingReport:
             "macro_fauc": self.macro_fauc, "micro_fauc": self.micro_fauc,
         }
 
-    def to_json(self, sig=None) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        """The report document: tie mode, aggregates, every record and the curves."""
+        return {
             "tie_mode": self.tie_mode,
             "aggregates": self.metrics(),
             "records": [
@@ -169,7 +158,6 @@ class RankingReport:
             ],
             "roc": {name: [[x, y] for x, y in pts] for name, pts in self.roc.items()},
         }
-        return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def _summarize(ranks: np.ndarray, heads: np.ndarray, n: int) -> tuple:
@@ -318,10 +306,8 @@ def naive_fit(axioms, relation: int, head_pool, tail_pool,
 
 
 def emit_roc(report: RankingReport, path: str):
-    """CSV export of the report's curves: curve_name, fpr, tpr."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["curve_name", "fpr", "tpr"])
-        for name in sorted(report.roc):
-            for x, y in report.roc[name]:
-                writer.writerow([name, f"{x:.10g}", f"{y:.10g}"])
+    """CSV export of the report's curves: curve_name, fpr, tpr, with CSV's CRLF
+    line ends.  No field needs quoting."""
+    write_atomic(path, ["curve_name,fpr,tpr\r\n"] + [
+        f"{name},{x:.10g},{y:.10g}\r\n" for name in sorted(report.roc)
+        for x, y in report.roc[name]])

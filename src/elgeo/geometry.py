@@ -38,6 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .axioms import BOT_NAME, TOP_NAME, Signature
+from .manifest import write_atomic
 
 
 class Hinge(NamedTuple):
@@ -340,13 +341,9 @@ def save_model(model: EmbeddingModel, path: str):
     }
     hblob = json.dumps(header, sort_keys=True).encode("utf-8")
     tblob = json.dumps(tables, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<Q", len(hblob)))
-        f.write(hblob)
-        f.write(np.ascontiguousarray(model.params, dtype="<f8").tobytes())
-        f.write(struct.pack("<Q", len(tblob)))
-        f.write(tblob)
+    write_atomic(path, [CHECKPOINT_MAGIC, struct.pack("<Q", len(hblob)), hblob,
+                        np.ascontiguousarray(model.params, dtype="<f8").tobytes(),
+                        struct.pack("<Q", len(tblob)), tblob])
 
 
 def load_model(path: str) -> EmbeddingModel:

@@ -66,19 +66,26 @@ class RunManifest:
         }
 
     def write(self, path: str):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
 
 def write_atomic(path: str, chunks):
-    """Write strings to ``path`` through a temporary file in its directory and
-    ``os.replace``: a failed write leaves the previous file and no temporary one."""
+    """Write ``chunks`` to ``path`` through a temporary file in its directory and
+    ``os.replace``: a failed write leaves the previous file and no temporary one.
+    A chunk is ``bytes``, or a ``str`` written as UTF-8 with its newlines as given.
+    This is the one place in elgeo that opens a file for writing."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.writelines(chunks)
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_json(path: str, doc):
+    """Write one JSON document in elgeo's one layout: sorted keys, two-space
+    indent, a trailing newline."""
+    write_atomic(path, [json.dumps(doc, sort_keys=True, indent=2), "\n"])

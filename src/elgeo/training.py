@@ -24,6 +24,7 @@ from .axioms import GCI_FORMS, Form
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
 from .geometry import EmbeddingModel, GradientBuffer, loss_term
+from .manifest import write_atomic
 from .sampling import NegativeSampler, SamplerConfig
 
 FORM_ORDER = GCI_FORMS
@@ -95,9 +96,7 @@ class TrainReport:
     checkpoint_path: str | None = None
 
     def to_jsonl(self, path: str):
-        with open(path, "w", encoding="utf-8") as f:
-            for rec in self.epochs:
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
+        write_atomic(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in self.epochs))
 
     def summary(self) -> dict:
         return {

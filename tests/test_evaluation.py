@@ -208,22 +208,6 @@ class TestAggregate:
         rep = aggregate(recs)
         assert rep.macro_mr == pytest.approx(2.0)
 
-    def test_per_record_auc(self):
-        rec = RankRecord(5, 0, 1, rank=1, frank=1, n_cand=4, n_fcand=4)
-        assert rec.auc == pytest.approx(1.0)
-        rec2 = RankRecord(5, 0, 1, rank=3, frank=3, n_cand=4, n_fcand=4)
-        assert rec2.auc == pytest.approx(1 / 3)
-
-    def test_filtered_per_record_auc_never_below_raw(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            n = int(rng.integers(2, 13))
-            rank = int(rng.integers(1, n + 1))
-            frank = int(rng.integers(1, rank + 1))
-            rec = RankRecord(0, 0, 0, rank=rank, frank=frank, n_cand=n,
-                             n_fcand=n - int(rng.integers(0, rank - frank + 1)))
-            assert rec.fauc >= rec.auc - 1e-12
-
     def test_empty_records_rejected(self):
         with pytest.raises(EvaluationError):
             aggregate([])

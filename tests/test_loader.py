@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from elgeo import dataset
 from elgeo.axioms import ARITY, Axiom, Form, ParseError, Signature, parse_normalized
 from elgeo.dataset import DatasetError, build_kb, load_dataset, save_dataset
-from elgeo.toygen import basic_kb
+from elgeo.toygen import basic_kb, hierarchy_kb
 from oracles import reference_parse_normalized, reference_split_error
 
 # identifiers with spaces, '#', non-ASCII characters, the reserved names, and
@@ -202,6 +202,27 @@ class TestSplitChecks:
         self.check(sig, [shared], [Axiom(Form.GCI2, (e, r, f)), gci0], [shared],
                    "valid split must contain GCI2 only: GCI0\tC\tD")
 
+    def test_first_id_outside_the_signature_is_named_with_its_split(self):
+        sig, (a, b, c, d, e, f), r = self.sig()   # class ids 0..7, relation id 0
+        bad_class, bad_rel = Axiom(Form.GCI0, (a, 57)), Axiom(Form.GCI2, (a, 9, b))
+        fine = Axiom(Form.GCI2, (e, r, f))
+        for train, valid, test, expected in [
+            ([Axiom(Form.GCI0, (a, b)), bad_class, bad_rel], [], [],
+             "train axiom GCI0 (2, 57) references unknown class id 57"),
+            ([fine, bad_rel, bad_class], [], [],
+             "train axiom GCI2 (2, 9, 3) references unknown relation id 9"),
+            ([fine], [Axiom(Form.GCI2, (a, r, -1))], [],
+             "valid axiom GCI2 (2, 0, -1) references unknown class id -1"),
+            ([fine], [], [Axiom(Form.GCI2, (c, r, d)), Axiom(Form.GCI2, (c, r, 8))],
+             "test axiom GCI2 (4, 0, 8) references unknown class id 8"),
+            ([fine], [], [Axiom(Form.GCI2, (c, 1, d))],
+             "test axiom GCI2 (4, 1, 5) references unknown relation id 1"),
+        ]:
+            with pytest.raises(DatasetError) as err:
+                build_kb(sig, train, valid, test)
+            assert str(err.value) == expected
+        assert (sig.n_classes, sig.n_relations) == (8, 1)
+
 
 class TestPools:
     def test_duplicates_dropped_in_first_appearance_order(self, tmp_path):
@@ -241,3 +262,21 @@ def test_failed_save_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path, m
         save_dataset(str(out), kb)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert len(calls) == 10
+
+
+def test_saving_over_a_dataset_removes_the_files_the_new_kb_lacks(tmp_path):
+    sig = Signature()
+    a, b = sig.intern_class("A"), sig.intern_class("B")
+    out = tmp_path / "over"
+    # valid and test; then test and a named pool, no valid; then train alone
+    for i, kb in enumerate([basic_kb(), hierarchy_kb(), build_kb(sig, [Axiom(Form.GCI0, (a, b))])]):
+        fresh = tmp_path / f"fresh{i}"
+        save_dataset(str(out), kb)
+        save_dataset(str(fresh), kb)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == \
+            {p.name: p.read_bytes() for p in fresh.iterdir()}
+        loaded = load_dataset(str(out))
+        assert np.array_equal(loaded.valid.ids, kb.valid.ids)
+        assert np.array_equal(loaded.test.ids, kb.test.ids)
+        assert loaded.pools == kb.pools
+    assert os.listdir(out) == ["train.tsv"]

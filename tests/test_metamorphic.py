@@ -48,7 +48,8 @@ def read_files(path, suffix=""):
 @settings(max_examples=40, deadline=None)
 def test_closure_ignores_line_order_and_name_ids(seed):
     kb, rng = small_kb(seed)
-    lines = serialize_normalized(kb.all_train_axioms(), kb.sig).splitlines()
+    lines = serialize_normalized([ax for rows in kb.axioms.values() for ax in rows],
+                                 kb.sig).splitlines()
     shuffled = [lines[i] for i in rng.permutation(len(lines))]
     sig = Signature()   # every name gets a fresh id, in a random order; TOP and BOT keep 0 and 1
     for i in rng.permutation(np.arange(2, kb.sig.n_classes)):
@@ -84,7 +85,7 @@ def test_closure_dump_of_a_loaded_dump_is_byte_identical(seed):
 def test_saved_dataset_is_a_fixpoint_of_load_and_save(seed):
     kb, rng = small_kb(seed)
     # move some GCI2 axioms to held-out splits and name a pool, so every file is written
-    train = kb.all_train_axioms()
+    train = [ax for rows in kb.axioms.values() for ax in rows]
     gci2 = [i for i, ax in enumerate(train) if ax.form is Form.GCI2]
     held = {i: ("valid", "test")[int(rng.integers(2))]
             for i in gci2[:int(rng.integers(len(gci2) + 1))]}

@@ -98,9 +98,10 @@ class TestInvariants:
         for _ in range(20):
             kb_small = random_kb(rng, n_classes=6, n_axioms=8)
             extra = random_kb(rng, n_classes=6, n_axioms=6)
-            merged_axioms = kb_small.all_train_axioms() + [
-                ax for ax in extra.all_train_axioms()
-                if ax not in set(kb_small.all_train_axioms())]
+            small_axioms = [ax for rows in kb_small.axioms.values() for ax in rows]
+            merged_axioms = small_axioms + [
+                ax for rows in extra.axioms.values() for ax in rows
+                if ax not in set(small_axioms)]
             kb_big = build_kb(kb_small.sig, merged_axioms)
             small = saturate(kb_small)
             big = saturate(kb_big)
