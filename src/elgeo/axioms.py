@@ -209,12 +209,23 @@ class Signature:
         return self._rel_names[rid]
 
 
+def lines(text: str):
+    """elgeo's one line rule for its TAB-separated files: (1-based line number,
+    TAB-split fields) of each line that holds data.  Lines end at "\n" alone, since
+    every other character is identifier-legal; trailing "\r"s are dropped, and
+    blank, whitespace-only and '#' lines are skipped."""
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        raw = raw.rstrip("\r")
+        if raw.strip() and not raw.startswith("#"):
+            yield lineno, raw.split("\t")
+
+
 def parse_rows(text: str, sig: Signature | None = None):
-    """Parse a normalized axiom document: one axiom per line, TAB-separated, the form
-    tag first; '#' starts a comment line; blank lines are skipped.  Identifiers are
-    interned in first-appearance order; a BOT consequent moves its row to the bottom
-    form, as in ``make_axiom``.  Returns each form's (k, arity) int64 id array and
-    each row's form, both in file order, and the signature."""
+    """Parse a normalized axiom document: one axiom per ``lines`` line, the form tag
+    first.  Identifiers are interned in first-appearance order; a BOT consequent
+    moves its row to the bottom form, as in ``make_axiom``.  Returns each form's
+    (k, arity) int64 id array and each row's form, both in file order, and the
+    signature."""
     if sig is None:
         sig = Signature()
     classes, relations = (sig._class_ids, sig._class_names), (sig._rel_ids, sig._rel_names)
@@ -224,12 +235,7 @@ def parse_rows(text: str, sig: Signature | None = None):
         for form in Form}
     flat: dict[Form, list[int]] = {form: [] for form in Form}
     forms: list[Form] = []
-    # split on plain newlines only: any other character is identifier-legal
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        raw = raw.rstrip("\r")
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        fields = raw.split("\t")
+    for lineno, fields in lines(text):
         spec = specs.get(fields[0])
         if spec is None:
             raise ParseError(f"unknown form tag: {fields[0]!r}", lineno)

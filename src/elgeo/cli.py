@@ -21,7 +21,7 @@ from .config import (
 from .dataset import DatasetError, load_dataset, save_dataset
 from .evaluation import EvaluationError, emit_roc, evaluate, naive_fit
 from .geometry import load_model
-from .manifest import RunManifest, config_digest, write_atomic, write_json
+from .manifest import RunManifest, config_digest, read_text, write_atomic, write_json
 from .normalize import normalize
 from .reasoner import dump_subsumptions, saturate
 from .sampling import SamplingError
@@ -52,9 +52,7 @@ def _gather_config(args, flags: dict | None = None) -> dict:
 
 
 def cmd_normalize(args) -> int:
-    with open(args.input, encoding="utf-8") as f:
-        general = parse_general(f.read())
-    axioms, sig = normalize(general)
+    axioms, sig = normalize(parse_general(read_text(args.input)))
     write_atomic(args.output, [serialize_normalized(axioms, sig)])
     counts: dict[str, int] = {}
     for ax in axioms:

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .axioms import (
-    ARITY, BOT, RELATION_SLOTS, Axiom, Form, GCI_FORMS, Signature, format_row,
+    ARITY, BOT, RELATION_SLOTS, Axiom, Form, GCI_FORMS, Signature, format_row, lines,
 )
 from .dataset import KnowledgeBase
-from .manifest import write_atomic, write_json
+from .manifest import read_text, write_atomic, write_json
 from .reasoner import SubsumptionClosure
 
 DEFAULT_MAX_DERIVED = 10 ** 8
@@ -90,9 +90,6 @@ class DeductiveClosure:
         if y == BOT:
             return (x,) in self.sets[Form.GCI0_BOT]
         return (x, y) in self.sets[Form.GCI0]
-
-    def provenance(self, ax: Axiom) -> str:
-        return "asserted" if ax.args in self.asserted[ax.form] else "derived"
 
     def derived_counts(self) -> dict[str, int]:
         return {
@@ -185,40 +182,30 @@ def dump_closure(dc: DeductiveClosure, path: str):
 def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
     """Rebuild membership sets from dump files (no subsumption closure attached).
 
+    Every form's file must be there: a missing one raises FileNotFoundError.
     Names are looked up, never interned: a name outside ``sig``, like a wrong
     form tag, field count or provenance (``asserted``/``derived``), raises a
     ValueError naming the file and line, and ``sig`` is left unchanged.
     """
     sets: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
     asserted: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
-    found = False
     for form in GCI_FORMS:
         fpath = os.path.join(path, f"closure_{form.value.lower()}.tsv")
-        if not os.path.exists(fpath):
-            continue
-        found = True
         rel_slots = RELATION_SLOTS.get(form, ())
-        with open(fpath, encoding="utf-8") as f:
-            for lineno, raw in enumerate(f, 1):
-                raw = raw.rstrip("\n")
-                if not raw:
-                    continue
-                fields = raw.split("\t")
-                if (len(fields) != ARITY[form] + 2 or fields[0] != form.value
-                        or fields[-1] not in ("asserted", "derived")):
-                    raise ValueError(f"{fpath}:{lineno}: malformed closure dump line")
-                try:
-                    args = tuple(
-                        sig.relation_id(name) if slot in rel_slots else sig.class_id(name)
-                        for slot, name in enumerate(fields[1:-1])
-                    )
-                except KeyError as exc:
-                    raise ValueError(
-                        f"{fpath}:{lineno}: {exc.args[0]}; the dump does not match "
-                        "the dataset") from None
-                sets[form].add(args)
-                if fields[-1] == "asserted":
-                    asserted[form].add(args)
-    if not found:
-        raise FileNotFoundError(f"no closure dump files in {path}")
+        for lineno, fields in lines(read_text(fpath)):
+            if (len(fields) != ARITY[form] + 2 or fields[0] != form.value
+                    or fields[-1] not in ("asserted", "derived")):
+                raise ValueError(f"{fpath}:{lineno}: malformed closure dump line")
+            try:
+                args = tuple(
+                    sig.relation_id(name) if slot in rel_slots else sig.class_id(name)
+                    for slot, name in enumerate(fields[1:-1])
+                )
+            except KeyError as exc:
+                raise ValueError(
+                    f"{fpath}:{lineno}: {exc.args[0]}; the dump does not match "
+                    "the dataset") from None
+            sets[form].add(args)
+            if fields[-1] == "asserted":
+                asserted[form].add(args)
     return DeductiveClosure(sig=sig, sets=sets, asserted=asserted)

@@ -12,6 +12,7 @@ from dataclasses import fields
 from importlib import resources
 
 from .closure import DEFAULT_MAX_DERIVED
+from .manifest import read_text
 from .training import TrainConfig
 
 
@@ -50,7 +51,7 @@ def parse_value(raw: str):
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -65,8 +66,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 
 def load_config_file(path: str) -> dict:
-    with open(path, encoding="utf-8") as f:
-        return parse_config_text(f.read(), source=path)
+    return parse_config_text(read_text(path), source=path)
 
 
 def load_preset(name: str) -> dict:

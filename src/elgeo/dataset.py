@@ -16,9 +16,9 @@ import numpy as np
 
 from .axioms import (
     ARITY, BOT, RELATION_SLOTS, TOP, AxiomRows, Form, Signature,
-    format_row, key_member, pack_keys, parse_rows,
+    format_row, key_member, lines, pack_keys, parse_rows,
 )
-from .manifest import write_atomic
+from .manifest import read_text, write_atomic
 
 
 class DatasetError(Exception):
@@ -137,10 +137,7 @@ def _assemble(sig: Signature, train, valid, test, pools) -> KnowledgeBase:
 
 def _parse_pools(text: str, sig: Signature) -> dict[str, list[int]]:
     pools: dict[str, dict[int, None]] = {}   # members in first-appearance order
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        fields = raw.split("\t")
+    for lineno, fields in lines(text):
         if len(fields) != 2 or not fields[0] or not fields[1]:
             raise DatasetError(f"pools.tsv line {lineno}: expected 'pool_name<TAB>class_id'")
         pools.setdefault(fields[0], {})[sig.intern_class(fields[1])] = None
@@ -156,15 +153,11 @@ def load_dataset(path: str) -> KnowledgeBase:
     for name in ("train", "valid", "test"):
         fpath = os.path.join(path, f"{name}.tsv")
         if os.path.exists(fpath):
-            with open(fpath, encoding="utf-8") as f:
-                splits.append(parse_rows(f.read(), sig)[:2])
+            splits.append(parse_rows(read_text(fpath), sig)[:2])
         else:
             splits.append(_group(()))
     pools_path = os.path.join(path, "pools.tsv")
-    pools = None
-    if os.path.exists(pools_path):
-        with open(pools_path, encoding="utf-8") as f:
-            pools = _parse_pools(f.read(), sig)
+    pools = _parse_pools(read_text(pools_path), sig) if os.path.exists(pools_path) else None
     return _assemble(sig, *splits, pools)
 
 

@@ -69,6 +69,14 @@ class RunManifest:
         write_json(path, self.to_dict())
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of ``path`` with its newlines as stored, so that the parser
+    (``axioms.lines`` for the TSV formats) decides where a line ends.  This is the
+    one place in elgeo that opens a file to read text."""
+    with open(path, encoding="utf-8", newline="") as f:
+        return f.read()
+
+
 def write_atomic(path: str, chunks):
     """Write ``chunks`` to ``path`` through a temporary file in its directory and
     ``os.replace``: a failed write leaves the previous file and no temporary one.

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .axioms import BOT, TOP, Form, Signature
+from .axioms import BOT, TOP, Form, Signature, format_row
 from .dataset import KnowledgeBase
 
 
@@ -147,9 +147,4 @@ def saturate(kb: KnowledgeBase) -> SubsumptionClosure:
 
 def dump_subsumptions(closure: SubsumptionClosure) -> str:
     """All derived pairs as GCI0 lines in the normalized axiom format."""
-    sig = closure.sig
-    lines = [
-        f"GCI0\t{sig.class_name(c)}\t{sig.class_name(d)}"
-        for c, d in closure.pairs()
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(format_row(Form.GCI0, pair, closure.sig) + "\n" for pair in closure.pairs())

@@ -1,9 +1,11 @@
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
 
+from elgeo.axioms import GCI_FORMS
 from elgeo.cli import main
 
 
@@ -29,6 +31,12 @@ class TestNormalize:
         src.write_text("(subclassof A (or B C))")
         assert main(["normalize", str(src), str(tmp_path / "o.tsv")]) == 2
         assert "unknown head symbol" in capsys.readouterr().err
+
+    def test_error_position_is_the_parsers(self, tmp_path, capsys):
+        src = tmp_path / "cr.sexp"
+        src.write_bytes(b"(subclassof A B)\r(foo)")   # '\r' alone ends no line
+        assert main(["normalize", str(src), str(tmp_path / "o.tsv")]) == 2
+        assert "error: 1:18: unknown head symbol: foo" in capsys.readouterr().err
 
     def test_idempotent_on_normal_file(self, tmp_path):
         src = tmp_path / "a.sexp"
@@ -174,6 +182,22 @@ class TestEvaluateCmd:
         assert code == 2
         err = capsys.readouterr().err
         assert "closure_gci0.tsv:" in err and "unknown class" in err
+
+    def test_closure_dump_missing_a_form_file_exit_2(self, toy, tmp_path, capsys):
+        run, cl = str(tmp_path / "run"), tmp_path / "cl"
+        main(["train", toy, run, "--preset", "relu-original",
+              "--set", "train.epochs=2", "--set", "train.dim=4"])
+        assert main(["closure", toy, str(cl)]) == 0
+        for form in GCI_FORMS:
+            name = f"closure_{form.value.lower()}.tsv"
+            partial = tmp_path / form.value
+            shutil.copytree(cl, partial)
+            (partial / name).unlink()
+            capsys.readouterr()
+            code = main(["evaluate", os.path.join(run, "checkpoint.bin"), toy,
+                         "--closure-dir", str(partial)])
+            assert code == 2, name
+            assert name in capsys.readouterr().err
 
     def test_bad_provenance_in_closure_dump_exit_2(self, toy, tmp_path, capsys):
         run, cl = str(tmp_path / "run"), tmp_path / "cl"

@@ -114,7 +114,7 @@ class TestProperties:
                 if form in dc.sets:
                     for ax in axioms:
                         assert dc.contains(ax)
-                        assert dc.provenance(ax) == "asserted"
+                        assert ax.args in dc.asserted[form]
             for pair in sub.pairs():
                 if pair[0] == BOT:
                     continue   # tautology rows stay implicit (query-time true)

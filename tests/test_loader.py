@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elgeo import dataset
-from elgeo.axioms import ARITY, Axiom, Form, ParseError, Signature, parse_normalized
+from elgeo.axioms import ARITY, GCI_FORMS, Axiom, Form, ParseError, Signature, parse_normalized
+from elgeo.closure import compute_closure, dump_closure, load_closure_dump
 from elgeo.dataset import DatasetError, build_kb, load_dataset, save_dataset
+from elgeo.reasoner import saturate
 from elgeo.toygen import basic_kb, hierarchy_kb
 from oracles import reference_parse_normalized, reference_split_error
 
@@ -108,7 +110,7 @@ def test_load_dataset_matches_build_kb_on_reference_lists(train, valid, test):
             path = os.path.join(tmp, f"{name}.tsv")
             with open(path, "w", encoding="utf-8") as f:
                 f.write(text)
-            with open(path, encoding="utf-8") as f:   # as read back: '\r' ends a line
+            with open(path, encoding="utf-8", newline="") as f:   # the bytes as stored
                 texts[name] = f.read()
         sig = Signature()
         try:
@@ -280,3 +282,35 @@ def test_saving_over_a_dataset_removes_the_files_the_new_kb_lacks(tmp_path):
         assert np.array_equal(loaded.test.ids, kb.test.ids)
         assert loaded.pools == kb.pools
     assert os.listdir(out) == ["train.tsv"]
+
+
+# characters that some line rules, though not elgeo's, take for line breaks
+BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("ch", BREAKS, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_names_holding_a_line_break_character_survive_save_load_and_dump_load(ch, tmp_path):
+    sig = Signature()
+    a, b, c, d = (sig.intern_class(f"{x}{ch}{x}") for x in "abcd")
+    r = sig.intern_relation(f"r{ch}s")
+    only_pooled = sig.intern_class(f"p{ch}q")
+    kb = build_kb(sig, [Axiom(Form.GCI0, (a, b)), Axiom(Form.GCI1, (a, b, c)),
+                        Axiom(Form.GCI2, (a, r, c)), Axiom(Form.GCI3, (r, b, d))],
+                  valid=[Axiom(Form.GCI2, (b, r, d))], test=[Axiom(Form.GCI2, (c, r, a))],
+                  pools={f"pool{ch}1": [only_pooled, a]})
+    save_dataset(str(tmp_path / "ds"), kb)
+    loaded = load_dataset(str(tmp_path / "ds"))
+    assert loaded.sig.class_names == sig.class_names
+    assert loaded.sig.relation_names == sig.relation_names
+    for form in Form:
+        assert np.array_equal(loaded.axioms[form].ids, kb.axioms[form].ids), form
+    assert np.array_equal(loaded.valid.ids, kb.valid.ids)
+    assert np.array_equal(loaded.test.ids, kb.test.ids)
+    assert loaded.pools == kb.pools
+    dc = compute_closure(kb, saturate(kb))
+    dump_closure(dc, str(tmp_path / "cl"))
+    back = load_closure_dump(str(tmp_path / "cl"), loaded.sig)
+    for form in GCI_FORMS:
+        assert back.sets[form] == dc.sets[form], form
+        assert back.asserted[form] == dc.asserted[form] & dc.sets[form], form
+    assert loaded.sig.class_names == sig.class_names

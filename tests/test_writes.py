@@ -1,9 +1,11 @@
 """Every file elgeo writes goes through ``manifest.write_atomic``: the source
 has no other write-mode ``open``, and a write that fails part-way leaves the
-previous file byte-identical and no temporary file."""
+previous file byte-identical and no temporary file.  Every text file it reads
+goes through ``manifest.read_text``, and no code splits lines by ``splitlines``."""
 
 import ast
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -63,6 +65,71 @@ def test_the_lint_sees_every_way_to_write():
                      "    open(p, 'r+'); open(p, m); p.write_text('')\n"
                      "    open(p); open(p, 'rb'); open(p, encoding='utf-8')\n")
     assert write_mode_opens(tree) == [(2, "f")] * 3 + [(3, "f")] * 3
+
+
+def text_reads(tree: ast.AST):
+    """(line, enclosing function) of each open(...) call whose mode is not a string
+    literal holding 'b', and of each use of splitlines."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and "b" in mode.value):
+                found.append((node.lineno, func))
+        elif isinstance(node, ast.Attribute) and node.attr == "splitlines":
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def read_offenders(sources) -> list[str]:
+    """``text_reads`` over (file name, source) pairs, outside ``manifest.read_text``."""
+    return [f"{name}:{line}" for name, source in sources
+            for line, func in text_reads(ast.parse(source))
+            if (name, func) != ("manifest.py", "read_text")]
+
+
+def test_read_text_holds_the_only_text_mode_open():
+    assert read_offenders((path.name, path.read_text("utf-8"))
+                          for path in sorted(SRC.glob("*.py"))) == []
+
+
+def test_the_read_lint_sees_every_text_mode_open_and_splitlines():
+    tree = ast.parse("def f(p):\n"
+                     "    open(p); open(p, 'r'); io.open(p, encoding='utf-8', newline='')\n"
+                     "    open(p, m); open(p, mode='rt'); open(p, 'w')\n"
+                     "    t.splitlines(); map(str.splitlines, t)\n"
+                     "    open(p, 'rb'); open(p, mode='wb'); files().read_text('utf-8')\n")
+    assert text_reads(tree) == [(2, "f")] * 3 + [(3, "f")] * 3 + [(4, "f")] * 2
+
+
+# the last commit whose reads each kept their own line rule
+UNROUTED = "79981a71ca6afc0b877d13c5407b3706beedfaf4"
+
+
+def test_the_read_lint_finds_the_seven_reads_that_read_text_replaced():
+    def git(*args):
+        return subprocess.run(["git", "-C", str(SRC), *args], capture_output=True,
+                              text=True, check=True).stdout
+
+    try:
+        names = git("ls-tree", "--name-only", UNROUTED, ".").split()
+        sources = [(name, git("show", f"{UNROUTED}:./{name}"))
+                   for name in sorted(names) if name.endswith(".py")]
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("needs the repository's git history")
+    assert read_offenders(sources) == [
+        "cli.py:55", "closure.py:201", "config.py:53", "config.py:68",
+        "dataset.py:140", "dataset.py:159", "dataset.py:166"]
 
 
 class _DiskFull:
