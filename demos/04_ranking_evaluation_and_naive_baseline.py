@@ -19,8 +19,8 @@ print("train size:", len(kb.train_gci2), "test size:", len(kb.test),
       "tail pool:", len(kb.pool("tails")))
 
 rel = kb.test[0].args[1]
-naive = naive_fit([ax for ax in kb.train_gci2 if ax.args[1] == rel], rel,
-                  kb.pool("all"), kb.pool("tails"))
+edges = kb.train_gci2.ids   # (k, 3) id rows: head, relation, tail
+naive = naive_fit(edges[edges[:, 1] == rel], rel, kb.pool("all"), kb.pool("tails"))
 naive_report = evaluate(naive, kb, pool="tails")
 print("\nnaive baseline:")
 for key, val in sorted(naive_report.metrics().items()):

@@ -7,9 +7,11 @@ The reserved classes TOP and BOT always occupy ids 0 and 1.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,11 +105,11 @@ class Axiom:
             raise ValueError(
                 f"{self.form.value} takes {ARITY[self.form]} arguments, got {len(self.args)}")
         # BOT may only appear in the class slots of the dedicated bottom forms
-        # (and anywhere on a left-hand side); use make_axiom to canonicalize.
+        # (and anywhere on a left-hand side); ``rows_of`` rewrites the rest.
         rhs = CONSEQUENT_SLOT.get(self.form)
         if rhs is not None and self.args[rhs] == BOT:
             raise ValueError(
-                f"{self.form.value} with BOT right-hand side; use make_axiom to canonicalize")
+                f"{self.form.value} with BOT right-hand side; rows_of rewrites such rows")
 
 
 # Right-hand (consequent) class slot of the non-bottom GCI forms.
@@ -118,12 +120,50 @@ BOT_FORM = {Form.GCI0: Form.GCI0_BOT, Form.GCI1: Form.GCI1_BOT,
             Form.GCI2: Form.GCI0_BOT, Form.GCI3: Form.GCI3_BOT}
 
 
-def make_axiom(form: Form, args: tuple[int, ...]) -> Axiom:
-    """Build an axiom, rewriting a BOT right-hand side into the bottom form."""
-    bottom = BOT_FORM.get(form)
-    if bottom is not None and args[CONSEQUENT_SLOT[form]] == BOT:
-        return Axiom(bottom, tuple(args[:ARITY[bottom]]))
-    return Axiom(form, args)
+class Rows(NamedTuple):
+    """Axioms as id rows, the one input of ``build_kb``: each form's (k, arity) int64
+    id array, and each row's form, in order."""
+
+    ids: dict[Form, np.ndarray]
+    forms: list[Form]
+
+    def in_order(self):
+        """(form, id tuple) of each row, in order."""
+        rows = {form: map(tuple, a.tolist()) for form, a in self.ids.items()}
+        return ((form, next(rows[form])) for form in self.forms)
+
+
+def bottom_rewrite(flat: dict[Form, list[int]], forms: list[Form]) -> Rows:
+    """``Rows`` of every form's ids, flattened row by row, and each row's form.  A row
+    whose consequent holds BOT moves to its form's bottom form (``BOT_FORM``), keeping
+    the leading slots and its place in order."""
+    ids = {form: np.array(f, dtype=np.int64).reshape(-1, ARITY[form])
+           for form, f in flat.items()}
+    tags = None   # each row's form as an object array, once a row moves
+    for form, bottom in BOT_FORM.items():
+        hit = ids[form][:, CONSEQUENT_SLOT[form]] == BOT
+        if not hit.any():
+            continue
+        if tags is None:
+            tags = np.array(forms, dtype=object)
+        moved = np.flatnonzero(tags == form)[hit]
+        order = np.argsort(np.concatenate([np.flatnonzero(tags == bottom), moved]))
+        ids[bottom] = np.concatenate([ids[bottom], ids[form][hit, :ARITY[bottom]]])[order]
+        ids[form] = ids[form][~hit]
+        tags[moved] = bottom
+    return Rows(ids, forms if tags is None else tags.tolist())
+
+
+def rows_of(pairs) -> Rows:
+    """``Rows`` of (form, id tuple) pairs, in order, through ``bottom_rewrite``."""
+    flat: dict[Form, list[int]] = {form: [] for form in Form}
+    forms = []
+    for form, args in pairs:
+        if len(args) != ARITY[form]:
+            raise ValueError(f"{form.value} takes {ARITY[form]} arguments, got {len(args)}")
+        flat[form] += args
+        forms.append(form)
+    return bottom_rewrite(flat, forms)
 
 
 class AxiomRows(Sequence):
@@ -182,10 +222,11 @@ class Signature:
 
     @staticmethod
     def _intern(name: str, ids: dict[str, int], names: list[str], kind: str) -> int:
-        if not name:
-            raise ValueError(f"empty {kind} identifier")
         i = ids.get(name)
         if i is None:
+            reason = identifier_error(name)
+            if reason:
+                raise ValueError(f"{kind} {reason}")
             i = ids[name] = len(names)
             names.append(name)
         return i
@@ -209,6 +250,21 @@ class Signature:
         return self._rel_names[rid]
 
 
+# What a name cannot hold and come back unchanged from a ``lines`` field: a TAB, a
+# newline, a final CR, or a lone surrogate, which UTF-8 cannot write.
+_UNSAFE = re.compile(r"[\t\n\ud800-\udfff]|\r\Z")
+
+
+def identifier_error(name: str) -> str | None:
+    """Why ``name`` cannot be an identifier (it would not survive a save and load),
+    or None."""
+    if not name:
+        return "empty identifier"
+    if _UNSAFE.search(name):
+        return f"identifier {name!r} holds a TAB, a newline, a final CR or a lone surrogate"
+    return None
+
+
 def lines(text: str):
     """elgeo's one line rule for its TAB-separated files: (1-based line number,
     TAB-split fields) of each line that holds data.  Lines end at "\n" alone, since
@@ -220,12 +276,11 @@ def lines(text: str):
             yield lineno, raw.split("\t")
 
 
-def parse_rows(text: str, sig: Signature | None = None):
+def parse_normalized(text: str, sig: Signature | None = None) -> tuple[Rows, Signature]:
     """Parse a normalized axiom document: one axiom per ``lines`` line, the form tag
-    first.  Identifiers are interned in first-appearance order; a BOT consequent
-    moves its row to the bottom form, as in ``make_axiom``.  Returns each form's
-    (k, arity) int64 id array and each row's form, both in file order, and the
-    signature."""
+    first.  Identifiers are interned in first-appearance order, each checked by
+    ``identifier_error`` when first met.  Returns the ``Rows`` in file order, BOT
+    consequents rewritten by ``bottom_rewrite``, and the signature."""
     if sig is None:
         sig = Signature()
     classes, relations = (sig._class_ids, sig._class_names), (sig._rel_ids, sig._rel_names)
@@ -242,31 +297,18 @@ def parse_rows(text: str, sig: Signature | None = None):
         form, expected, tables = spec
         if len(fields) != expected:
             raise ParseError(f"expected {expected} fields, got {len(fields)}", lineno)
-        row = []
+        row = flat[form]
         for name, (ids, names) in zip(fields[1:], tables):
             i = ids.get(name)
             if i is None:
-                if not name:
-                    raise ParseError("empty identifier", lineno)
+                reason = identifier_error(name)
+                if reason:
+                    raise ParseError(reason, lineno)
                 i = ids[name] = len(names)
                 names.append(name)
             row.append(i)
-        bottom = BOT_FORM.get(form)
-        if bottom is not None and row[CONSEQUENT_SLOT[form]] == BOT:
-            form = bottom
-            del row[ARITY[form]:]
-        flat[form] += row
         forms.append(form)
-    arrays = {form: np.array(ids, dtype=np.int64).reshape(-1, ARITY[form])
-              for form, ids in flat.items()}
-    return arrays, forms, sig
-
-
-def parse_normalized(text: str, sig: Signature | None = None) -> tuple[list[Axiom], Signature]:
-    """``parse_rows`` as a list of axioms in file order."""
-    arrays, forms, sig = parse_rows(text, sig)
-    rows = {form: iter(ids.tolist()) for form, ids in arrays.items()}
-    return [Axiom(form, tuple(next(rows[form]))) for form in forms], sig
+    return bottom_rewrite(flat, forms), sig
 
 
 def format_row(form: Form, args, sig: Signature) -> str:
@@ -275,12 +317,6 @@ def format_row(form: Form, args, sig: Signature) -> str:
                                       else sig.class_name(a) for slot, a in enumerate(args)])
 
 
-def format_axiom(ax: Axiom, sig: Signature) -> str:
-    return format_row(ax.form, ax.args, sig)
-
-
-def serialize_normalized(axioms: list[Axiom], sig: Signature) -> str:
-    """Inverse of parse_normalized: round-trips to the same axiom list."""
-    if not axioms:
-        return ""
-    return "\n".join(format_axiom(ax, sig) for ax in axioms) + "\n"
+def serialize_normalized(rows: Rows, sig: Signature) -> str:
+    """Inverse of parse_normalized: round-trips to the same rows."""
+    return "".join(format_row(form, args, sig) + "\n" for form, args in rows.in_order())

@@ -10,7 +10,7 @@ import json
 import os
 import sys
 
-from .axioms import AxiomRows, Form, ParseError, serialize_normalized
+from .axioms import Form, ParseError, serialize_normalized
 from .closure import (
     ClosureBudgetError, compute_closure, dump_closure, load_closure_dump,
 )
@@ -52,15 +52,12 @@ def _gather_config(args, flags: dict | None = None) -> dict:
 
 
 def cmd_normalize(args) -> int:
-    axioms, sig = normalize(parse_general(read_text(args.input)))
-    write_atomic(args.output, [serialize_normalized(axioms, sig)])
-    counts: dict[str, int] = {}
-    for ax in axioms:
-        counts[ax.form.value] = counts.get(ax.form.value, 0) + 1
+    rows, sig = normalize(parse_general(read_text(args.input)))
+    write_atomic(args.output, [serialize_normalized(rows, sig)])
     for form in Form:
-        if form.value in counts:
-            print(f"{form.value}\t{counts[form.value]}")
-    print(f"total\t{len(axioms)}")
+        if len(rows.ids[form]):
+            print(f"{form.value}\t{len(rows.ids[form])}")
+    print(f"total\t{len(rows.forms)}")
     return 0
 
 
@@ -190,8 +187,7 @@ def cmd_naive(args) -> int:
     tail_pool = kb.pool(args.pool)
     head_pool = kb.pool(args.head_pool) if args.head_pool else tail_pool
     rows = kb.train_gci2.ids
-    nm = naive_fit(AxiomRows(Form.GCI2, rows[rows[:, 1] == rel]), rel, head_pool, tail_pool,
-                   symmetric=args.symmetric)
+    nm = naive_fit(rows[rows[:, 1] == rel], rel, head_pool, tail_pool, symmetric=args.symmetric)
     report = evaluate(nm, kb, pool=args.pool, tie_mode=args.tie_mode)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -158,14 +158,6 @@ def compute_closure(kb: KnowledgeBase, sub: SubsumptionClosure,
     return dc
 
 
-def split_entailed(dc: DeductiveClosure, axioms: list[Axiom]) -> tuple[list[Axiom], list[Axiom]]:
-    """Partition axioms into (entailed, novel) by closure membership, order kept."""
-    entailed, novel = [], []
-    for ax in axioms:
-        (entailed if dc.contains(ax) else novel).append(ax)
-    return entailed, novel
-
-
 def dump_closure(dc: DeductiveClosure, path: str):
     """Per-form TSVs in the axiom format plus an asserted/derived column, and
     ``closure_stats.json`` with the derived counts (never read back)."""

@@ -91,26 +91,27 @@ def apply_overrides(values: dict, overrides: list[str]) -> dict:
     return out
 
 
+# field type -> the value types it takes; no field but a bool one takes a bool
+ACCEPTS = {int: int, float: (int, float), str: str, bool: bool, tuple: (list, tuple)}
+
+
 def to_train_config(values: dict) -> TrainConfig:
+    """The TrainConfig of ``values``; each value must be of its field's type (see
+    ``ACCEPTS``), the tuple field taking a list of strings or one comma-separated
+    string.  Anything else raises ConfigError."""
     kwargs = {}
     for key, val in values.items():
         spec = SCHEMA[key]
         if spec is None:
             continue
         attr, conv = spec
-        if conv is tuple:
-            if isinstance(val, str):
-                val = [v for v in val.split(",") if v]
-            kwargs[attr] = tuple(val)
-        elif conv is bool:
-            if not isinstance(val, bool):
-                raise ConfigError(f"{key} expects true/false, got {val!r}")
-            kwargs[attr] = val
-        else:
-            try:
-                kwargs[attr] = conv(val)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key} expects {conv.__name__}, got {val!r}") from None
+        if conv is tuple and isinstance(val, str):
+            val = [v for v in val.split(",") if v]
+        if (isinstance(val, bool) is not (conv is bool) or not isinstance(val, ACCEPTS[conv])
+                or conv is tuple and not all(isinstance(v, str) for v in val)):
+            expected = "a list of strings" if conv is tuple else conv.__name__
+            raise ConfigError(f"{key} expects {expected}, got {val!r}")
+        kwargs[attr] = conv(val)
     try:
         return TrainConfig(**kwargs)
     except ValueError as exc:

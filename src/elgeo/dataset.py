@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import (
-    ARITY, BOT, RELATION_SLOTS, TOP, AxiomRows, Form, Signature,
-    format_row, key_member, lines, pack_keys, parse_rows,
+    ARITY, BOT, RELATION_SLOTS, TOP, AxiomRows, Form, Rows, Signature,
+    format_row, identifier_error, key_member, lines, pack_keys, parse_normalized, rows_of,
 )
 from .manifest import read_text, write_atomic
 
@@ -57,48 +57,31 @@ class KnowledgeBase:
             raise DatasetError(f"unknown pool: {key!r}") from None
 
 
-def _group(axioms) -> tuple[dict[Form, np.ndarray], list[Form]]:
-    """Axioms as ``parse_rows`` gives a file: per-form id arrays and row forms, in order."""
-    rows: dict[Form, list] = {form: [] for form in Form}
-    forms = []
-    for ax in axioms:
-        rows[ax.form].append(ax.args)
-        forms.append(ax.form)
-    return {form: np.array(r, dtype=np.int64).reshape(-1, ARITY[form])
-            for form, r in rows.items()}, forms
-
-
-def build_kb(sig: Signature, train, valid=(), test=(),
-             pools: dict[str, list[int]] | None = None) -> KnowledgeBase:
-    """Assemble and validate a knowledge base from axiom iterables."""
-    return _assemble(sig, _group(train), _group(valid), _group(test), pools)
-
-
-def _check_ids(name: str, ids: dict[Form, np.ndarray], forms: list[Form], sig: Signature):
+def _check_ids(name: str, rows: Rows, sig: Signature):
     """DatasetError naming the split's first axiom, in file order, with an id
     outside ``sig``: relation slots against its relations, the rest its classes."""
     tops = {form: [sig.n_relations if k in RELATION_SLOTS.get(form, ()) else sig.n_classes
-                   for k in range(ARITY[form])] for form in ids}
-    if not any(((rows < 0) | (rows >= np.array(tops[form], dtype=np.int64))).any()
-               for form, rows in ids.items()):
+                   for k in range(ARITY[form])] for form in rows.ids}
+    if not any(((ids < 0) | (ids >= np.array(tops[form], dtype=np.int64))).any()
+               for form, ids in rows.ids.items()):
         return
-    rows = {form: iter(a.tolist()) for form, a in ids.items()}
-    for form in forms:
-        args = next(rows[form])
+    for form, args in rows.in_order():
         for slot, (cid, top) in enumerate(zip(args, tops[form])):
             if not 0 <= cid < top:
                 kind = "relation" if slot in RELATION_SLOTS.get(form, ()) else "class"
-                raise DatasetError(f"{name} axiom {form.value} {tuple(args)} references "
+                raise DatasetError(f"{name} axiom {form.value} {args} references "
                                    f"unknown {kind} id {cid}")
 
 
-def _assemble(sig: Signature, train, valid, test, pools) -> KnowledgeBase:
-    """Validate three splits, each (per-form id arrays, row forms in file order),
-    and the pools, and wrap them in a knowledge base.  An error names the first
-    offending axiom in split and file order."""
+def build_kb(sig: Signature, train: Rows, valid: Rows | None = None, test: Rows | None = None,
+             pools: dict[str, list[int]] | None = None) -> KnowledgeBase:
+    """Validate three splits, given as ``Rows``, and the named pools, and wrap them in
+    a knowledge base; a missing split is empty.  An error names the first offending
+    axiom in split and file order, or the first bad pool."""
+    valid, test = (rows_of(()) if split is None else split for split in (valid, test))
     dims = (sig.n_classes, sig.n_relations)
     for name, split in (("train", train), ("valid", valid), ("test", test)):
-        _check_ids(name, *split, sig)
+        _check_ids(name, split, sig)
     # split -> sorted packed keys of its GCI2 rows; valid is checked against none
     held = {"valid": np.zeros(0, dtype=np.int64)}
     for name, (ids, forms) in (("valid", valid), ("test", test)):
@@ -114,7 +97,7 @@ def _assemble(sig: Signature, train, valid, test, pools) -> KnowledgeBase:
             raise DatasetError(f"{name} split must contain GCI2 only: "
                                f"{format_row(forms[bad], ids[forms[bad]][0], sig)}")
         held[name] = np.sort(keys)
-    rows = train[0][Form.GCI2]   # only train's GCI2 rows can repeat a held-out axiom
+    rows = train.ids[Form.GCI2]   # only train's GCI2 rows can repeat a held-out axiom
     in_valid, in_test = (key_member(held[name], pack_keys(Form.GCI2, rows.T, *dims))
                          for name in ("valid", "test"))
     if (in_valid | in_test).any():
@@ -122,26 +105,37 @@ def _assemble(sig: Signature, train, valid, test, pools) -> KnowledgeBase:
         raise DatasetError(f"axiom appears in both train and "
                            f"{'valid' if in_valid[first] else 'test'}: "
                            f"{format_row(Form.GCI2, rows[first], sig)}")
-    pools = dict(pools or {})
+    # each pool's members in first-appearance order, repeats dropped
+    pools = {name: list(dict.fromkeys(members)) for name, members in (pools or {}).items()}
     if "all" not in pools:
-        pools["all"] = [cid for cid in range(sig.n_classes) if cid not in (TOP, BOT)]
+        pools["all"] = _all_classes(sig)
     for name, members in pools.items():
+        # a pools.tsv line starting with '#', or blank, would be skipped
+        reason = identifier_error(name) or (
+            (not name.strip() or name.startswith("#")) and "it is blank or starts with '#'")
+        if reason:
+            raise DatasetError(f"pool name {name!r} is not an identifier: {reason}")
         for cid in members:
             if not 0 <= cid < sig.n_classes:
                 raise DatasetError(f"pool {name!r} references unknown class id {cid}")
     return KnowledgeBase(sig=sig, axioms={form: AxiomRows(form, ids)
-                                          for form, ids in train[0].items()},
-                         valid=AxiomRows(Form.GCI2, valid[0][Form.GCI2]),
-                         test=AxiomRows(Form.GCI2, test[0][Form.GCI2]), pools=pools)
+                                          for form, ids in train.ids.items()},
+                         valid=AxiomRows(Form.GCI2, valid.ids[Form.GCI2]),
+                         test=AxiomRows(Form.GCI2, test.ids[Form.GCI2]), pools=pools)
+
+
+def _all_classes(sig: Signature) -> list[int]:
+    """The pool ``all`` unless a KB names its own: every class but TOP and BOT."""
+    return [cid for cid in range(sig.n_classes) if cid not in (TOP, BOT)]
 
 
 def _parse_pools(text: str, sig: Signature) -> dict[str, list[int]]:
-    pools: dict[str, dict[int, None]] = {}   # members in first-appearance order
+    pools: dict[str, list[int]] = {}   # build_kb drops repeated members
     for lineno, fields in lines(text):
         if len(fields) != 2 or not fields[0] or not fields[1]:
             raise DatasetError(f"pools.tsv line {lineno}: expected 'pool_name<TAB>class_id'")
-        pools.setdefault(fields[0], {})[sig.intern_class(fields[1])] = None
-    return {name: list(members) for name, members in pools.items()}
+        pools.setdefault(fields[0], []).append(sig.intern_class(fields[1]))
+    return pools
 
 
 def load_dataset(path: str) -> KnowledgeBase:
@@ -149,16 +143,12 @@ def load_dataset(path: str) -> KnowledgeBase:
     if not os.path.exists(os.path.join(path, "train.tsv")):
         raise DatasetError(f"missing train.tsv in {path}")
     sig = Signature()
-    splits = []
-    for name in ("train", "valid", "test"):
-        fpath = os.path.join(path, f"{name}.tsv")
-        if os.path.exists(fpath):
-            splits.append(parse_rows(read_text(fpath), sig)[:2])
-        else:
-            splits.append(_group(()))
+    paths = [os.path.join(path, f"{name}.tsv") for name in ("train", "valid", "test")]
+    splits = [parse_normalized(read_text(p), sig)[0] if os.path.exists(p) else None
+              for p in paths]
     pools_path = os.path.join(path, "pools.tsv")
     pools = _parse_pools(read_text(pools_path), sig) if os.path.exists(pools_path) else None
-    return _assemble(sig, *splits, pools)
+    return build_kb(sig, *splits, pools)
 
 
 def save_dataset(path: str, kb: KnowledgeBase):
@@ -172,7 +162,7 @@ def save_dataset(path: str, kb: KnowledgeBase):
             for args in rows.ids.tolist():
                 yield format_row(rows.form, args, kb.sig) + "\n"
 
-    named = {k: v for k, v in kb.pools.items() if k != "all"}
+    named = {k: v for k, v in kb.pools.items() if k != "all" or v != _all_classes(kb.sig)}
     for name, chunks in (
             ("train", lines(kb.axioms.values())),
             ("valid", kb.valid and lines([kb.valid])),

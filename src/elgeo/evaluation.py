@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .axioms import Axiom, AxiomRows, Form, key_member, pack_keys
+from .axioms import Axiom, Form, key_member, pack_keys
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
 from .geometry import CHUNK
@@ -275,21 +275,14 @@ class NaiveModel:
         return np.where(known, self.counts.take(tails, mode="clip"), 0.0) / self.pair_count
 
 
-def naive_fit(axioms, relation: int, head_pool, tail_pool,
+def naive_fit(rows: np.ndarray, relation: int, head_pool, tail_pool,
               symmetric: bool = False) -> NaiveModel:
-    """Build the 0/1 pair matrix of one relation's train axioms, given as a list
-    of Axioms or as ``AxiomRows``, whose id rows are read directly."""
+    """Build the 0/1 pair matrix of one relation's train axioms, given as one (k, 3)
+    array of GCI2 id rows."""
     heads = set(int(h) for h in head_pool)
     tails = set(int(t) for t in tail_pool)
     pairs: set[tuple[int, int]] = set()
-    if isinstance(axioms, AxiomRows):
-        forms, rows = [axioms.form] * len(axioms), axioms.ids.tolist()
-    else:
-        forms, rows = [ax.form for ax in axioms], [ax.args for ax in axioms]
-    for form, args in zip(forms, rows):
-        if form is not Form.GCI2:
-            raise EvaluationError("naive model fits GCI2 axioms only")
-        c, r, d = args
+    for c, r, d in rows.tolist():
         if r != relation:
             raise EvaluationError(f"axiom relation {r} does not match {relation}")
         if d not in tails:

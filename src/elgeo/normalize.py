@@ -10,7 +10,7 @@ The result is a conservative extension of the input.
 
 from __future__ import annotations
 
-from .axioms import Axiom, Form, Signature, make_axiom
+from .axioms import Form, Rows, Signature, rows_of
 from .sexpr import Concept, GeneralAxiom, RESERVED_PREFIX, atom, conj
 
 
@@ -47,7 +47,7 @@ def _check_input_names(c: Concept):
         _check_input_names(p)
 
 
-def _norm_subclass(left: Concept, right: Concept, out: list[Axiom], ctx: _Context):
+def _norm_subclass(left: Concept, right: Concept, out: list, ctx: _Context):
     if _left_is_empty(left):
         return
     if not left.is_atomic() and not right.is_atomic():
@@ -61,28 +61,28 @@ def _norm_subclass(left: Concept, right: Concept, out: list[Axiom], ctx: _Contex
         return
     if left.is_atomic():
         if right.is_atomic():
-            out.append(make_axiom(Form.GCI0, (ctx.class_id(left), ctx.class_id(right))))
+            out.append((Form.GCI0, (ctx.class_id(left), ctx.class_id(right))))
             return
         # right is an existential
         filler = right.parts[0]
         rel = ctx.sig.intern_relation(right.relation)
         if filler.is_atomic():
-            out.append(make_axiom(Form.GCI2, (ctx.class_id(left), rel, ctx.class_id(filler))))
+            out.append((Form.GCI2, (ctx.class_id(left), rel, ctx.class_id(filler))))
             return
         mid = ctx.fresh()
         _norm_subclass(mid, filler, out, ctx)
-        out.append(make_axiom(Form.GCI2, (ctx.class_id(left), rel, ctx.class_id(mid))))
+        out.append((Form.GCI2, (ctx.class_id(left), rel, ctx.class_id(mid))))
         return
     # left complex, right atomic
     if left.kind == "some":
         filler = left.parts[0]
         rel = ctx.sig.intern_relation(left.relation)
         if filler.is_atomic():
-            out.append(make_axiom(Form.GCI3, (rel, ctx.class_id(filler), ctx.class_id(right))))
+            out.append((Form.GCI3, (rel, ctx.class_id(filler), ctx.class_id(right))))
             return
         mid = ctx.fresh()
         _norm_subclass(filler, mid, out, ctx)
-        out.append(make_axiom(Form.GCI3, (rel, ctx.class_id(mid), ctx.class_id(right))))
+        out.append((Form.GCI3, (rel, ctx.class_id(mid), ctx.class_id(right))))
         return
     # left conjunction: binarize left-associatively
     parts = left.parts
@@ -100,11 +100,12 @@ def _norm_subclass(left: Concept, right: Concept, out: list[Axiom], ctx: _Contex
         _norm_subclass(y, mid, out, ctx)
         _norm_subclass(conj((x, mid)), right, out, ctx)
         return
-    out.append(make_axiom(Form.GCI1, (ctx.class_id(x), ctx.class_id(y), ctx.class_id(right))))
+    out.append((Form.GCI1, (ctx.class_id(x), ctx.class_id(y), ctx.class_id(right))))
 
 
-def normalize(axioms: list[GeneralAxiom], sig: Signature | None = None) -> tuple[list[Axiom], Signature]:
-    """Normalize general axioms; fresh classes are numbered deterministically.
+def normalize(axioms: list[GeneralAxiom],
+              sig: Signature | None = None) -> tuple[Rows, Signature]:
+    """Normalize general axioms into ``Rows``; fresh classes are numbered deterministically.
 
     ``equivalent`` emits both inclusion directions.  Role axioms map directly
     to RI0/RI1.
@@ -112,7 +113,7 @@ def normalize(axioms: list[GeneralAxiom], sig: Signature | None = None) -> tuple
     if sig is None:
         sig = Signature()
     ctx = _Context(sig)
-    out: list[Axiom] = []
+    out: list[tuple[Form, tuple[int, ...]]] = []   # (form, ids) pairs for rows_of
     for ax in axioms:
         if ax.kind in ("subclassof", "equivalent"):
             _check_input_names(ax.left)
@@ -122,10 +123,10 @@ def normalize(axioms: list[GeneralAxiom], sig: Signature | None = None) -> tuple
                 _norm_subclass(ax.right, ax.left, out, ctx)
         elif ax.kind == "subrole":
             r, s = (sig.intern_relation(n) for n in ax.roles)
-            out.append(Axiom(Form.RI0, (r, s)))
+            out.append((Form.RI0, (r, s)))
         elif ax.kind == "rolechain":
             r1, r2, s = (sig.intern_relation(n) for n in ax.roles)
-            out.append(Axiom(Form.RI1, (r1, r2, s)))
+            out.append((Form.RI1, (r1, r2, s)))
         else:
             raise ValueError(f"unknown axiom kind: {ax.kind!r}")
-    return out, sig
+    return rows_of(out), sig

@@ -31,13 +31,6 @@ class SubsumptionClosure:
     subsumers: list[set[int]]
     unsat: set[int]
 
-    def is_subsumed(self, c: int, d: int) -> bool:
-        """True when c is a (derived) subclass of d."""
-        n = self.sig.n_classes
-        if not (0 <= c < n and 0 <= d < n):
-            raise KeyError(f"class id out of range: {(c, d)}")
-        return d in self.subsumers[c] or c in self.unsat
-
     def superclasses_of(self, c: int) -> set[int]:
         if c in self.unsat:
             return set(range(self.sig.n_classes))

@@ -13,28 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .axioms import Axiom, Form, Signature, make_axiom
+from .axioms import RELATION_SLOTS, Form, Signature, rows_of
 from .dataset import KnowledgeBase, build_kb
 
 
-def _gci0(sig, a, b):
-    return make_axiom(Form.GCI0, (sig.intern_class(a), sig.intern_class(b)))
-
-
-def _gci1(sig, a, b, c):
-    return make_axiom(Form.GCI1, (sig.intern_class(a), sig.intern_class(b), sig.intern_class(c)))
-
-
-def _gci2(sig, a, r, b):
-    return make_axiom(Form.GCI2, (sig.intern_class(a), sig.intern_relation(r), sig.intern_class(b)))
-
-
-def _gci3(sig, r, a, b):
-    return make_axiom(Form.GCI3, (sig.intern_relation(r), sig.intern_class(a), sig.intern_class(b)))
-
-
-def _gci1_bot(sig, a, b):
-    return Axiom(Form.GCI1_BOT, (sig.intern_class(a), sig.intern_class(b)))
+def _named(sig: Signature, form: Form, *names: str):
+    """The (form, ids) pair of a row given by its names, interned in slot order."""
+    rel_slots = RELATION_SLOTS.get(form, ())
+    return form, tuple(sig.intern_relation(name) if k in rel_slots else sig.intern_class(name)
+                       for k, name in enumerate(names))
 
 
 def basic_kb() -> KnowledgeBase:
@@ -42,30 +29,30 @@ def basic_kb() -> KnowledgeBase:
     sig = Signature()
     groups = [f"G{i}" for i in range(4)]
     members = [f"M{i:02d}" for i in range(15)]
-    train: list[Axiom] = []
+    train = []
     # one broad class above everything
     for g in groups:
-        train.append(_gci0(sig, g, "U"))
+        train.append(_named(sig, Form.GCI0, g, "U"))
     for i, m in enumerate(members):
-        train.append(_gci0(sig, m, groups[i % 4]))
+        train.append(_named(sig, Form.GCI0, m, groups[i % 4]))
     for m in members[:9]:
-        train.append(_gci0(sig, m, "U"))
+        train.append(_named(sig, Form.GCI0, m, "U"))
     # conjunctions land in the broad class
-    train.append(_gci1(sig, "G0", "G1", "U"))
-    train.append(_gci1(sig, "G2", "G3", "U"))
+    train.append(_named(sig, Form.GCI1, "G0", "G1", "U"))
+    train.append(_named(sig, Form.GCI1, "G2", "G3", "U"))
     # relation edges: members point at the next group, groups point up
     for i, m in enumerate(members):
-        train.append(_gci2(sig, m, "r1", groups[(i + 1) % 4]))
+        train.append(_named(sig, Form.GCI2, m, "r1", groups[(i + 1) % 4]))
     for g in groups:
-        train.append(_gci3(sig, "r1", g, "U"))
+        train.append(_named(sig, Form.GCI3, "r1", g, "U"))
     for m in members[:10]:
-        train.append(_gci2(sig, m, "r2", "U"))
+        train.append(_named(sig, Form.GCI2, m, "r2", "U"))
     # one disjointness between groups with no shared members
-    train.append(_gci1_bot(sig, "G0", "G2"))
+    train.append(_named(sig, Form.GCI1_BOT, "G0", "G2"))
 
-    valid = [_gci2(sig, "M00", "r1", "U"), _gci2(sig, "M01", "r1", "U")]
-    test = [_gci2(sig, "M02", "r1", "U"), _gci2(sig, "M03", "r1", "U")]
-    return build_kb(sig, train, valid, test)
+    valid = [_named(sig, Form.GCI2, "M00", "r1", "U"), _named(sig, Form.GCI2, "M01", "r1", "U")]
+    test = [_named(sig, Form.GCI2, "M02", "r1", "U"), _named(sig, Form.GCI2, "M03", "r1", "U")]
+    return build_kb(sig, rows_of(train), rows_of(valid), rows_of(test))
 
 
 def hierarchy_kb(n_chains: int = 6, depth: int = 8, n_heads: int = 12,
@@ -78,30 +65,30 @@ def hierarchy_kb(n_chains: int = 6, depth: int = 8, n_heads: int = 12,
     """
     rng = np.random.default_rng(seed)
     sig = Signature()
-    train: list[Axiom] = []
+    train = []
     tails = [[f"T{c}_{k}" for k in range(depth)] for c in range(n_chains)]
     heads = [f"H{i}" for i in range(n_heads)]
     for chain in tails:
         for low, high in zip(chain, chain[1:]):
-            train.append(_gci0(sig, low, high))
+            train.append(_named(sig, Form.GCI0, low, high))
     test = []
     for i, h in enumerate(heads):
         chain = tails[i % n_chains]
-        train.append(_gci2(sig, h, "r", chain[0]))
+        train.append(_named(sig, Form.GCI2, h, "r", chain[0]))
         probe = int(rng.integers(1, depth))
-        test.append(_gci2(sig, h, "r", chain[probe]))
+        test.append(_named(sig, Form.GCI2, h, "r", chain[probe]))
     n_extra = int(density * n_heads)
     flat = [t for chain in tails for t in chain]
     seen = set(train) | set(test)
     for _ in range(n_extra):
         h = heads[int(rng.integers(n_heads))]
         t = flat[int(rng.integers(len(flat)))]
-        ax = _gci2(sig, h, "r", t)
+        ax = _named(sig, Form.GCI2, h, "r", t)
         if ax not in seen:
             seen.add(ax)
             train.append(ax)
     pools = {"tails": [sig.class_id(t) for t in flat]}
-    return build_kb(sig, train, [], test, pools)
+    return build_kb(sig, rows_of(train), test=rows_of(test), pools=pools)
 
 
 def skew_kb(n_heads: int = 40, n_tails: int = 30, n_train: int = 200,
@@ -124,11 +111,11 @@ def skew_kb(n_heads: int = 40, n_tails: int = 30, n_train: int = 200,
             continue
         seen.add((h, t))
         if len(train) < n_train:
-            train.append(_gci2(sig, h, "r", t))
+            train.append(_named(sig, Form.GCI2, h, "r", t))
         else:
-            test.append(_gci2(sig, h, "r", t))
+            test.append(_named(sig, Form.GCI2, h, "r", t))
     pools = {"tails": [sig.class_id(t) for t in tails]}
-    return build_kb(sig, train, [], test, pools)
+    return build_kb(sig, rows_of(train), test=rows_of(test), pools=pools)
 
 
 def scale_kb(n_classes: int = 3000, n_edges: int = 300_000, seed: int = 0) -> KnowledgeBase:
@@ -142,19 +129,11 @@ def scale_kb(n_classes: int = 3000, n_edges: int = 300_000, seed: int = 0) -> Kn
         sig.intern_class(name)
     rel = sig.intern_relation("r")
     lo = 2  # first non-reserved class id
-    pairs = set()
-    train = []
-    while len(train) < n_edges:
+    pairs: dict[tuple[int, int], None] = {}   # distinct (head, tail) pairs in draw order
+    while len(pairs) < n_edges:
         chunk = rng.integers(lo, lo + n_classes, size=(n_edges, 2))
-        for h, t in chunk:
-            key = (int(h), int(t))
-            if key in pairs:
-                continue
-            pairs.add(key)
-            train.append(Axiom(Form.GCI2, (key[0], rel, key[1])))
-            if len(train) >= n_edges:
-                break
-    return build_kb(sig, train)
+        pairs.update(dict.fromkeys(map(tuple, chunk.tolist())))
+    return build_kb(sig, rows_of((Form.GCI2, (h, rel, t)) for h, t in list(pairs)[:n_edges]))
 
 
 PRESETS = {

@@ -81,7 +81,7 @@ def rescan_closure(kb, S):
             Form.GCI0_BOT, Form.GCI1_BOT, Form.GCI3_BOT)}
 
     def put(form, args):
-        # canonical bucket for BOT right-hand sides, mirroring make_axiom
+        # canonical bucket for BOT right-hand sides, mirroring reference_make_axiom
         if form is Form.GCI0 and args[1] == BOT:
             out[Form.GCI0_BOT].add((args[0],))
         elif form is Form.GCI2 and args[2] == BOT:
@@ -325,7 +325,7 @@ def brute_aggregate(records, n):
 import numpy as np
 
 from elgeo.dataset import build_kb
-from elgeo.axioms import Signature, make_axiom
+from elgeo.axioms import Signature, parse_normalized, rows_of
 
 
 def random_kb(rng: np.random.Generator, n_classes=8, n_relations=2, n_axioms=20,
@@ -354,11 +354,44 @@ def random_kb(rng: np.random.Generator, n_classes=8, n_relations=2, n_axioms=20,
             Form.GCI1_BOT: (c, d),
             Form.GCI3_BOT: (r, c),
         }[form]
-        ax = make_axiom(form, args)
+        ax = reference_make_axiom(form, args)
         if ax not in seen:
             seen.add(ax)
             axioms.append(ax)
-    return build_kb(sig, axioms)
+    return build_kb(sig, as_rows(axioms))
+
+
+def as_rows(axioms):
+    """A list of Axioms as the Rows that build_kb takes."""
+    return rows_of((ax.form, ax.args) for ax in axioms)
+
+
+def as_axioms(rows):
+    """Rows as a list of Axioms, in order."""
+    return [Axiom(form, args) for form, args in rows.in_order()]
+
+
+def parse_axioms(text, sig=None):
+    """parse_normalized's rows as a list of Axioms, and the signature."""
+    rows, sig = parse_normalized(text, sig)
+    return as_axioms(rows), sig
+
+
+def split_entailed(dc, axioms):
+    """Partition axioms into (entailed, novel) by closure membership, order kept."""
+    entailed, novel = [], []
+    for ax in axioms:
+        (entailed if dc.contains(ax) else novel).append(ax)
+    return entailed, novel
+
+
+def is_subsumed(closure, c, d):
+    """True when c is a (derived) subclass of d in a SubsumptionClosure; KeyError
+    for an id outside its signature."""
+    n = closure.sig.n_classes
+    if not (0 <= c < n and 0 <= d < n):
+        raise KeyError(f"class id out of range: {(c, d)}")
+    return d in closure.subsumers[c] or c in closure.unsat
 
 
 def loss_value(model, term, ids):
@@ -438,7 +471,8 @@ def gradcheck_max_error(draws=100, dim=8, seed=0, h=1e-6):
 
 # --- loader references: the per-line parser and split checks of the Axiom-list loader ---
 
-from elgeo.axioms import ARITY, RELATION_SLOTS, Axiom, ParseError, format_axiom  # noqa: E402
+from elgeo.axioms import ARITY, RELATION_SLOTS, Axiom, ParseError, format_row  # noqa: E402
+
 
 def reference_make_axiom(form, args):
     """The BOT-consequent rewrite, one branch per form."""
@@ -451,6 +485,13 @@ def reference_make_axiom(form, args):
     if form is Form.GCI3 and args[2] == BOT:
         return Axiom(Form.GCI3_BOT, (args[0], args[1]))
     return Axiom(form, args)
+
+
+def unsafe_name(name):
+    """The identifier rule, written out: a name that is empty, holds a TAB, a newline
+    or a lone surrogate, or ends in a CR."""
+    return (not name or "\t" in name or "\n" in name or name.endswith("\r")
+            or any("\ud800" <= ch <= "\udfff" for ch in name))
 
 
 def reference_parse_normalized(text, sig=None):
@@ -475,6 +516,9 @@ def reference_parse_normalized(text, sig=None):
         for slot, name in enumerate(fields[1:]):
             if not name:
                 raise ParseError("empty identifier", lineno)
+            if unsafe_name(name):
+                raise ParseError(f"identifier {name!r} holds a TAB, a newline, a final CR "
+                                 "or a lone surrogate", lineno)
             if slot in rel_slots:
                 args.append(sig.intern_relation(name))
             else:
@@ -486,16 +530,19 @@ def reference_parse_normalized(text, sig=None):
 def reference_split_error(sig, train, valid, test):
     """The message of the first split error of Axiom lists, checked axiom by axiom
     (held-out splits GCI2 only and disjoint, train apart from both); None if none."""
+    def line(ax):
+        return format_row(ax.form, ax.args, sig)
+
     held_out = {}
     for split_name, split in (("valid", valid), ("test", test)):
         for ax in split:
             if ax.form is not Form.GCI2:
-                return f"{split_name} split must contain GCI2 only: {format_axiom(ax, sig)}"
+                return f"{split_name} split must contain GCI2 only: {line(ax)}"
             prev = held_out.setdefault(ax.args, split_name)
             if prev != split_name:
-                return f"axiom appears in both {prev} and {split_name}: {format_axiom(ax, sig)}"
+                return f"axiom appears in both {prev} and {split_name}: {line(ax)}"
     for ax in train:
         prev = held_out.get(ax.args) if ax.form is Form.GCI2 else None
         if prev is not None:
-            return f"axiom appears in both train and {prev}: {format_axiom(ax, sig)}"
+            return f"axiom appears in both train and {prev}: {line(ax)}"
     return None

@@ -56,7 +56,7 @@ def test_02_closure_oracle_equivalence():
                    "set equality + one-pass fixpoint, < 60 s"):
         t0 = time.time()
         rng = np.random.default_rng(9001)
-        from elgeo.axioms import Axiom
+        from elgeo.axioms import rows_of
         from elgeo.dataset import build_kb
         for _ in range(50):
             kb = random_kb(rng, n_classes=int(rng.integers(4, 31)), n_relations=2,
@@ -66,7 +66,7 @@ def test_02_closure_oracle_equivalence():
             oracle = rescan_closure(kb, rescan_saturate(kb))
             for form, expected in oracle.items():
                 assert dc.sets[form] == expected, form.value
-            expanded = [Axiom(f, args) for f in dc.sets for args in dc.sets[f]]
+            expanded = rows_of((f, args) for f in dc.sets for args in dc.sets[f])
             dc2 = compute_closure(build_kb(kb.sig, expanded), sub)
             for form in dc.sets:
                 assert dc2.sets[form] == dc.sets[form], f"second pass grew {form.value}"
@@ -240,8 +240,8 @@ def test_08_naive_frequency_shortcut():
                    ">= 0.5 + 0.2"):
         kb = skew_kb(seed=3)
         rel = kb.test[0].args[1]
-        nm = naive_fit([ax for ax in kb.train_gci2 if ax.args[1] == rel], rel,
-                       kb.pool("all"), kb.pool("tails"))
+        train = kb.train_gci2.ids
+        nm = naive_fit(train[train[:, 1] == rel], rel, kb.pool("all"), kb.pool("tails"))
         rep = evaluate(nm, kb, pool="tails")
         assert rep.macro_fauc - 0.5 >= 0.2, f"macro FAUC {rep.macro_fauc:.3f}"
 

@@ -4,19 +4,20 @@ from hypothesis import given, settings, strategies as st
 
 from elgeo.axioms import (
     ARITY, BOT, RELATION_SLOTS, Axiom, Form, ParseError, Signature,
-    make_axiom, pack_keys, parse_normalized, serialize_normalized,
+    pack_keys, parse_normalized, rows_of, serialize_normalized,
 )
+from oracles import as_axioms, as_rows, parse_axioms as parse, reference_make_axiom
 
 
 class TestParse:
     def test_gci2_line(self):
-        axioms, sig = parse_normalized("GCI2\tP1\tinteracts_with\tP2")
+        axioms, sig = parse("GCI2\tP1\tinteracts_with\tP2")
         assert axioms == [Axiom(Form.GCI2, (sig.class_id("P1"),
                                             sig.relation_id("interacts_with"),
                                             sig.class_id("P2")))]
 
     def test_gci1_bot_line(self):
-        axioms, sig = parse_normalized("GCI1_BOT\tA\tB")
+        axioms, sig = parse("GCI1_BOT\tA\tB")
         assert axioms[0].form is Form.GCI1_BOT
         assert axioms[0].args == (sig.class_id("A"), sig.class_id("B"))
 
@@ -39,7 +40,7 @@ class TestParse:
         assert err.value.line == 4
 
     def test_comments_and_blanks_skipped(self):
-        axioms, _ = parse_normalized("# header\n\nGCI0\tA\tB\n")
+        axioms, _ = parse("# header\n\nGCI0\tA\tB\n")
         assert len(axioms) == 1
 
     def test_intern_order(self):
@@ -50,23 +51,23 @@ class TestParse:
 
 class TestCanonicalization:
     def test_bot_rhs_gci0(self):
-        axioms, _ = parse_normalized("GCI0\tA\tBOT")
+        axioms, _ = parse("GCI0\tA\tBOT")
         assert axioms[0] == Axiom(Form.GCI0_BOT, (2,))
 
     def test_bot_rhs_gci1(self):
-        axioms, _ = parse_normalized("GCI1\tA\tB\tBOT")
+        axioms, _ = parse("GCI1\tA\tB\tBOT")
         assert axioms[0].form is Form.GCI1_BOT
 
     def test_bot_filler_gci2(self):
-        axioms, _ = parse_normalized("GCI2\tA\tr\tBOT")
+        axioms, _ = parse("GCI2\tA\tr\tBOT")
         assert axioms[0] == Axiom(Form.GCI0_BOT, (2,))
 
     def test_bot_rhs_gci3(self):
-        axioms, _ = parse_normalized("GCI3\tr\tA\tBOT")
+        axioms, _ = parse("GCI3\tr\tA\tBOT")
         assert axioms[0].form is Form.GCI3_BOT
 
     def test_top_kept_as_slot(self):
-        axioms, _ = parse_normalized("GCI0\tA\tTOP")
+        axioms, _ = parse("GCI0\tA\tTOP")
         assert axioms[0] == Axiom(Form.GCI0, (2, 0))
 
     def test_direct_construction_rejects_bot_rhs(self):
@@ -82,16 +83,16 @@ class TestSerialize:
     def test_single(self):
         sig = Signature()
         a, b = sig.intern_class("A"), sig.intern_class("B")
-        doc = serialize_normalized([Axiom(Form.GCI0, (a, b))], sig)
+        doc = serialize_normalized(as_rows([Axiom(Form.GCI0, (a, b))]), sig)
         assert doc == "GCI0\tA\tB\n"
 
     def test_empty(self):
-        assert serialize_normalized([], Signature()) == ""
+        assert serialize_normalized(rows_of([]), Signature()) == ""
 
     def test_ri1(self):
         sig = Signature()
         ids = tuple(sig.intern_relation(n) for n in ("r1", "r2", "s"))
-        assert serialize_normalized([Axiom(Form.RI1, ids)], sig) == "RI1\tr1\tr2\ts\n"
+        assert serialize_normalized(as_rows([Axiom(Form.RI1, ids)]), sig) == "RI1\tr1\tr2\ts\n"
 
 
 # identifiers: arbitrary non-empty strings without tab/newline/CR, not starting '#'
@@ -102,14 +103,16 @@ _ident = st.text(
 
 
 @st.composite
-def _axiom_lists(draw):
+def _row_pairs(draw):
+    """(form, ids) pairs over a fresh signature, BOT consequents among them, and the
+    signature."""
     sig = Signature()
     classes = [sig.intern_class(n) for n in draw(
         st.lists(_ident, min_size=2, max_size=6, unique=True))]
     rels = [sig.intern_relation(n) for n in draw(
         st.lists(_ident, min_size=1, max_size=3, unique=True))]
     classes += [0, 1]   # reserved ids participate too
-    axioms = []
+    pairs = []
     for _ in range(draw(st.integers(0, 12))):
         form = draw(st.sampled_from(list(Form)))
         rel_slots = RELATION_SLOTS.get(form, ())
@@ -118,17 +121,35 @@ def _axiom_lists(draw):
             else draw(st.sampled_from(classes))
             for slot in range(ARITY[form])
         )
-        axioms.append(make_axiom(form, args))
-    return axioms, sig
+        pairs.append((form, args))
+    return pairs, sig
 
 
-@given(_axiom_lists())
+@given(_row_pairs())
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_identity(case):
-    axioms, sig = case
-    doc = serialize_normalized(axioms, sig)
-    parsed, _ = parse_normalized(doc, sig)
+    pairs, sig = case
+    axioms = as_axioms(rows_of(pairs))
+    doc = serialize_normalized(rows_of(pairs), sig)
+    parsed, _ = parse(doc, sig)
     assert parsed == axioms
+
+
+@given(_row_pairs())
+@settings(max_examples=150, deadline=None)
+def test_rows_of_rewrites_bot_consequents_like_the_reference(case):
+    """The whole-array rewrite moves each BOT-consequent row to its bottom form at its
+    own place in order, as the per-axiom reference does."""
+    pairs, _ = case
+    rows = rows_of(pairs)
+    assert as_axioms(rows) == [reference_make_axiom(form, args) for form, args in pairs]
+    for form in Form:
+        assert rows.ids[form].dtype == np.int64 and rows.ids[form].shape[1] == ARITY[form]
+
+
+def test_rows_of_checks_arity():
+    with pytest.raises(ValueError, match="GCI0 takes 2 arguments, got 3"):
+        rows_of([(Form.GCI0, (2, 3, 4))])
 
 
 class TestPackKeys:

@@ -8,20 +8,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elgeo.axioms import ARITY, BOT, GCI_FORMS, RELATION_SLOTS, Axiom, Form, parse_normalized
+from elgeo.axioms import (
+    ARITY, BOT, GCI_FORMS, RELATION_SLOTS, Axiom, Form, parse_normalized, rows_of,
+)
 from elgeo.closure import (
     ClosureBudgetError, UnsupportedFormError, compute_closure, dump_closure,
-    load_closure_dump, split_entailed,
+    load_closure_dump,
 )
 from elgeo.dataset import build_kb
 from elgeo.reasoner import saturate
 
-from oracles import random_kb, rescan_closure, rescan_contains, rescan_saturate
+from oracles import random_kb, rescan_closure, rescan_contains, rescan_saturate, split_entailed
 
 
 def make(text):
-    axioms, sig = parse_normalized(text)
-    kb = build_kb(sig, axioms)
+    rows, sig = parse_normalized(text)
+    kb = build_kb(sig, rows)
     sub = saturate(kb)
     return kb, sub, compute_closure(kb, sub)
 
@@ -56,9 +58,9 @@ class TestRules:
         assert dc.contains(Axiom(Form.GCI1_BOT, (down[1], down[0])))
 
     def test_empty_kb_reflexive_only(self):
-        axioms, sig = parse_normalized("")
+        rows, sig = parse_normalized("")
         sig.intern_class("A")
-        kb = build_kb(sig, axioms)
+        kb = build_kb(sig, rows)
         dc = compute_closure(kb, saturate(kb))
         a = sig.class_id("A")
         assert dc.contains(Axiom(Form.GCI0, (a, a)))
@@ -98,7 +100,7 @@ class TestProperties:
             kb = random_kb(rng, n_classes=8, n_axioms=20)
             sub = saturate(kb)
             dc = compute_closure(kb, sub)
-            expanded = [Axiom(form, args) for form in dc.sets for args in dc.sets[form]]
+            expanded = rows_of((form, args) for form in dc.sets for args in dc.sets[form])
             kb2 = build_kb(kb.sig, expanded)
             dc2 = compute_closure(kb2, sub)
             for form in dc.sets:
@@ -125,8 +127,8 @@ class TestProperties:
 
     def test_budget_abort(self):
         text = "\n".join(f"GCI0\tA{i}\tA{i+1}" for i in range(10))
-        axioms, sig = parse_normalized(text)
-        kb = build_kb(sig, axioms)
+        rows, sig = parse_normalized(text)
+        kb = build_kb(sig, rows)
         sub = saturate(kb)
         with pytest.raises(ClosureBudgetError, match="closure.max_derived"):
             compute_closure(kb, sub, max_derived=10)

@@ -13,7 +13,7 @@ from elgeo.geometry import CHUNK, EmbeddingModel
 from elgeo.reasoner import saturate
 from elgeo.toygen import basic_kb
 
-from oracles import brute_aggregate, brute_rank, brute_trapezoid_auc
+from oracles import as_rows, brute_aggregate, brute_rank, brute_trapezoid_auc
 
 
 class FixedScorer:
@@ -132,8 +132,8 @@ class TestBlockRanking:
         held_out = {ax.args for ax in test}
         train = {Axiom(Form.GCI2, (ax.args[0], ax.args[1], t)) for ax in test for t in pool
                  if (ax.args[0], ax.args[1], t) not in held_out and rng.random() < train_share}
-        return build_kb(sig, sorted(train, key=lambda ax: ax.args), test=test,
-                        pools={"cands": pool})
+        return build_kb(sig, as_rows(sorted(train, key=lambda ax: ax.args)),
+                        test=as_rows(test), pools={"cands": pool})
 
     def test_records_match_rank_axiom_and_brute_across_blocks(self):
         from elgeo.evaluation import BLOCK
@@ -304,10 +304,10 @@ class TestEvaluate:
     def kb(self):
         text = ("GCI2\tA\tr\tB\nGCI2\tA\tr\tC\nGCI0\tB\tBp\n"
                 "GCI0\tX1\tX1\nGCI0\tX2\tX2\n")
-        axioms, sig = parse_normalized(text)
+        rows, sig = parse_normalized(text)
         test = [Axiom(Form.GCI2, (sig.class_id("A"), 0, sig.class_id("Bp"))),
                 Axiom(Form.GCI2, (sig.class_id("A"), 0, sig.class_id("X1")))]
-        return build_kb(sig, axioms, test=test)
+        return build_kb(sig, rows, test=as_rows(test))
 
     def test_split_entailed_vs_novel_curves(self):
         kb = self.kb()
@@ -346,10 +346,15 @@ class TestEvaluate:
             assert rec.frank <= rec.rank
 
     def test_empty_test_split(self):
-        axioms, sig = parse_normalized("GCI2\tA\tr\tB\n")
-        kb = build_kb(sig, axioms)
+        rows, sig = parse_normalized("GCI2\tA\tr\tB\n")
+        kb = build_kb(sig, rows)
         with pytest.raises(EvaluationError, match="test split is empty"):
             evaluate(FixedScorer({}), kb)
+
+
+def ids(*axioms):
+    """GCI2 axioms as the (k, 3) id array naive_fit takes."""
+    return np.array([ax.args for ax in axioms], dtype=np.int64).reshape(-1, 3)
 
 
 class TestNaive:
@@ -363,7 +368,7 @@ class TestNaive:
     def test_fit_single_pair(self):
         sig, pools = self.sig()
         ax = Axiom(Form.GCI2, (sig.class_id("A"), 0, sig.class_id("X")))
-        nm = naive_fit([ax], 0, pools["h"], pools["t"])
+        nm = naive_fit(ids(ax), 0, pools["h"], pools["t"])
         assert nm.pair_count == 1
         assert nm.score_tails(sig.class_id("A"), 0, [sig.class_id("X")])[0] == 1.0
         assert nm.score_tails(sig.class_id("A"), 0, [sig.class_id("Y")])[0] == 0.0
@@ -373,14 +378,14 @@ class TestNaive:
         pool = [sig.intern_class(n) for n in ("P1", "P2", "P3")]
         sig.intern_relation("r")
         ax = Axiom(Form.GCI2, (pool[0], 0, pool[1]))
-        nm = naive_fit([ax], 0, pool, pool, symmetric=True)
+        nm = naive_fit(ids(ax), 0, pool, pool, symmetric=True)
         assert nm.pair_count == 2
         assert nm.score_tails(pool[2], 0, [pool[0]])[0] == pytest.approx(0.5)
         assert nm.score_tails(pool[2], 0, [pool[1]])[0] == pytest.approx(0.5)
 
     def test_empty_train_scores_zero(self):
         sig, pools = self.sig()
-        nm = naive_fit([], 0, pools["h"], pools["t"])
+        nm = naive_fit(ids(), 0, pools["h"], pools["t"])
         assert nm.score_tails(pools["h"][0], 0, [pools["t"][0]])[0] == 0.0
 
     def test_column_sums_normalized(self):
@@ -388,7 +393,7 @@ class TestNaive:
         axs = [Axiom(Form.GCI2, (pools["h"][0], 0, pools["t"][0])),
                Axiom(Form.GCI2, (pools["h"][1], 0, pools["t"][0])),
                Axiom(Form.GCI2, (pools["h"][0], 0, pools["t"][1]))]
-        nm = naive_fit(axs, 0, pools["h"], pools["t"])
+        nm = naive_fit(ids(*axs), 0, pools["h"], pools["t"])
         # column sum 2 over 3 total entries
         assert nm.score_tails(pools["h"][1], 0, [pools["t"][0]])[0] == pytest.approx(2 / 3)
         total = sum(nm.score_tails(pools["h"][0], 0, [t])[0] for t in pools["t"])
@@ -397,7 +402,7 @@ class TestNaive:
     def test_head_invariance(self):
         sig, pools = self.sig()
         axs = [Axiom(Form.GCI2, (pools["h"][0], 0, pools["t"][0]))]
-        nm = naive_fit(axs, 0, pools["h"], pools["t"])
+        nm = naive_fit(ids(*axs), 0, pools["h"], pools["t"])
         for t in pools["t"]:
             assert nm.score_tails(pools["h"][0], 0, [t])[0] == \
                 nm.score_tails(pools["h"][1], 0, [t])[0]
@@ -420,14 +425,14 @@ class TestNaive:
         stray = sig.intern_class("W")
         ax = Axiom(Form.GCI2, (pools["h"][0], 0, stray))
         with pytest.raises(EvaluationError, match="outside the tail pool"):
-            naive_fit([ax], 0, pools["h"], pools["t"])
+            naive_fit(ids(ax), 0, pools["h"], pools["t"])
 
     def test_wrong_relation(self):
         sig, pools = self.sig()
         sig.intern_relation("s")
         ax = Axiom(Form.GCI2, (pools["h"][0], 1, pools["t"][0]))
         with pytest.raises(EvaluationError, match="does not match"):
-            naive_fit([ax], 0, pools["h"], pools["t"])
+            naive_fit(ids(ax), 0, pools["h"], pools["t"])
 
 
 class TestEmitRoc:

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elgeo import dataset
-from elgeo.axioms import ARITY, GCI_FORMS, Axiom, Form, ParseError, Signature, parse_normalized
+from elgeo.axioms import ARITY, GCI_FORMS, Axiom, Form, ParseError, Signature
 from elgeo.closure import compute_closure, dump_closure, load_closure_dump
 from elgeo.dataset import DatasetError, build_kb, load_dataset, save_dataset
 from elgeo.reasoner import saturate
 from elgeo.toygen import basic_kb, hierarchy_kb
-from oracles import reference_parse_normalized, reference_split_error
+from oracles import as_rows, parse_axioms, reference_parse_normalized, reference_split_error
 
 # identifiers with spaces, '#', non-ASCII characters, the reserved names, and
 # arbitrary short text (possibly ending in '\r')
@@ -77,16 +77,16 @@ def _presig(names):
 @given(documents(), st.lists(st.sampled_from(["B", "é", "r", "z"]), max_size=3))
 def test_parse_matches_the_per_line_reference(text, known):
     """Axioms in file order, both interning orders, and every ParseError."""
-    assert _outcome(parse_normalized, text, _presig(known)) == \
+    assert _outcome(parse_axioms, text, _presig(known)) == \
         _outcome(reference_parse_normalized, text, _presig(known))
 
 
 def test_bot_consequents_rewrite_like_the_reference():
     text = "GCI0\tA\tBOT\nGCI1\tA\tB\tBOT\nGCI2\tA\tr\tBOT\nGCI3\tr\tA\tBOT\nGCI2\tBOT\tr\tA\n"
-    axioms, sig = parse_normalized(text)
+    axioms, sig = parse_axioms(text, None)
     assert [ax.form for ax in axioms] == [Form.GCI0_BOT, Form.GCI1_BOT, Form.GCI0_BOT,
                                           Form.GCI3_BOT, Form.GCI2]
-    assert _outcome(parse_normalized, text, Signature()) == \
+    assert _outcome(parse_axioms, text, Signature()) == \
         _outcome(reference_parse_normalized, text, Signature())
 
 
@@ -125,11 +125,11 @@ def test_load_dataset_matches_build_kb_on_reference_lists(train, valid, test):
             assert str(err.value) == expected
             if lists is not None:
                 with pytest.raises(DatasetError) as err:
-                    build_kb(sig, lists["train"], lists["valid"], lists["test"])
+                    build_kb(sig, *(as_rows(lists[n]) for n in ("train", "valid", "test")))
                 assert str(err.value) == expected
             return
         kb = load_dataset(tmp)
-    ref = build_kb(sig, lists["train"], lists["valid"], lists["test"])
+    ref = build_kb(sig, *(as_rows(lists[n]) for n in ("train", "valid", "test")))
     assert kb.sig.class_names == sig.class_names
     assert kb.sig.relation_names == sig.relation_names
     for form in Form:
@@ -147,7 +147,7 @@ class TestRowsView:
         train = [Axiom(Form.GCI2, (a, r, b)), Axiom(Form.GCI0, (a, b)),
                  Axiom(Form.GCI2, (b, r, c)), Axiom(Form.GCI2, (a, r, b))]
         valid = [Axiom(Form.GCI2, (c, r, a))]
-        kb = build_kb(sig, train, valid)
+        kb = build_kb(sig, as_rows(train), as_rows(valid))
         for form in Form:
             given_rows = [ax for ax in train if ax.form is form]
             view = kb.axioms[form]
@@ -179,7 +179,7 @@ class TestSplitChecks:
         expected = reference_split_error(sig, train, valid, test)
         assert match in expected
         with pytest.raises(DatasetError) as err:
-            build_kb(sig, train, valid, test)
+            build_kb(sig, as_rows(train), as_rows(valid), as_rows(test))
         assert str(err.value) == expected
 
     def test_first_train_axiom_in_either_split_is_named(self):
@@ -221,7 +221,7 @@ class TestSplitChecks:
              "test axiom GCI2 (4, 1, 5) references unknown relation id 1"),
         ]:
             with pytest.raises(DatasetError) as err:
-                build_kb(sig, train, valid, test)
+                build_kb(sig, as_rows(train), as_rows(valid), as_rows(test))
             assert str(err.value) == expected
         assert (sig.n_classes, sig.n_relations) == (8, 1)
 
@@ -271,7 +271,8 @@ def test_saving_over_a_dataset_removes_the_files_the_new_kb_lacks(tmp_path):
     a, b = sig.intern_class("A"), sig.intern_class("B")
     out = tmp_path / "over"
     # valid and test; then test and a named pool, no valid; then train alone
-    for i, kb in enumerate([basic_kb(), hierarchy_kb(), build_kb(sig, [Axiom(Form.GCI0, (a, b))])]):
+    only_train = build_kb(sig, as_rows([Axiom(Form.GCI0, (a, b))]))
+    for i, kb in enumerate([basic_kb(), hierarchy_kb(), only_train]):
         fresh = tmp_path / f"fresh{i}"
         save_dataset(str(out), kb)
         save_dataset(str(fresh), kb)
@@ -294,9 +295,10 @@ def test_names_holding_a_line_break_character_survive_save_load_and_dump_load(ch
     a, b, c, d = (sig.intern_class(f"{x}{ch}{x}") for x in "abcd")
     r = sig.intern_relation(f"r{ch}s")
     only_pooled = sig.intern_class(f"p{ch}q")
-    kb = build_kb(sig, [Axiom(Form.GCI0, (a, b)), Axiom(Form.GCI1, (a, b, c)),
-                        Axiom(Form.GCI2, (a, r, c)), Axiom(Form.GCI3, (r, b, d))],
-                  valid=[Axiom(Form.GCI2, (b, r, d))], test=[Axiom(Form.GCI2, (c, r, a))],
+    kb = build_kb(sig, as_rows([Axiom(Form.GCI0, (a, b)), Axiom(Form.GCI1, (a, b, c)),
+                                Axiom(Form.GCI2, (a, r, c)), Axiom(Form.GCI3, (r, b, d))]),
+                  valid=as_rows([Axiom(Form.GCI2, (b, r, d))]),
+                  test=as_rows([Axiom(Form.GCI2, (c, r, a))]),
                   pools={f"pool{ch}1": [only_pooled, a]})
     save_dataset(str(tmp_path / "ds"), kb)
     loaded = load_dataset(str(tmp_path / "ds"))

@@ -12,14 +12,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from elgeo.axioms import (
-    GCI_FORMS, Axiom, Form, Signature, format_axiom, parse_normalized, serialize_normalized,
+    GCI_FORMS, Axiom, Form, Signature, format_row, parse_normalized, serialize_normalized,
 )
 from elgeo.closure import compute_closure, dump_closure, load_closure_dump
 from elgeo.dataset import build_kb, load_dataset, save_dataset
 from elgeo.evaluation import TIE_WEIGHT, aggregate, rank_axiom
 from elgeo.reasoner import saturate
 
-from oracles import random_kb
+from oracles import as_rows, random_kb
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -48,7 +48,7 @@ def read_files(path, suffix=""):
 @settings(max_examples=40, deadline=None)
 def test_closure_ignores_line_order_and_name_ids(seed):
     kb, rng = small_kb(seed)
-    lines = serialize_normalized([ax for rows in kb.axioms.values() for ax in rows],
+    lines = serialize_normalized(as_rows([ax for rows in kb.axioms.values() for ax in rows]),
                                  kb.sig).splitlines()
     shuffled = [lines[i] for i in rng.permutation(len(lines))]
     sig = Signature()   # every name gets a fresh id, in a random order; TOP and BOT keep 0 and 1
@@ -56,13 +56,13 @@ def test_closure_ignores_line_order_and_name_ids(seed):
         sig.intern_class(kb.sig.class_name(int(i)))
     for i in rng.permutation(kb.sig.n_relations):
         sig.intern_relation(kb.sig.relation_name(int(i)))
-    axioms, _ = parse_normalized("\n".join(shuffled), sig)
-    other = build_kb(sig, axioms)
+    rows, _ = parse_normalized("\n".join(shuffled), sig)
+    other = build_kb(sig, rows)
     dc, dc2 = closure_of(kb), closure_of(other)
 
     for form in GCI_FORMS:
-        assert {format_axiom(Axiom(form, args), kb.sig) for args in dc.sets[form]} == \
-            {format_axiom(Axiom(form, args), sig) for args in dc2.sets[form]}, form
+        assert {format_row(form, args, kb.sig) for args in dc.sets[form]} == \
+            {format_row(form, args, sig) for args in dc2.sets[form]}, form
     to_other = [sig.class_id(kb.sig.class_name(c)) for c in range(kb.sig.n_classes)]
     for c in range(kb.sig.n_classes):
         for d in range(kb.sig.n_classes):
@@ -90,9 +90,9 @@ def test_saved_dataset_is_a_fixpoint_of_load_and_save(seed):
     held = {i: ("valid", "test")[int(rng.integers(2))]
             for i in gci2[:int(rng.integers(len(gci2) + 1))]}
     pool = [int(c) for c in rng.permutation(np.arange(2, kb.sig.n_classes))[:3]]
-    kb = build_kb(kb.sig, [ax for i, ax in enumerate(train) if i not in held],
-                  [train[i] for i, s in held.items() if s == "valid"],
-                  [train[i] for i, s in held.items() if s == "test"], {"probe": pool})
+    kb = build_kb(kb.sig, as_rows([ax for i, ax in enumerate(train) if i not in held]),
+                  as_rows([train[i] for i, s in held.items() if s == "valid"]),
+                  as_rows([train[i] for i, s in held.items() if s == "test"]), {"probe": pool})
     with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
         save_dataset(first, kb)
         save_dataset(second, load_dataset(first))

@@ -7,10 +7,12 @@ from elgeo.dataset import build_kb
 from elgeo.reasoner import saturate
 from elgeo.sampling import NegativeSampler, SamplerConfig, SamplingError
 
+from oracles import as_axioms
+
 
 def kb_with_closure(text):
-    axioms, sig = parse_normalized(text)
-    kb = build_kb(sig, axioms)
+    rows, sig = parse_normalized(text)
+    kb = build_kb(sig, rows)
     dc = compute_closure(kb, saturate(kb))
     return kb, dc
 
@@ -24,9 +26,10 @@ def corrupt_rows(kb, form, rows, cfg, dc=None):
 
 class TestCorrupt:
     def test_forced_draw(self):
-        axioms, sig = parse_normalized("GCI2\tA\tr\tB\n")
+        rows, sig = parse_normalized("GCI2\tA\tr\tB\n")
+        axioms = as_axioms(rows)
         sig.intern_class("C")
-        kb = build_kb(sig, axioms, pools={"all": [sig.class_id("B"), sig.class_id("C")]})
+        kb = build_kb(sig, rows, pools={"all": [sig.class_id("B"), sig.class_id("C")]})
         out, keep, _ = corrupt_rows(kb, Form.GCI2, [axioms[0].args] * 20,
                                     SamplerConfig(seed=0))
         assert keep.all()
@@ -34,15 +37,17 @@ class TestCorrupt:
         assert (out[:, :2] == axioms[0].args[:2]).all()
 
     def test_pool_exhausted(self):
-        axioms, sig = parse_normalized("GCI0\tA\tB\n")
-        kb = build_kb(sig, axioms, pools={"all": [sig.class_id("B")]})
+        rows, sig = parse_normalized("GCI0\tA\tB\n")
+        axioms = as_axioms(rows)
+        kb = build_kb(sig, rows, pools={"all": [sig.class_id("B")]})
         with pytest.raises(SamplingError, match="pool exhausted"):
             corrupt_rows(kb, Form.GCI0, [axioms[0].args], SamplerConfig(seed=0))
 
     def test_corrupts_designated_slot_only(self):
         text = "GCI0\tA\tB\nGCI1\tA\tB\tC\nGCI2\tA\tr\tB\nGCI3\tr\tA\tB\n"
-        axioms, sig = parse_normalized(text)
-        kb = build_kb(sig, axioms)
+        rows, sig = parse_normalized(text)
+        axioms = as_axioms(rows)
+        kb = build_kb(sig, rows)
         slots = {Form.GCI0: 1, Form.GCI1: 2, Form.GCI2: 2, Form.GCI3: 2}
         for ax in axioms:
             out, keep, _ = corrupt_rows(kb, ax.form, [ax.args] * 50, SamplerConfig(seed=1))
@@ -57,9 +62,10 @@ class TestCorrupt:
     def test_uniform_distribution(self):
         # replacement frequencies over a 10-element pool: each of the 9
         # candidates within 0.01 of 1/9
-        axioms, sig = parse_normalized("GCI0\tA\tB\n")
+        rows, sig = parse_normalized("GCI0\tA\tB\n")
+        axioms = as_axioms(rows)
         pool = [sig.class_id("B")] + [sig.intern_class(f"X{i}") for i in range(9)]
-        kb = build_kb(sig, axioms, pools={"all": pool})
+        kb = build_kb(sig, rows, pools={"all": pool})
         sampler = NegativeSampler(kb, SamplerConfig(seed=7))
         rows = np.array([axioms[0].args] * 100_000, dtype=np.int64)
         out, keep = sampler.corrupt_ids(Form.GCI0, rows)
@@ -93,8 +99,8 @@ class TestFiltering:
 
     def test_drop_on_exhaustion(self):
         # every pool candidate is an entailed tail: all corruptions must drop
-        axioms, sig = parse_normalized("GCI2\tA\tr\tB\nGCI0\tB\tC\nGCI0\tC\tD\n")
-        kb = build_kb(sig, axioms, pools={"all": [sig.class_id(n) for n in ("B", "C", "D")]})
+        rows, sig = parse_normalized("GCI2\tA\tr\tB\nGCI0\tB\tC\nGCI0\tC\tD\n")
+        kb = build_kb(sig, rows, pools={"all": [sig.class_id(n) for n in ("B", "C", "D")]})
         dc = compute_closure(kb, saturate(kb))
         cfg = SamplerConfig(filter_with_closure=True, max_resample_attempts=3, seed=1)
         sampler = NegativeSampler(kb, cfg, dc)

@@ -128,8 +128,8 @@ class TestTrain:
 
     def test_negatives_all_dropped(self):
         # with a pool of two classes, both corruptions are asserted axioms
-        axioms, sig = parse_normalized("GCI2\tA\tr\tB\nGCI2\tA\tr\tA\n")
-        kb = build_kb(sig, axioms, pools={"all": [sig.class_id("A"), sig.class_id("B")]})
+        rows, sig = parse_normalized("GCI2\tA\tr\tB\nGCI2\tA\tr\tA\n")
+        kb = build_kb(sig, rows, pools={"all": [sig.class_id("A"), sig.class_id("B")]})
         dc = compute_closure(kb, saturate(kb))
         _, report = train(kb, small_cfg(epochs=3, filter_negatives=True), dc)
         assert report.stop_epoch == 3
