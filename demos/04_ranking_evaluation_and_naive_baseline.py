@@ -20,7 +20,7 @@ print("train size:", len(kb.train_gci2), "test size:", len(kb.test),
 
 rel = kb.test[0].args[1]
 edges = kb.train_gci2.ids   # (k, 3) id rows: head, relation, tail
-naive = naive_fit(edges[edges[:, 1] == rel], rel, kb.pool("all"), kb.pool("tails"))
+naive = naive_fit(edges[edges[:, 1] == rel], rel, kb.pool("tails"))
 naive_report = evaluate(naive, kb, pool="tails")
 print("\nnaive baseline:")
 for key, val in sorted(naive_report.metrics().items()):

@@ -86,7 +86,7 @@ def _start_training_run(args):
     values = _gather_config(args)
     cfg = to_train_config(values)
     kb = load_dataset(args.dataset)
-    dc = (compute_closure(kb, saturate(kb))
+    dc = (compute_closure(kb, saturate(kb), max_derived=int(extras(values)["closure.max_derived"]))
           if cfg.filter_negatives or cfg.entailed_ratio > 0.0 else None)
     os.makedirs(args.out, exist_ok=True)
     manifest = RunManifest(command=args.command, config=resolved(values),
@@ -184,10 +184,8 @@ def cmd_naive(args) -> int:
         rel = next(iter(rels))
     else:
         raise EvaluationError("test split uses several relations; pass --relation")
-    tail_pool = kb.pool(args.pool)
-    head_pool = kb.pool(args.head_pool) if args.head_pool else tail_pool
     rows = kb.train_gci2.ids
-    nm = naive_fit(rows[rows[:, 1] == rel], rel, head_pool, tail_pool, symmetric=args.symmetric)
+    nm = naive_fit(rows[rows[:, 1] == rel], rel, kb.pool(args.pool), symmetric=args.symmetric)
     report = evaluate(nm, kb, pool=args.pool, tie_mode=args.tie_mode)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -281,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("--relation")
     p.add_argument("--pool")
-    p.add_argument("--head-pool")
     p.add_argument("--tie-mode", choices=["optimistic", "average"], default="optimistic")
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--out")

@@ -107,17 +107,20 @@ def build_kb(sig: Signature, train: Rows, valid: Rows | None = None, test: Rows 
                            f"{format_row(Form.GCI2, rows[first], sig)}")
     # each pool's members in first-appearance order, repeats dropped
     pools = {name: list(dict.fromkeys(members)) for name, members in (pools or {}).items()}
-    if "all" not in pools:
-        pools["all"] = _all_classes(sig)
     for name, members in pools.items():
-        # a pools.tsv line starting with '#', or blank, would be skipped
+        # a pools.tsv line starting with '#', or blank, would be skipped, and a pool
+        # with no member has no line at all
         reason = identifier_error(name) or (
             (not name.strip() or name.startswith("#")) and "it is blank or starts with '#'")
         if reason:
             raise DatasetError(f"pool name {name!r} is not an identifier: {reason}")
+        if not members:
+            raise DatasetError(f"pool {name!r} has no members")
         for cid in members:
             if not 0 <= cid < sig.n_classes:
                 raise DatasetError(f"pool {name!r} references unknown class id {cid}")
+    if "all" not in pools:
+        pools["all"] = _all_classes(sig)
     return KnowledgeBase(sig=sig, axioms={form: AxiomRows(form, ids)
                                           for form, ids in train.ids.items()},
                          valid=AxiomRows(Form.GCI2, valid.ids[Form.GCI2]),

@@ -18,7 +18,6 @@ optionally symmetrized, and plugs into the same ranking pipeline.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -103,16 +102,6 @@ def rank_axiom(scorer, ax: Axiom, candidates, filter_set=None,
     return _rank_rows(scorer, rows[:1], candidates, keys, dims, tie_mode)[0]
 
 
-def trapezoid_auc(ranks, n: int) -> tuple[float, list[tuple[float, float]]]:
-    """AUC over the distinct-rank curve; returns (area, curve points)."""
-    if not len(ranks):
-        return float("nan"), []
-    xs, counts = np.unique(ranks, return_counts=True)
-    px = np.append(xs / n, 1.0)
-    py = np.append(np.cumsum(counts) / len(ranks), 1.0)
-    return float(np.trapezoid(py, px)), list(zip(px.tolist(), py.tolist()))
-
-
 @dataclass
 class RankingReport:
     records: list[RankRecord] = field(default_factory=list)
@@ -160,50 +149,65 @@ class RankingReport:
         }
 
 
-def _summarize(ranks: np.ndarray, heads: np.ndarray, n: int) -> tuple:
-    """hits@10, hits@100, macro MR, micro MR, macro AUC, micro AUC and the curve
-    of one rank column; micro values average over the head classes in id order.
-    Each head's AUC sums ``trapezoid_auc``'s terms for its ranks, bit for bit."""
-    auc, curve = trapezoid_auc(ranks, n)
-    o = np.lexsort((ranks, heads))
-    h, x = heads[o], ranks[o]
-    starts = np.flatnonzero(np.append(True, h[1:] != h[:-1]))
+def trapezoid(ranks: np.ndarray, groups: np.ndarray, n: int) -> tuple:
+    """The trapezoid rule over every group's curve in one pass.  A group's curve
+    has one point per distinct rank, x = rank/n and y = the share of the group's
+    ranks at or below it, then ends at (1, 1).  Groups are the ids 0, 1, ...,
+    each with at least one rank.  Returns each group's area, every curve's points
+    but the last as arrays ``px`` and ``py``, and the bounds of group i's points,
+    ``bounds[i]:bounds[i + 1]``."""
+    o = np.lexsort((ranks, groups))
+    g, x = groups[o], ranks[o]
+    starts = np.flatnonzero(np.append(True, g[1:] != g[:-1]))
     size = np.diff(np.append(starts, len(x)))
-    # curve points: each head's distinct ranks, with the share ranked at or below, then (1, 1)
-    last = np.flatnonzero(np.append((x[1:] != x[:-1]) | (h[1:] != h[:-1]), True))
-    head = np.searchsorted(starts, last, side="right") - 1
-    px, py = x[last] / n, (last + 1 - starts[head]) / size[head]
-    end = np.append(head[1:] != head[:-1], True)
+    last = np.flatnonzero(np.append((x[1:] != x[:-1]) | (g[1:] != g[:-1]), True))
+    group = np.searchsorted(starts, last, side="right") - 1
+    px, py = x[last] / n, (last + 1 - starts[group]) / size[group]
+    end = np.append(group[1:] != group[:-1], True)
     nx, ny = (np.where(end, 1.0, np.roll(v, -1)) for v in (px, py))
     terms = (nx - px) * (ny + py) / 2.0
     bounds = np.append(np.searchsorted(last, starts), len(last))
-    head_auc = terms[bounds[:-1]]
-    for i in np.flatnonzero(np.diff(bounds) > 1):   # np.add.reduce, as np.trapezoid sums
-        head_auc[i] = np.add.reduce(terms[bounds[i]:bounds[i + 1]])
-    # ranks are multiples of 1/2, so every summation order gives the same sums
-    return (float((ranks <= 10).mean()), float((ranks <= 100).mean()), float(ranks.mean()),
-            float(np.mean(np.add.reduceat(x, starts) / size)), auc, float(np.mean(head_auc)),
-            curve)
+    area = terms[bounds[:-1]]
+    for i in np.flatnonzero(np.diff(bounds) > 1):   # the pairwise sum of a lone curve
+        area[i] = np.add.reduce(terms[bounds[i]:bounds[i + 1]])
+    return area, px, py, bounds
 
 
 def aggregate(records: list[RankRecord], tie_mode: str = "optimistic",
               closure_records: list[RankRecord] | None = None) -> RankingReport:
-    """Fold rank records into the aggregate report (test records only)."""
+    """Fold rank records into the aggregate report (test records only).  Micro
+    values average over the head classes in id order."""
     if not records:
         raise EvaluationError("no rank records to aggregate")
     rep = RankingReport(list(records), list(closure_records or []), tie_mode)
     n = max(r.n_cand for r in records)
-    heads = np.array([r.head for r in records])
-    (rep.hits10, rep.hits100, rep.macro_mr, rep.micro_mr, rep.macro_auc, rep.micro_auc,
-     rep.roc["raw"]) = _summarize(np.array([r.rank for r in records]), heads, n)
-    (rep.fhits10, rep.fhits100, rep.macro_fmr, rep.micro_fmr, rep.macro_fauc, rep.micro_fauc,
-     rep.roc["filtered"]) = _summarize(np.array([r.frank for r in records]), heads, n)
+    head = np.unique([r.head for r in records], return_inverse=True)[1]
+    size = np.bincount(head)
+    rank, frank = np.array([r.rank for r in records]), np.array([r.frank for r in records])
+    rep.hits10, rep.hits100, rep.fhits10, rep.fhits100 = (
+        float((x <= k).mean()) for x in (rank, frank) for k in (10, 100))
+    rep.macro_mr, rep.macro_fmr = float(rank.mean()), float(frank.mean())
+    # ranks are multiples of 1/2, so every summation order gives the same sums
+    rep.micro_mr, rep.micro_fmr = (
+        float(np.mean(np.bincount(head, x) / size)) for x in (rank, frank))
 
-    novel = [r for r in records if r.entailed is not None and not r.entailed]
-    for name, recs in (("entailed", [r for r in records if r.entailed] + rep.closure_records),
-                       ("novel", novel)):
-        if recs:
-            rep.roc[name] = trapezoid_auc(np.array([r.frank for r in recs]), n)[1]
+    # one trapezoid pass: each head class's raw then filtered curve, then the named curves
+    curves = {"raw": rank, "filtered": frank,
+              "entailed": np.array([r.frank for r in records if r.entailed]
+                                   + [r.frank for r in rep.closure_records]),
+              "novel": np.array([r.frank for r in records
+                                 if r.entailed is not None and not r.entailed])}
+    curves = {name: x for name, x in curves.items() if len(x)}
+    h = len(size)
+    area, px, py, bounds = trapezoid(
+        np.concatenate([rank, frank, *curves.values()]),
+        np.concatenate([head, h + head] + [np.full(len(x), 2 * h + i)
+                                           for i, x in enumerate(curves.values())]), n)
+    rep.micro_auc, rep.micro_fauc = float(np.mean(area[:h])), float(np.mean(area[h:2 * h]))
+    rep.macro_auc, rep.macro_fauc = float(area[2 * h]), float(area[2 * h + 1])
+    for i, name in enumerate(curves, start=2 * h):
+        lo, hi = bounds[i], bounds[i + 1]
+        rep.roc[name] = [*zip(px[lo:hi].tolist(), py[lo:hi].tolist()), (1.0, 1.0)]
     return rep
 
 
@@ -257,15 +261,8 @@ def evaluate(scorer, kb: KnowledgeBase, dc: DeductiveClosure | None = None,
 class NaiveModel:
     """Head-independent scorer: tail frequency among the train pairs."""
 
-    relation: int
-    tail_pool: tuple[int, ...]
+    counts: np.ndarray   # distinct train pairs ending in each class id
     pair_count: int
-    col_sums: dict[int, int]
-    symmetric: bool = False
-
-    def __post_init__(self):   # col_sums as a dense array over class ids
-        self.counts = np.zeros(max(self.col_sums, default=-1) + 1)
-        self.counts[list(self.col_sums)] = list(self.col_sums.values())
 
     def score_tails(self, c, r, tails) -> np.ndarray:
         tails = np.asarray(tails, dtype=np.int64)
@@ -275,27 +272,27 @@ class NaiveModel:
         return np.where(known, self.counts.take(tails, mode="clip"), 0.0) / self.pair_count
 
 
-def naive_fit(rows: np.ndarray, relation: int, head_pool, tail_pool,
+def naive_fit(rows: np.ndarray, relation: int, tail_pool,
               symmetric: bool = False) -> NaiveModel:
-    """Build the 0/1 pair matrix of one relation's train axioms, given as one (k, 3)
-    array of GCI2 id rows."""
-    heads = set(int(h) for h in head_pool)
-    tails = set(int(t) for t in tail_pool)
-    pairs: set[tuple[int, int]] = set()
-    for c, r, d in rows.tolist():
-        if r != relation:
-            raise EvaluationError(f"axiom relation {r} does not match {relation}")
-        if d not in tails:
-            raise EvaluationError(f"axiom tail id {d} outside the tail pool")
-        pairs.add((c, d))
-        if symmetric:
-            if c not in tails:
-                raise EvaluationError(
-                    f"symmetric mirroring needs head id {c} inside the tail pool")
-            pairs.add((d, c))
-    return NaiveModel(relation=relation, tail_pool=tuple(int(t) for t in tail_pool),
-                      pair_count=len(pairs), col_sums=dict(Counter(t for _, t in pairs)),
-                      symmetric=symmetric)
+    """Count the distinct (head, tail) pairs of one relation's train axioms, given
+    as one (k, 3) array of GCI2 id rows, with their mirror images when
+    ``symmetric``, and how many end in each tail.  The first bad row is reported
+    by its first failed check."""
+    c, r, d = rows.T
+    tails = np.asarray(tail_pool, dtype=np.int64)
+    bad = np.stack([r != relation, ~np.isin(d, tails), symmetric & ~np.isin(c, tails)])
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())
+        raise EvaluationError((
+            f"axiom relation {r[i]} does not match {relation}",
+            f"axiom tail id {d[i]} outside the tail pool",
+            f"symmetric mirroring needs head id {c[i]} inside the tail pool",
+        )[int(bad[:, i].argmax())])
+    pairs = np.stack([c, d], axis=1)
+    if symmetric:
+        pairs = np.concatenate([pairs, pairs[:, ::-1]])
+    pairs = np.unique(pairs, axis=0)
+    return NaiveModel(np.bincount(pairs[:, 1]), len(pairs))
 
 
 def emit_roc(report: RankingReport, path: str):

@@ -297,11 +297,13 @@ def grid_search(kb: KnowledgeBase, base_cfg: TrainConfig,
                 grids: dict[str, tuple] | None = None,
                 dc: DeductiveClosure | None = None) -> GridResult:
     """Train every grid combination and rank by validation macro mean rank."""
-    from .evaluation import evaluate
+    from .evaluation import EvaluationError, evaluate
 
     grids = dict(DEFAULT_GRIDS) if grids is None else grids
     if not grids or any(len(v) == 0 for v in grids.values()):
         raise ValueError("grids must be non-empty")
+    if not kb.valid:
+        raise EvaluationError("valid split is empty")
     keys = sorted(grids)
     combos = [dict(zip(keys, values)) for values in itertools.product(*(grids[k] for k in keys))]
 

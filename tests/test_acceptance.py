@@ -241,7 +241,7 @@ def test_08_naive_frequency_shortcut():
         kb = skew_kb(seed=3)
         rel = kb.test[0].args[1]
         train = kb.train_gci2.ids
-        nm = naive_fit(train[train[:, 1] == rel], rel, kb.pool("all"), kb.pool("tails"))
+        nm = naive_fit(train[train[:, 1] == rel], rel, kb.pool("tails"))
         rep = evaluate(nm, kb, pool="tails")
         assert rep.macro_fauc - 0.5 >= 0.2, f"macro FAUC {rep.macro_fauc:.3f}"
 

@@ -132,6 +132,16 @@ class TestTrainCmd:
     def test_missing_dataset_exit_2(self, tmp_path):
         assert main(["train", str(tmp_path / "nope"), str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_closure_budget_exceeded_exit_1(self, command, toy, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main([command, toy, str(out), "--preset", "neg-filter",
+                     "--set", "closure.max_derived=5", "--set", "train.epochs=1",
+                     *(["--grid", "dim=4", "--grid", "lr=0.01"] if command == "grid" else [])])
+        assert code == 1
+        assert "derived-axiom budget exceeded (5)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluateCmd:
     def test_closure_positives_without_dump_exit_2(self, toy, tmp_path, capsys):
@@ -263,6 +273,11 @@ class TestNaiveCmd:
         # true tail ties at the top -> optimistic rank 1 over 2 candidates
         assert "macro_mr\t1.0000" in out
 
+    def test_head_pool_flag_is_gone(self, toy):
+        with pytest.raises(SystemExit) as exc:
+            main(["naive", toy, "--head-pool", "all"])
+        assert exc.value.code == 2
+
     def test_multi_relation_needs_flag(self, tmp_path, capsys):
         data = tmp_path / "multi"
         data.mkdir()
@@ -300,6 +315,15 @@ class TestGridCmd:
         assert code == 0
         table = Path(out, "grid_results.tsv").read_text()
         assert table.count("\n") == 3   # header + 2 entries
+
+    def test_no_valid_split_exit_2_before_training(self, tmp_path, capsys):
+        toy, out = str(tmp_path / "toy"), tmp_path / "grid"
+        assert main(["gen-toy", toy, "--preset", "hierarchy"]) == 0   # it has no valid split
+        code = main(["grid", toy, str(out), "--preset", "relu-original",
+                     "--set", "train.epochs=1", "--grid", "dim=4", "--grid", "lr=0.01"])
+        assert code == 2
+        assert "valid split is empty" in capsys.readouterr().err
+        assert not (out / "grid_results.tsv").exists()
 
 
 class TestManifest:

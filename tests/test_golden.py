@@ -1,6 +1,7 @@
 """Outputs pinned byte for byte: the toy datasets ``elgeo gen-toy`` writes at seed 0,
-and ``elgeo normalize`` on a fixture whose nested existentials fix the order in
-which relations, and so their ids, are interned."""
+``elgeo normalize`` on a fixture whose nested existentials fix the order in
+which relations, and so their ids, are interned, and the report and curves of
+``elgeo naive --out`` on those toys."""
 
 import hashlib
 
@@ -51,6 +52,44 @@ CLASSES = ("TOP", "BOT", "_N2", "B", "C", "_N1", "A", "E", "_N4", "D", "_N3", "F
            "G", "_N6", "I", "_N9", "_N8", "_N5", "J", "K", "L", "M", "_N10", "N", "_N12",
            "_N11", "O", "P", "Q", "R", "S", "_N14", "_N13", "_N15", "V", "W", "X", "Y", "{y}")
 
+# (toy, tie mode, --symmetric) -> sha256 of naive_report.json and naive_roc.csv; None where
+# the run must exit 2 (a hierarchy train head lies outside the tails pool, so it has no mirror)
+NAIVE_SHA256 = {
+    ("basic", "optimistic", False): (
+        "0dcfe004f1012abf0e3733f5fe46b991cc1023440647cb86b6562c3edd11f82a",
+        "667b57d074574657b31d0215d2dedc6d053dfe6a672d13b0ad855a3b4a7b2688"),
+    ("basic", "optimistic", True): (
+        "9b5df120ab36f8ad8c9f28ff9240ce7473e9a70456f230849067a8a83d91bf6e",
+        "7f534b53fa2af5279376f0506e8aff402eb5e148cc38603d1ab33ee7793a3ccd"),
+    ("basic", "average", False): (
+        "3dd467d584c6565e44c86e966a6e613631f810fb040e3a5250633d2679b9c820",
+        "aa7cfec5d9d2a0b3193c485748b603c62ee95fb9db054a658e36bfd3250319e9"),
+    ("basic", "average", True): (
+        "15e8a373da66565f82e61519ad6e17d633dc213baf2186a0ed32f101206923c0",
+        "7f534b53fa2af5279376f0506e8aff402eb5e148cc38603d1ab33ee7793a3ccd"),
+    ("hierarchy", "optimistic", False): (
+        "d8ee500ee266d486ce646b0442dc9128a63aa84458151bd9535bc0c96dc9fc24",
+        "074265ec1f4b097ce97597344f7100d4ca0280d2685ab8ede5c0024b3155c2fc"),
+    ("hierarchy", "optimistic", True): None,
+    ("hierarchy", "average", False): (
+        "e2dddbeddf463294cb9a62dbef28baeb95380601a7d8ad6d8063a00efe7841fc",
+        "b53064712b6e9bfebf3203f538b4e08d6cdc46d76fc0ccb8007ea45c2f2104c2"),
+    ("hierarchy", "average", True): None,
+    ("skew", "optimistic", False): (
+        "7eb7b16eda7169ca3eb271ce98992a7b21ab2135dfc7244f25caf51bd7e6be90",
+        "b002a85ae7f5d99a1a5bc615b915ad578b259990b7e59d860bf4e25cee27f2e3"),
+    ("skew", "optimistic", True): (
+        "dd45156fb0d3a5070a9880c9b0f3afbeda146dd2aa6a49a1548a75dc0dc44eba",
+        "ae620353a3d1775839bef3fb5301c69b45e58efe8ab026bd2f43e73c04843bc9"),
+    ("skew", "average", False): (
+        "a6abae8794da5bf6e20b9dd063835b3e010b221a8ed7390cc7adc55a3db14ede",
+        "cb074a53620df963cc087976ce31e1fb3463dce7ffeff81d6d2b8be7dc839643"),
+    ("skew", "average", True): (
+        "5f548caa4c5b36f492f7ab0702c71460478128a73a5e9f36b7cc8391b57d32c8",
+        "ad5234da4e45f79f98795a0b8c37a636441d686357a3b07bb748dd4c9b2dcddf"),
+}
+NAIVE_POOL = {"basic": [], "hierarchy": ["--pool", "tails"], "skew": []}
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -73,3 +112,17 @@ def test_normalize_interns_in_the_pinned_order():
     _, sig = normalize(parse_general(FIXTURE))
     assert sig.relation_names == RELATIONS
     assert sig.class_names == CLASSES
+
+
+@pytest.mark.parametrize("preset,tie_mode,symmetric", sorted(NAIVE_SHA256))
+def test_naive_writes_the_pinned_bytes(preset, tie_mode, symmetric, tmp_path):
+    toy, out = tmp_path / preset, tmp_path / "naive"
+    assert main(["gen-toy", str(toy), "--preset", preset, "--seed", "0"]) == 0
+    argv = ["naive", str(toy), "--tie-mode", tie_mode, "--out", str(out), *NAIVE_POOL[preset]]
+    pinned = NAIVE_SHA256[preset, tie_mode, symmetric]
+    if pinned is None:
+        assert main(argv + ["--symmetric"]) == 2
+        assert not out.exists()
+        return
+    assert main(argv + ["--symmetric"] * symmetric) == 0
+    assert (sha256(out / "naive_report.json"), sha256(out / "naive_roc.csv")) == pinned

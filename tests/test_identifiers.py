@@ -100,6 +100,14 @@ def test_a_pool_named_all_of_its_own_survives_save_and_load(tmp_path):
     assert load_dataset(str(tmp_path)).pools == {"all": [b]}
 
 
+def test_build_kb_rejects_a_named_pool_with_no_members():
+    # pools.tsv holds one line per member, so such a pool would vanish on save and load
+    sig = Signature()
+    a, b = sig.intern_class("A"), sig.intern_class("B")
+    with pytest.raises(DatasetError, match="pool 'p' has no members"):
+        build_kb(sig, rows_of([(Form.GCI0, (a, b))]), pools={"p": [], "q": [a]})
+
+
 def test_load_model_rejects_a_name_in_its_tables(tmp_path):
     sig = Signature()
     sig.intern_class("a__b")
