@@ -15,7 +15,7 @@ from .closure import (
     ClosureBudgetError, compute_closure, dump_closure, load_closure_dump,
 )
 from .config import (
-    ConfigError, apply_overrides, extras, load_config_file, load_preset,
+    SCHEMA, ConfigError, apply_overrides, extras, load_config_file, load_preset,
     resolved, to_train_config,
 )
 from .dataset import DatasetError, load_dataset, save_dataset
@@ -26,7 +26,7 @@ from .normalize import normalize
 from .reasoner import dump_subsumptions, saturate
 from .sampling import SamplingError
 from .sexpr import SexprError, parse_general
-from .toygen import PRESETS as TOY_PRESETS
+from .toygen import basic_kb, hierarchy_kb, scale_kb, skew_kb
 from .training import TrainingError, grid_search, train
 
 INPUT_ERRORS = (ParseError, SexprError, DatasetError, ConfigError,
@@ -87,7 +87,7 @@ def _start_training_run(args):
     cfg = to_train_config(values)
     kb = load_dataset(args.dataset)
     dc = (compute_closure(kb, saturate(kb), max_derived=int(extras(values)["closure.max_derived"]))
-          if cfg.filter_negatives or cfg.entailed_ratio > 0.0 else None)
+          if cfg.needs_closure else None)
     os.makedirs(args.out, exist_ok=True)
     manifest = RunManifest(command=args.command, config=resolved(values),
                            seed=cfg.seed).start()
@@ -112,16 +112,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    grids = None
-    if args.grid:
-        grids = {}
-        for item in args.grid:
-            if "=" not in item:
-                raise ConfigError(f"--grid entries look like name=v1,v2: {item!r}")
-            key, _, rhs = item.partition("=")
-            grids[key.strip()] = tuple(json.loads(f"[{rhs}]"))
+    values, grids = _gather_config(args), {}
+    for item in args.grid:
+        key, eq, rhs = item.partition("=")
+        key = key.strip()
+        if not eq or SCHEMA.get(f"train.{key}") is None:
+            raise ConfigError(f"--grid entries look like name=v1,v2, name a train.* key: {item!r}")
+        # each value is typed and checked as its train.* config key would be
+        grids[key] = tuple(getattr(to_train_config({**values, f"train.{key}": val}), key)
+                           for val in json.loads(f"[{rhs}]"))
     cfg, kb, dc, manifest = _start_training_run(args)
-    result = grid_search(kb, cfg, grids, dc)
+    result = grid_search(kb, cfg, grids or None, dc)
     table_path = os.path.join(args.out, "grid_results.tsv")
     write_atomic(table_path, [result.to_table()])
     manifest.outputs = [table_path]
@@ -196,20 +197,21 @@ def cmd_naive(args) -> int:
     return 0
 
 
+# gen-toy preset -> the toy dataset it writes, built from the parsed arguments
+TOY_PRESETS = {
+    "basic": lambda a: basic_kb(),
+    "hierarchy": lambda a: hierarchy_kb(n_chains=a.chains, depth=a.depth, n_heads=a.heads,
+                                        density=a.density, seed=a.seed),
+    "skew": lambda a: skew_kb(seed=a.seed),
+    "scale": lambda a: scale_kb(n_classes=a.classes, seed=a.seed),
+}
+
+
 def cmd_gen_toy(args) -> int:
     if args.preset not in TOY_PRESETS:
         raise ConfigError(
             f"unknown toy preset: {args.preset!r} (choose from {', '.join(sorted(TOY_PRESETS))})")
-    if args.preset == "hierarchy":
-        from .toygen import hierarchy_kb
-        kb = hierarchy_kb(n_chains=args.chains, depth=args.depth,
-                          n_heads=args.heads, density=args.density,
-                          seed=args.seed)
-    elif args.preset == "scale":
-        from .toygen import scale_kb
-        kb = scale_kb(n_classes=args.classes, seed=args.seed)
-    else:
-        kb = TOY_PRESETS[args.preset](args.seed)
+    kb = TOY_PRESETS[args.preset](args)
     save_dataset(args.out, kb)
     print(f"wrote {args.preset} dataset to {args.out}")
     for form, count in sorted(kb.form_counts().items()):

@@ -135,10 +135,3 @@ def scale_kb(n_classes: int = 3000, n_edges: int = 300_000, seed: int = 0) -> Kn
         pairs.update(dict.fromkeys(map(tuple, chunk.tolist())))
     return build_kb(sig, rows_of((Form.GCI2, (h, rel, t)) for h, t in list(pairs)[:n_edges]))
 
-
-PRESETS = {
-    "basic": lambda seed: basic_kb(),
-    "hierarchy": lambda seed: hierarchy_kb(seed=seed),
-    "skew": lambda seed: skew_kb(seed=seed),
-    "scale": lambda seed: scale_kb(seed=seed),
-}

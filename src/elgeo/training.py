@@ -23,7 +23,7 @@ import numpy as np
 from .axioms import GCI_FORMS, Form
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
-from .geometry import EmbeddingModel, GradientBuffer, loss_term
+from .geometry import EmbeddingModel, GradientBuffer, loss_term, save_model
 from .manifest import write_atomic
 from .sampling import NegativeSampler, SamplerConfig
 
@@ -75,9 +75,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.plateau_patience <= 0 or self.early_stop_patience <= 0:
             raise ValueError("patience values must be positive")
+        if self.batch_size < 1 or self.dim < 1:
+            raise ValueError(f"batch_size and dim must be positive: {self.batch_size}, {self.dim}")
         for f in self.neg_forms:
             if f not in ("gci0", "gci1", "gci2", "gci3"):
                 raise ValueError(f"negative losses exist only for gci0..gci3, got {f!r}")
+
+    @property
+    def needs_closure(self) -> bool:
+        """Whether the sampler reads a deductive closure (filtered or entailed negatives)."""
+        return self.filter_negatives or self.entailed_ratio > 0.0
 
     def to_dict(self) -> dict:
         d = self.__dict__.copy()
@@ -169,14 +176,22 @@ def validation_loss(model: EmbeddingModel, rows: np.ndarray) -> float:
     return float(loss_term(model, "gci2_pos", rows.T).mean())
 
 
+def _batches(data: dict, rng: np.random.Generator, size: int) -> list[tuple[Form, np.ndarray]]:
+    """One epoch's (form, row indices) batches: each form's rows permuted (drawn
+    in ``data``'s order) and cut into batches of at most ``size``, the forms
+    taken round-robin in that order until every form has run out."""
+    cuts = [[(form, perm[lo:lo + size]) for lo in range(0, len(perm), size)]
+            for form, perm in [(form, rng.permutation(len(rows))) for form, rows in data.items()]]
+    return [batch for turn in itertools.zip_longest(*cuts) for batch in turn if batch is not None]
+
+
 def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = None,
           checkpoint_path: str | None = None) -> tuple[EmbeddingModel, TrainReport]:
     """Train an embedding; deterministic for a fixed config seed."""
-    if (cfg.filter_negatives or cfg.entailed_ratio > 0.0) and dc is None:
+    if cfg.needs_closure and dc is None:
         raise TrainingError("filtered or entailed-biased negatives need a deductive closure")
 
-    seq = np.random.SeedSequence(cfg.seed)
-    init_ss, shuffle_ss, sampler_ss = seq.spawn(3)
+    init_ss, shuffle_ss, sampler_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     model = EmbeddingModel.create(
         kb.sig, dim=cfg.dim, margin=cfg.margin, reg_mode=cfg.reg_mode,
         reg_radius=cfg.reg_radius, activation=cfg.activation,
@@ -207,41 +222,31 @@ def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = Non
     best_val = float("inf")
     best_params: EmbeddingModel | None = None
     bad_epochs = 0
-    plateau_bad = 0
     epoch = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        order = {form: shuffle_rng.permutation(len(rows)) for form, rows in data.items()}
-        cursor = {form: 0 for form in data}
         sums = {term: 0.0 for term in counts}
         seen = {term: 0 for term in counts}
-        batch_index = 0
-        while any(cursor[form] < len(rows) for form, rows in data.items()):
-            for form, rows in data.items():   # in FORM_ORDER
-                lo = cursor[form]
-                if lo >= len(rows):
+        for batch_index, (form, idx) in enumerate(_batches(data, shuffle_rng, cfg.batch_size)):
+            pos = data[form][idx]
+            parts = [(POS_TERM[form], pos)]
+            if form in neg_enabled:
+                neg_rows, keep = sampler.corrupt_ids(form, pos)
+                parts.append((NEG_TERM[form], neg_rows[keep]))
+            grad = GradientBuffer(model)
+            batch_loss = 0.0
+            for term, ids in parts:
+                if not len(ids):
                     continue
-                cursor[form] = hi = min(lo + cfg.batch_size, len(rows))
-                pos = rows[order[form][lo:hi]]
-                parts = [(POS_TERM[form], pos)]
-                if form in neg_enabled:
-                    neg_rows, keep = sampler.corrupt_ids(form, pos)
-                    parts.append((NEG_TERM[form], neg_rows[keep]))
-                grad = GradientBuffer(model)
-                batch_loss = 0.0
-                for term, ids in parts:
-                    if not len(ids):
-                        continue
-                    vals = loss_term(model, term, ids.T, grad=grad,
-                                     coef=weights[term] / len(ids))
-                    batch_loss += weights[term] * float(vals.mean())
-                    sums[term] += float(vals.sum())
-                    seen[term] += len(ids)
-                if not np.isfinite(batch_loss):
-                    raise TrainingError(f"non-finite loss in a {form.value} batch "
-                                        f"(epoch {epoch}, batch {batch_index})")
-                adam.step(grad, lr)
-                batch_index += 1
+                vals = loss_term(model, term, ids.T, grad=grad,
+                                 coef=weights[term] / len(ids))
+                batch_loss += weights[term] * float(vals.mean())
+                sums[term] += float(vals.sum())
+                seen[term] += len(ids)
+            if not np.isfinite(batch_loss):
+                raise TrainingError(f"non-finite loss in a {form.value} batch "
+                                    f"(epoch {epoch}, batch {batch_index})")
+            adam.step(grad, lr)
         if not model.all_finite():
             raise TrainingError(f"non-finite parameters after epoch {epoch}")
 
@@ -259,21 +264,18 @@ def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = Non
                 best_params = model.copy()
                 report.best_epoch = epoch
                 bad_epochs = 0
-                plateau_bad = 0
             else:
                 bad_epochs += 1
-                plateau_bad += 1
-                if plateau_bad > cfg.plateau_patience:
+                # every plateau_patience + 1 bad epochs in a row decay the rate
+                if bad_epochs % (cfg.plateau_patience + 1) == 0:
                     lr *= cfg.plateau_factor
-                    plateau_bad = 0
             if bad_epochs >= cfg.early_stop_patience:
                 break
 
-    report.stop_epoch = epoch if cfg.epochs > 0 else 0
+    report.stop_epoch = epoch
     report.sampler_stats = {**asdict(sampler.stats), "drop_rate": sampler.stats.drop_rate}
     final = best_params if best_params is not None else model
     if checkpoint_path is not None:
-        from .geometry import save_model
         save_model(final, checkpoint_path)
         report.checkpoint_path = checkpoint_path
     return final, report
@@ -306,13 +308,15 @@ def grid_search(kb: KnowledgeBase, base_cfg: TrainConfig,
         raise EvaluationError("valid split is empty")
     keys = sorted(grids)
     combos = [dict(zip(keys, values)) for values in itertools.product(*(grids[k] for k in keys))]
+    cfgs = [replace(base_cfg, **combo) for combo in combos]   # a bad value fails before any run
 
     result = GridResult()
-    for combo in combos:
+    for combo, cfg in zip(combos, cfgs):
         try:
-            model, _ = train(kb, replace(base_cfg, **combo), dc)
-            result.entries.append((combo, evaluate(model, kb, split="valid").macro_mr))
-        except Exception as exc:  # per-run failures are recorded, not fatal
+            model, _ = train(kb, cfg, dc)
+        except TrainingError as exc:   # a diverged run is recorded, not fatal
             result.failures.append((combo, f"{type(exc).__name__}: {exc}"))
+        else:
+            result.entries.append((combo, evaluate(model, kb, split="valid").macro_mr))
     result.entries.sort(key=lambda e: (e[1], json.dumps(e[0], sort_keys=True)))
     return result

@@ -326,6 +326,20 @@ class TestGridCmd:
         assert not (out / "grid_results.tsv").exists()
 
 
+    @pytest.mark.parametrize("extra", [
+        ["--set", "train.entailed_ratio=2"], ["--set", "train.reg_mode=foo"],
+        ["--grid", "dim=4,0"], ["--grid", "dim=4.5"], ["--grid", "early_stop_patience=0"],
+        ["--grid", "dimension=4"], ["--grid", "eval.pool=4"], ["--grid", "dim"],
+    ], ids=" ".join)
+    def test_config_error_exit_2_not_a_failed_run(self, extra, toy, tmp_path, capsys):
+        out = tmp_path / "grid"
+        code = main(["grid", toy, str(out), "--preset", "relu-original",
+                     "--set", "train.epochs=1", "--grid", "lr=0.01", *extra])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "grid_results.tsv").exists()
+
+
 class TestManifest:
     def test_config_digest_stable_under_key_order(self):
         from elgeo.manifest import config_digest

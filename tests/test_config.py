@@ -59,3 +59,21 @@ def test_the_cli_exits_2_on_a_value_of_another_type(override, tmp_path, capsys):
                  "--set", override]) == 2
     assert "expects" in capsys.readouterr().err
     assert apply_overrides({}, [override])   # the value parses; only its type is wrong
+
+
+@pytest.mark.parametrize("name,value", [("batch_size", 0), ("batch_size", -3), ("dim", 0),
+                                        ("dim", -2)])
+def test_a_batch_size_or_dim_below_1_is_rejected(name, value):
+    with pytest.raises(ValueError, match="must be positive"):
+        TrainConfig(**{name: value})
+    with pytest.raises(ConfigError, match="must be positive"):
+        to_train_config({f"train.{name}": value})
+
+
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_the_cli_exits_2_on_a_dim_below_1_before_making_the_run(dim, tmp_path, capsys):
+    assert main(["gen-toy", str(tmp_path / "toy")]) == 0
+    out = tmp_path / "run"
+    assert main(["train", str(tmp_path / "toy"), str(out), "--set", f"train.dim={dim}"]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,9 +1,11 @@
 """Outputs pinned byte for byte: the toy datasets ``elgeo gen-toy`` writes at seed 0,
 ``elgeo normalize`` on a fixture whose nested existentials fix the order in
-which relations, and so their ids, are interned, and the report and curves of
-``elgeo naive --out`` on those toys."""
+which relations, and so their ids, are interned, the report and curves of
+``elgeo naive --out`` on those toys, and the checkpoint and per-epoch report of
+``elgeo train`` on two of them."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -90,6 +92,26 @@ NAIVE_SHA256 = {
 }
 NAIVE_POOL = {"basic": [], "hierarchy": ["--pool", "tails"], "skew": []}
 
+# a run that decays the rate twice and then stops early
+FULL_SCHEDULE = ("basic", "0", "--preset neg-filter --set train.epochs=40 --set train.dim=8 "
+                 "--set train.batch_size=7 --set train.plateau_patience=1 "
+                 "--set train.early_stop_patience=6")
+# (toy, its --seed, train arguments) -> sha256 of checkpoint.bin and report.jsonl
+# (summary.json names the run directory, so it is not pinned)
+TRAIN_SHA256 = {
+    FULL_SCHEDULE: (
+        "ad2facb7c4635d018c0d3e75bc9c330b7c3a4ae0ec791462790733caee29a6ef",
+        "df975b114629ec28c3318e378384a475cf099a0cc1b26cc50281b48357ccddc9"),
+    ("basic", "0", "--preset neg-losses --set train.epochs=15 --set train.dim=8 "
+     "--set train.batch_size=5"): (
+        "24c0452ae85aeb9966c69e6c5174a002261e1ed0d8b0ac2e42c77abad8cfb4ba",
+        "d039356cc141bb8168b5bf9051abb23c42ee988d8f90a77a66be6b371c2d51d5"),
+    ("hierarchy", "2", "--preset neg-filter --set train.epochs=10 --set train.dim=8 "
+     "--set train.batch_size=4 --set train.entailed_ratio=0.3"): (
+        "8d795ecab078f47a4e3479298643e2a069b586596a7b8113b11f2d87d3830c4d",
+        "ac63e8662a4311f0bcbe4411db9ecb9a7eba5f2dd2e11a8bd5cf3fb212a6dcba"),
+}
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -126,3 +148,22 @@ def test_naive_writes_the_pinned_bytes(preset, tie_mode, symmetric, tmp_path):
         return
     assert main(argv + ["--symmetric"] * symmetric) == 0
     assert (sha256(out / "naive_report.json"), sha256(out / "naive_roc.csv")) == pinned
+
+
+@pytest.mark.parametrize("preset,seed,args", sorted(TRAIN_SHA256))
+def test_train_writes_the_pinned_bytes(preset, seed, args, tmp_path):
+    toy, out = tmp_path / preset, tmp_path / "run"
+    assert main(["gen-toy", str(toy), "--preset", preset, "--seed", seed]) == 0
+    assert main(["train", str(toy), str(out), *args.split()]) == 0
+    assert (sha256(out / "checkpoint.bin"), sha256(out / "report.jsonl")) == \
+        TRAIN_SHA256[preset, seed, args]
+
+
+def test_a_pinned_train_run_decays_the_rate_twice_and_stops_early(tmp_path):
+    preset, seed, args = FULL_SCHEDULE
+    toy, out = tmp_path / preset, tmp_path / "run"
+    assert main(["gen-toy", str(toy), "--preset", preset, "--seed", seed]) == 0
+    assert main(["train", str(toy), str(out), *args.split()]) == 0
+    epochs = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+    assert json.loads((out / "summary.json").read_text())["stop_epoch"] == len(epochs) == 13
+    assert sorted({rec["lr"] for rec in epochs}, reverse=True) == pytest.approx([1e-2, 1e-3, 1e-4])

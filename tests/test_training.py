@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from elgeo.axioms import parse_normalized
+from elgeo.axioms import Form, parse_normalized
 from elgeo.closure import compute_closure
 from elgeo.dataset import build_kb
 from elgeo.geometry import GradientBuffer
 from elgeo.reasoner import saturate
 from elgeo.toygen import basic_kb
 from elgeo.training import (
-    Adam, TrainConfig, TrainingError, compute_weights, grid_search, train,
+    Adam, TrainConfig, TrainingError, _batches, compute_weights, grid_search, train,
 )
 
 
@@ -65,6 +65,32 @@ class TestAdam:
         grads.radii[:] = 1.0
         adam.step(grads, lr=0.1)
         assert (model.radii < r0).all()
+
+
+class TestBatches:
+    # three forms that run out after 3, 1 and 2 batches of 3 rows
+    DATA = {Form.GCI0: np.zeros((7, 2)), Form.GCI1: np.zeros((2, 3)), Form.GCI2: np.zeros((5, 3))}
+
+    def test_round_robin_until_every_form_runs_out(self):
+        batches = _batches(self.DATA, np.random.default_rng(0), 3)
+        assert [form for form, _ in batches] == [
+            Form.GCI0, Form.GCI1, Form.GCI2, Form.GCI0, Form.GCI2, Form.GCI0]
+        assert [len(idx) for _, idx in batches] == [3, 2, 3, 3, 2, 1]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 7, 100])
+    def test_every_row_once_per_epoch_in_its_forms_permutation(self, size):
+        rng = np.random.default_rng(4)
+        batches = _batches(self.DATA, rng, size)
+        # the permutations are drawn form by form, in the data's order
+        ref = np.random.default_rng(4)
+        for form, rows in self.DATA.items():
+            walked = np.concatenate([idx for f, idx in batches if f is form])
+            assert walked.tolist() == ref.permutation(len(rows)).tolist()
+        assert all(1 <= len(idx) <= size for _, idx in batches)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_no_forms_no_batches(self):
+        assert _batches({}, np.random.default_rng(0), 3) == []
 
 
 def small_cfg(**kw):
@@ -184,6 +210,16 @@ class TestGridSearch:
         result = grid_search(kb, small_cfg(epochs=1), grids)
         assert len(result.entries) + len(result.failures) == 2
         assert len(result.failures) >= 1
+
+    @pytest.mark.parametrize("grids", [{"dim": (4, 0)}, {"dim": (4,), "batch_size": (8, -1)}])
+    def test_an_invalid_combination_fails_before_any_run(self, grids, monkeypatch):
+        monkeypatch.setattr("elgeo.training.train", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ValueError, match="must be positive"):
+            grid_search(basic_kb(), small_cfg(epochs=1), grids)
+
+    def test_only_a_diverged_run_is_recorded(self):
+        with pytest.raises(ValueError, match="reg_mode"):
+            grid_search(basic_kb(), small_cfg(epochs=1, reg_mode="foo"), {"dim": (4,)})
 
     def test_ranked_ascending(self):
         kb = basic_kb()
