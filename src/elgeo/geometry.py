@@ -124,6 +124,8 @@ TERM_RELATION_SLOTS = {term: spec.slots[spec.nc:] for term, spec in SPECS.items(
 # call holds at once, whatever the batch size.
 CHUNK = 1024
 
+REG_MODES, ACTIVATIONS = ("strict", "relaxed"), ("relu", "leaky_relu")
+
 CHECKPOINT_MAGIC = b"ELGEO\x00"
 CHECKPOINT_VERSION = 1
 # checkpoint header field -> the exact JSON value types it may hold (so no bool); None: any
@@ -144,9 +146,9 @@ class EmbeddingModel:
     sig: Signature
     dim: int
     margin: float
-    reg_mode: str            # "strict" | "relaxed"
+    reg_mode: str            # one of REG_MODES
     reg_radius: float
-    activation: str          # "relu" | "leaky_relu"
+    activation: str          # one of ACTIVATIONS
     leaky_slope: float
     seed: int
     params: np.ndarray       # flat float64, cut by views() into the three below
@@ -159,9 +161,9 @@ class EmbeddingModel:
     rel_vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.reg_mode not in ("strict", "relaxed"):
+        if self.reg_mode not in REG_MODES:
             raise ValueError(f"unknown reg_mode: {self.reg_mode!r}")
-        if self.activation not in ("relu", "leaky_relu"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation: {self.activation!r}")
         if self.n_classes is None:
             self.n_classes = self.sig.n_classes
@@ -217,9 +219,10 @@ class GradientBuffer:
     Each ``add_*`` is one ``np.add.at`` with 1-D offsets into a 1-D view of
     its table: NumPy's fast path, several times quicker than adding 2-D rows.
     ``add.at`` applies its updates in index order, so every element gets the
-    same sums in the same order as a row-by-row loop.  An id past the table
-    raises IndexError before any update, so no offset reaches a neighbouring
-    table.
+    same sums in the same order as a row-by-row loop.  Rows of even width
+    are added as complex pairs: a complex add is two float adds, so half the
+    offsets give the same bits.  An id past the table raises IndexError
+    before any update, so no offset reaches a neighbouring table.
     """
 
     def __init__(self, model: EmbeddingModel):
@@ -229,9 +232,11 @@ class GradientBuffer:
     @staticmethod
     def _add_rows(table, ids, g):
         """Add row ``g[k]`` to ``table[ids[k]]`` for each k, in order."""
-        dim = table.shape[1]
-        offsets = np.asarray(ids, dtype=np.int64)[:, None] * dim + np.arange(dim)
-        np.add.at(table.reshape(-1), offsets.ravel(), np.reshape(g, -1))
+        flat, g, width = table.reshape(-1), np.asarray(g, np.float64).ravel(), table.shape[1]
+        if width % 2 == 0:
+            flat, g, width = flat.view(np.complex128), g.view(np.complex128), width // 2
+        offsets = np.asarray(ids, dtype=np.int64)[:, None] * width + np.arange(width)
+        np.add.at(flat, offsets.ravel(), g)
 
     def add_center(self, ids, g):
         self._add_rows(self.centers, ids, g)

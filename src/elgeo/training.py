@@ -23,7 +23,7 @@ import numpy as np
 from .axioms import GCI_FORMS, Form
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
-from .geometry import EmbeddingModel, GradientBuffer, loss_term, save_model
+from .geometry import ACTIVATIONS, REG_MODES, EmbeddingModel, GradientBuffer, loss_term, save_model
 from .manifest import write_atomic
 from .sampling import NegativeSampler, SamplerConfig
 
@@ -46,6 +46,11 @@ DEFAULT_GRIDS = {
     "lr": (0.01, 0.001, 0.0001),
 }
 
+WEIGHTINGS = ("inverse_frequency", "proportional", "uniform")
+
+# Elements per pass of Adam's update: the six slices a pass touches stay in L2.
+ADAM_BLOCK = 32768
+
 
 class TrainingError(Exception):
     pass
@@ -62,7 +67,7 @@ class TrainConfig:
     reg_radius: float = 1.0
     activation: str = "relu"
     leaky_slope: float = 0.01
-    weighting: str = "inverse_frequency"     # | proportional | uniform
+    weighting: str = "inverse_frequency"     # one of WEIGHTINGS
     neg_forms: tuple[str, ...] = ("gci2",)   # forms that get negative losses
     filter_negatives: bool = False
     entailed_ratio: float = 0.0
@@ -80,6 +85,15 @@ class TrainConfig:
         for f in self.neg_forms:
             if f not in ("gci0", "gci1", "gci2", "gci3"):
                 raise ValueError(f"negative losses exist only for gci0..gci3, got {f!r}")
+        for key, allowed in (("reg_mode", REG_MODES), ("activation", ACTIVATIONS),
+                             ("weighting", WEIGHTINGS)):
+            if getattr(self, key) not in allowed:
+                raise ValueError(f"unknown {key}: {getattr(self, key)!r}")
+        self.sampler_config()   # its own range checks
+
+    def sampler_config(self) -> SamplerConfig:
+        return SamplerConfig(self.filter_negatives, self.entailed_ratio,
+                             self.max_resample_attempts, self.seed)
 
     @property
     def needs_closure(self) -> bool:
@@ -123,6 +137,8 @@ def compute_weights(counts: dict[str, int], mode: str = "inverse_frequency") -> 
     terms' weights sum to their number.  proportional: w_g = N_g / sum(N).
     uniform: w_g = 1.  Terms with zero count always get weight 0.
     """
+    if mode not in WEIGHTINGS:
+        raise ValueError(f"unknown weighting mode: {mode!r}")
     if any(n < 0 for n in counts.values()):
         raise ValueError("negative count")
     active = {g: n for g, n in counts.items() if n > 0}
@@ -137,16 +153,14 @@ def compute_weights(counts: dict[str, int], mode: str = "inverse_frequency") -> 
         total = sum(active.values())
         for g, n in active.items():
             weights[g] = n / total
-    elif mode == "uniform":
-        for g in active:
-            weights[g] = 1.0
     else:
-        raise ValueError(f"unknown weighting mode: {mode!r}")
+        weights.update(dict.fromkeys(active, 1.0))
     return weights
 
 
 class Adam:
-    """Dense Adam over the model's flat parameter vector."""
+    """Dense Adam over the model's flat parameter vector, updated in place block by
+    block in the operation order of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -155,18 +169,23 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(model.params)
         self.v = np.zeros_like(model.params)
+        self.scratch = np.empty((2, min(len(model.params), ADAM_BLOCK)))
 
     def step(self, grads: GradientBuffer, lr: float):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        m, v, g = self.m, self.v, grads.flat
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        self.model.params -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        for lo in range(0, len(self.m), ADAM_BLOCK):
+            cut = slice(lo, lo + ADAM_BLOCK)
+            m, v, g, p = self.m[cut], self.v[cut], grads.flat[cut], self.model.params[cut]
+            a, b = self.scratch[:, :len(m)]
+            m *= b1
+            m += np.multiply(1.0 - b1, g, out=a)
+            v *= b2
+            v += np.multiply(np.multiply(1.0 - b2, g, out=a), g, out=a)
+            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
+            p -= np.divide(np.multiply(lr, np.divide(m, bc1, out=a), out=a), b, out=a)
 
 
 def validation_loss(model: EmbeddingModel, rows: np.ndarray) -> float:
@@ -198,13 +217,8 @@ def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = Non
         leaky_slope=cfg.leaky_slope, seed=cfg.seed,
         rng=np.random.default_rng(init_ss))
     shuffle_rng = np.random.default_rng(shuffle_ss)
-    sampler = NegativeSampler(
-        kb,
-        SamplerConfig(filter_with_closure=cfg.filter_negatives,
-                      entailed_ratio=cfg.entailed_ratio,
-                      max_resample_attempts=cfg.max_resample_attempts,
-                      seed=cfg.seed),
-        dc, rng=np.random.default_rng(sampler_ss))
+    sampler = NegativeSampler(kb, cfg.sampler_config(), dc,
+                              rng=np.random.default_rng(sampler_ss))
 
     data = {form: kb.axioms[form].ids for form in FORM_ORDER if kb.axioms[form]}
     # a list, not a set: its order fixes the order of the float sums over terms
@@ -218,6 +232,7 @@ def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = Non
 
     report = TrainReport(seed=cfg.seed, weights=weights)
     adam = Adam(model)
+    grad = GradientBuffer(model)   # zeroed in place before each batch
     lr = cfg.lr
     best_val = float("inf")
     best_params: EmbeddingModel | None = None
@@ -233,7 +248,7 @@ def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = Non
             if form in neg_enabled:
                 neg_rows, keep = sampler.corrupt_ids(form, pos)
                 parts.append((NEG_TERM[form], neg_rows[keep]))
-            grad = GradientBuffer(model)
+            grad.flat.fill(0.0)
             batch_loss = 0.0
             for term, ids in parts:
                 if not len(ids):

@@ -337,7 +337,7 @@ class TestGridCmd:
                      "--set", "train.epochs=1", "--grid", "lr=0.01", *extra])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (out / "grid_results.tsv").exists()
+        assert not out.exists()
 
 
 class TestManifest:

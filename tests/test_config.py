@@ -70,6 +70,33 @@ def test_a_batch_size_or_dim_below_1_is_rejected(name, value):
         to_train_config({f"train.{name}": value})
 
 
+# values of the right type that the sampler and the model reject
+OUT_OF_RANGE = [("entailed_ratio", "2", "entailed_ratio must lie in [0, 1]"),
+                ("max_resample_attempts", "0", "max_resample_attempts must be positive"),
+                ("reg_mode", "foo", "unknown reg_mode: 'foo'"),
+                ("activation", "bar", "unknown activation: 'bar'"),
+                ("weighting", "baz", "unknown weighting: 'baz'")]
+
+
+@pytest.mark.parametrize("name,value,message", OUT_OF_RANGE)
+def test_a_value_out_of_range_is_rejected_by_the_config(name, value, message):
+    with pytest.raises(ConfigError) as info:
+        to_train_config(apply_overrides({}, [f"train.{name}={value}"]))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+@pytest.mark.parametrize("name,value,message", OUT_OF_RANGE)
+def test_the_cli_exits_2_on_a_value_out_of_range_before_making_the_run(
+        command, name, value, message, tmp_path, capsys):
+    assert main(["gen-toy", str(tmp_path / "toy")]) == 0
+    out = tmp_path / "run"
+    assert main([command, str(tmp_path / "toy"), str(out), "--set", f"train.{name}={value}",
+                 *(["--grid", "dim=4"] if command == "grid" else [])]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dim", ["0", "-2"])
 def test_the_cli_exits_2_on_a_dim_below_1_before_making_the_run(dim, tmp_path, capsys):
     assert main(["gen-toy", str(tmp_path / "toy")]) == 0

@@ -312,24 +312,25 @@ class TestParameterBlock:
             loss_term(m, "gci0_pos", ([late], [1]))
 
 
+@pytest.mark.parametrize("dim", [3, 4])   # rows added as floats, and as complex pairs
 class TestGradientScatter:
     """``GradientBuffer.add_*`` against a per-row loop that adds in row order."""
 
     TABLES = {"add_center": "centers", "add_radius": "radii", "add_rel": "rels"}
 
     @staticmethod
-    def buffer():
+    def buffer(dim):
         sig = Signature()
         for i in range(4):
             sig.intern_class(f"k{i}")
         for i in range(3):
             sig.intern_relation(f"r{i}")
-        return GradientBuffer(EmbeddingModel.create(sig, dim=3, seed=0))
+        return GradientBuffer(EmbeddingModel.create(sig, dim=dim, seed=0))
 
     @pytest.mark.parametrize("method", sorted(TABLES))
-    def test_matches_a_row_loop_bit_for_bit(self, method):
+    def test_matches_a_row_loop_bit_for_bit(self, method, dim):
         rng = np.random.default_rng(7)
-        buf, ref = self.buffer(), self.buffer()
+        buf, ref = self.buffer(dim), self.buffer(dim)
         table = getattr(buf, self.TABLES[method])
         for _ in range(3):   # several calls into the same buffer
             ids = rng.integers(len(table), size=40)   # 40 draws: ids repeat
@@ -342,8 +343,8 @@ class TestGradientScatter:
         assert np.array_equal(buf.flat, ref.flat)
 
     @pytest.mark.parametrize("method", sorted(TABLES))
-    def test_id_past_the_table_raises_and_leaves_flat_untouched(self, method):
-        buf = self.buffer()
+    def test_id_past_the_table_raises_and_leaves_flat_untouched(self, method, dim):
+        buf = self.buffer(dim)
         buf.flat[:] = np.arange(len(buf.flat))
         before = buf.flat.copy()
         table = getattr(buf, self.TABLES[method])

@@ -97,7 +97,8 @@ FULL_SCHEDULE = ("basic", "0", "--preset neg-filter --set train.epochs=40 --set 
                  "--set train.batch_size=7 --set train.plateau_patience=1 "
                  "--set train.early_stop_patience=6")
 # (toy, its --seed, train arguments) -> sha256 of checkpoint.bin and report.jsonl
-# (summary.json names the run directory, so it is not pinned)
+# (summary.json names the run directory, so it is not pinned); an even dim scatters
+# gradient rows as complex pairs, an odd one as floats, so both widths are pinned
 TRAIN_SHA256 = {
     FULL_SCHEDULE: (
         "ad2facb7c4635d018c0d3e75bc9c330b7c3a4ae0ec791462790733caee29a6ef",
@@ -106,6 +107,10 @@ TRAIN_SHA256 = {
      "--set train.batch_size=5"): (
         "24c0452ae85aeb9966c69e6c5174a002261e1ed0d8b0ac2e42c77abad8cfb4ba",
         "d039356cc141bb8168b5bf9051abb23c42ee988d8f90a77a66be6b371c2d51d5"),
+    ("basic", "0", "--preset neg-losses --set train.epochs=10 --set train.dim=5 "
+     "--set train.batch_size=5"): (
+        "f2a557fe5f025f2c7ae241b6255428a1414ec78960ddd0a9d76ff3379f90937e",
+        "19e2a14a178f632920407f53827cd260f4beaf8d234b1f472b13bb5e22413b89"),
     ("hierarchy", "2", "--preset neg-filter --set train.epochs=10 --set train.dim=8 "
      "--set train.batch_size=4 --set train.entailed_ratio=0.3"): (
         "8d795ecab078f47a4e3479298643e2a069b586596a7b8113b11f2d87d3830c4d",

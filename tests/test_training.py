@@ -1,14 +1,17 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from elgeo.axioms import Form, parse_normalized
 from elgeo.closure import compute_closure
 from elgeo.dataset import build_kb
-from elgeo.geometry import GradientBuffer
+from elgeo.geometry import EmbeddingModel, GradientBuffer
 from elgeo.reasoner import saturate
 from elgeo.toygen import basic_kb
 from elgeo.training import (
-    Adam, TrainConfig, TrainingError, _batches, compute_weights, grid_search, train,
+    ADAM_BLOCK, Adam, TrainConfig, TrainingError, _batches, compute_weights, grid_search, train,
 )
 
 
@@ -66,6 +69,37 @@ class TestAdam:
         adam.step(grads, lr=0.1)
         assert (model.radii < r0).all()
 
+    @pytest.mark.parametrize("size", [1, ADAM_BLOCK - 1, ADAM_BLOCK, ADAM_BLOCK + 1,
+                                      ADAM_BLOCK * 5 // 2])
+    def test_blocks_match_the_dense_formula_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        params = rng.standard_normal(size)
+        model, grads = SimpleNamespace(params=params.copy()), SimpleNamespace(flat=np.empty(size))
+        adam, m, v = Adam(model), np.zeros(size), np.zeros(size)
+        b1, b2, eps = Adam.beta1, Adam.beta2, Adam.eps
+        for t, lr in enumerate([0.01, 0.01, 0.001, 0.3, 1e-4], 1):
+            # magnitudes spread over 16 decades, so any other operation order rounds differently
+            grads.flat[:] = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+            adam.step(grads, lr)
+            m = b1 * m + (1.0 - b1) * grads.flat
+            v = b2 * v + (1.0 - b2) * grads.flat * grads.flat
+            params -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            assert np.array_equal(model.params, params)
+            assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
+
+    def test_a_step_allocates_less_than_one_parameter_vector(self):
+        model = EmbeddingModel.create(basic_kb().sig, dim=5000, seed=0)
+        assert len(model.params) >= 100_000
+        adam, grads = Adam(model), GradientBuffer(model)
+        grads.flat[:] = np.random.default_rng(0).standard_normal(len(grads.flat))
+        tracemalloc.start()
+        try:
+            adam.step(grads, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.params.nbytes
+
 
 class TestBatches:
     # three forms that run out after 3, 1 and 2 batches of 3 rows
@@ -117,6 +151,22 @@ class TestTrain:
         assert m1.radii.tobytes() == m2.radii.tobytes()
         assert m1.rel_vectors.tobytes() == m2.rel_vectors.tobytes()
         assert r1.epochs == r2.epochs
+
+    def test_one_gradient_buffer_serves_every_batch_of_a_run(self, monkeypatch):
+        made, stepped = [], []
+
+        class Counted(GradientBuffer):
+            def __init__(self, model):
+                super().__init__(model)
+                made.append(self)
+
+        step = Adam.step
+        monkeypatch.setattr("elgeo.training.GradientBuffer", Counted)
+        monkeypatch.setattr(Adam, "step", lambda self, grads, lr: (
+            stepped.append(grads), step(self, grads, lr)))
+        train(basic_kb(), small_cfg(epochs=2, batch_size=4))
+        assert len(made) == 1
+        assert len(stepped) > 2 and all(grads is made[0] for grads in stepped)
 
     def test_weighted_total_accounting(self):
         kb = basic_kb()
