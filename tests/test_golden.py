@@ -1,8 +1,9 @@
 """Outputs pinned byte for byte: the toy datasets ``elgeo gen-toy`` writes at seed 0,
 ``elgeo normalize`` on a fixture whose nested existentials fix the order in
 which relations, and so their ids, are interned, the report and curves of
-``elgeo naive --out`` on those toys, and the checkpoint and per-epoch report of
-``elgeo train`` on two of them."""
+``elgeo naive --out`` on those toys, the checkpoint and per-epoch report of
+``elgeo train`` on two of them, and the report and curves of ``elgeo evaluate
+--out`` on those checkpoints."""
 
 import hashlib
 import json
@@ -96,6 +97,14 @@ NAIVE_POOL = {"basic": [], "hierarchy": ["--pool", "tails"], "skew": []}
 FULL_SCHEDULE = ("basic", "0", "--preset neg-filter --set train.epochs=40 --set train.dim=8 "
                  "--set train.batch_size=7 --set train.plateau_patience=1 "
                  "--set train.early_stop_patience=6")
+HIERARCHY = ("hierarchy", "2", "--preset neg-filter --set train.epochs=10 --set train.dim=8 "
+             "--set train.batch_size=4 --set train.entailed_ratio=0.3")
+HIERARCHY_RELU = ("hierarchy", "2", "--preset relu-original --set train.epochs=10 "
+                  "--set train.dim=5 --set train.batch_size=4")
+SKEW_RELU = ("skew", "0", "--preset relu-original --set train.epochs=10 --set train.dim=6 "
+             "--set train.batch_size=8")
+SKEW_LEAKY = ("skew", "0", "--preset neg-losses --set train.epochs=10 --set train.dim=7 "
+              "--set train.batch_size=8")
 # (toy, its --seed, train arguments) -> sha256 of checkpoint.bin and report.jsonl
 # (summary.json names the run directory, so it is not pinned); an even dim scatters
 # gradient rows as complex pairs, an odd one as floats, so both widths are pinned
@@ -111,10 +120,47 @@ TRAIN_SHA256 = {
      "--set train.batch_size=5"): (
         "f2a557fe5f025f2c7ae241b6255428a1414ec78960ddd0a9d76ff3379f90937e",
         "19e2a14a178f632920407f53827cd260f4beaf8d234b1f472b13bb5e22413b89"),
-    ("hierarchy", "2", "--preset neg-filter --set train.epochs=10 --set train.dim=8 "
-     "--set train.batch_size=4 --set train.entailed_ratio=0.3"): (
+    HIERARCHY: (
         "8d795ecab078f47a4e3479298643e2a069b586596a7b8113b11f2d87d3830c4d",
         "ac63e8662a4311f0bcbe4411db9ecb9a7eba5f2dd2e11a8bd5cf3fb212a6dcba"),
+    HIERARCHY_RELU: (
+        "20a25fe9ff528d5e9b832ed63a95d46a6736b2b9cb4a684dc6b3e66890bdb757",
+        "1de693ee555e9eccfa84ecee1c0fc194a3d6a35507ccc61dfa8c036b884ce52c"),
+    SKEW_RELU: (
+        "5e501b6edae763746a4f8acf8766c1da95b3a8be9239998b1931878df6a1a87d",
+        "1c1369ae14592e217b7377d70b58ffce5813ea579408391b4d00ed04ecfc6b67"),
+    SKEW_LEAKY: (
+        "97e979cf7e9c619b916593a886298089a6f1f477d7c70cc24aefb08111bcf4b0",
+        "c3ef8445313740c85174465a25ba465b92f36290e482f4e604bc8fd8de7f3f04"),
+}
+# (pinned train run, evaluate arguments) -> sha256 of eval_report.json and roc.csv: both
+# activations, both dim parities, both tie modes, the whole pool and the tails pool,
+# with a closure dump (``elgeo closure`` of the toy) after each --closure-dir
+EVAL_SHA256 = {
+    (SKEW_RELU, ""): (
+        "acc6d55a4a128cb59870e31e4770e95e1b2a8f2c6c25d084a6aca187ba6d2900",
+        "360afb8e693f40c1cf3b33638faae5a0a3bedfba07812abe5406d537dbc536ef"),
+    (SKEW_RELU, "--pool tails --tie-mode average"): (
+        "4bc6423f309fd25977aa03fc9e1aab7d3f0374caef02ee60c9dbb8980d79f534",
+        "023ca8c164225c47949d2c8a7aa43835d20d1d29c7a30980a970b29000a3e154"),
+    (SKEW_LEAKY, ""): (
+        "711d665cd8e4ece0323bc3fdebb7e110c157e917f39dd4cf7221e34d756fe23f",
+        "687887dbfb6664bdbbe4328d8fc678176de0c0d3fb98ba59c9e8070923bd8ba0"),
+    (SKEW_LEAKY, "--tie-mode average"): (
+        "47a5dd2fe832d54a972b8872035f234d67b2e5dc645e8cd174c562b02b7292de",
+        "687887dbfb6664bdbbe4328d8fc678176de0c0d3fb98ba59c9e8070923bd8ba0"),
+    (HIERARCHY, "--pool tails --closure-dir --closure-positives"): (
+        "110b563960b003f9d6f95318f561f920c46eac59a37346728933be5a52567fb3",
+        "f4981f4d1cbdc56c0aed0982e6c37f531a4f69c7522d3956dab0b9835cabfdce"),
+    (HIERARCHY, "--closure-dir --closure-positives --tie-mode average"): (
+        "568490ae4f05f36091b2aabbb0b7cdbb78c90bb7b8b25e7d7074ea398ce5390f",
+        "39a188856177b7a141340c6ad8617447580690ef6b3e45a793b65be3857ad0a9"),
+    (HIERARCHY_RELU, "--pool tails --closure-dir --closure-positives --tie-mode average"): (
+        "2bd989236f9cdfe971263832de55f835a85e78ad254b0ef1920d3a755fa5b894",
+        "0db8b59ade80e585ce95e46243ec118ea3cc2bd037d2bc7249695685c98924ca"),
+    (HIERARCHY_RELU, "--closure-dir --closure-positives"): (
+        "e9bf2f3d6829e87cae1f9345aa687cc268260bcbbdab4f6cdbfd473645424a88",
+        "1386f407bb89829b95e35c9b55af8b10feaaa8370727418a35862de40702ee4e"),
 }
 
 
@@ -162,6 +208,22 @@ def test_train_writes_the_pinned_bytes(preset, seed, args, tmp_path):
     assert main(["train", str(toy), str(out), *args.split()]) == 0
     assert (sha256(out / "checkpoint.bin"), sha256(out / "report.jsonl")) == \
         TRAIN_SHA256[preset, seed, args]
+
+
+@pytest.mark.parametrize("run,args", sorted(EVAL_SHA256))
+def test_evaluate_writes_the_pinned_bytes(run, args, tmp_path):
+    (preset, seed, train_args), toy = run, tmp_path / run[0]
+    assert main(["gen-toy", str(toy), "--preset", preset, "--seed", seed]) == 0
+    assert main(["train", str(toy), str(tmp_path / "run"), *train_args.split()]) == 0
+    argv = args.split()
+    if "--closure-dir" in argv:
+        assert main(["closure", str(toy), str(tmp_path / "closure")]) == 0
+        argv.insert(argv.index("--closure-dir") + 1, str(tmp_path / "closure"))
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(tmp_path / "run" / "checkpoint.bin"), str(toy),
+                 "--out", str(out), *argv]) == 0
+    assert (sha256(out / "eval_report.json"), sha256(out / "roc.csv")) == \
+        EVAL_SHA256[run, args]
 
 
 def test_a_pinned_train_run_decays_the_rate_twice_and_stops_early(tmp_path):
