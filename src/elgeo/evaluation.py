@@ -53,15 +53,20 @@ TIE_WEIGHT = {"optimistic": 0.0, "average": 0.5}
 BLOCK = 16 * CHUNK
 
 
+def _runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of the ranges ``lo[i]:hi[i]``, end to end, and the i of each."""
+    i = np.repeat(np.arange(len(lo)), hi - lo)
+    return i, np.arange(len(i)) + (lo - np.cumsum(hi - lo) + (hi - lo))[i]
+
+
 def _rank_rows(scorer, rows: np.ndarray, candidates, train_keys: np.ndarray, dims,
                tie_mode: str) -> list[RankRecord]:
     """Rank the tail of each (head, rel, tail) row among the candidates, one
-    score_tails call per block of queries, with one head and relation id per
-    candidate row.  The filtered rank leaves out each candidate whose key is in
-    the sorted ``train_keys`` (``pack_keys`` over ``dims``), unless it equals
-    the true tail."""
+    ``score_tails((q, 1) heads, (q, 1) rels, pool)`` call per block of queries.
+    The filtered rank leaves out the candidates in the query's run of sorted
+    ``train_keys`` (``pack_keys`` over ``dims``) but never the true tail."""
     pool = np.asarray(candidates, dtype=np.int64)
-    n = len(pool)
+    n, order = len(pool), np.argsort(pool)
     step = max(1, BLOCK // max(n, 1))
     records = []
     for block in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
@@ -74,12 +79,16 @@ def _rank_rows(scorer, rows: np.ndarray, candidates, train_keys: np.ndarray, dim
         if tie_mode not in TIE_WEIGHT:
             raise ValueError(f"unknown tie mode: {tie_mode!r}")
         tie = TIE_WEIGHT[tie_mode]
-        cols = (np.repeat(c, n), np.repeat(r, n), np.tile(pool, len(d)))
-        scores = np.reshape(scorer.score_tails(*cols), true.shape)
+        scores = np.broadcast_to(scorer.score_tails(c[:, None], r[:, None], pool), true.shape)
         s = scores[np.arange(len(d)), true.argmax(axis=1), None]
         # each candidate's share of the rank; the true tail's own tie is taken back
         ahead = (scores > s) + tie * (scores == s)
-        keep = true | ~key_member(train_keys, pack_keys(Form.GCI2, cols, *dims)).reshape(true.shape)
+        start = pack_keys(Form.GCI2, (c, r, np.zeros_like(c)), *dims)
+        query, at = _runs(*np.searchsorted(train_keys, [start, start + dims[0]]))
+        tails = train_keys[at] - start[query]
+        hit, at = _runs(*np.searchsorted(pool[order], [tails, tails + 1]))
+        keep = np.ones_like(true)
+        keep[query[hit], order[at]] = true[query[hit], order[at]]   # the true tail stays
         ranks = 1 - tie + np.stack([ahead.sum(axis=1), (ahead * keep).sum(axis=1)], axis=1)
         records += [RankRecord(*row, *rank, n, n_f) for row, rank, n_f in
                     zip(block.tolist(), ranks.tolist(), keep.sum(axis=1).tolist())]
@@ -229,8 +238,7 @@ def evaluate(scorer, kb: KnowledgeBase, dc: DeductiveClosure | None = None,
     if not candidates:
         raise EvaluationError("empty candidate pool")
     dims = (kb.sig.n_classes, kb.sig.n_relations)
-    train_keys = pack_keys(Form.GCI2, kb.train_gci2.ids.T, *dims)
-    train_keys.sort()
+    train_keys = np.sort(pack_keys(Form.GCI2, kb.train_gci2.ids.T, *dims))
     records = _rank_rows(scorer, axioms.ids, candidates, train_keys, dims, tie_mode)
     if dc is not None:
         for rec in records:

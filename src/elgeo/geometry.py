@@ -1,11 +1,10 @@
-"""Ball-embedding parameters, loss terms, the completion score, and their gradients.
+"""Ball-embedding parameters, loss terms and their gradients, and the completion score.
 
 Classes are open n-balls (center x, raw and possibly negative radius r) and
 relations are translation vectors v.  Each loss term (seven positive, four
-negative) and the completion score is one row of ``SPECS``, and one
-forward/backward pass in :func:`loss_term` computes them all.
+negative) is a row of ``SPECS``, computed forward and backward by :func:`loss_term`.
 
-Reading a row: ``_spec(kinds, hinges, reg, sign, act)`` names the id columns
+Reading a row: ``_spec(kinds, hinges, reg, act)`` names the id columns
 in axiom order (``c`` class, ``r`` relation).  Each ``Hinge(norm, vec, rad,
 margin, rmin)`` is one hinge argument, ``vec`` and ``rad`` holding a sign or 0
 per slot::
@@ -14,7 +13,7 @@ per slot::
                                   [+ min(r_i, r_j) when rmin = (i, j)]
 
 with x_k slot k's center or translation and gamma the model margin.  A
-sample's value is ``sign * sum(act(hinge)) + sum(reg(x_k) for k in reg)``;
+sample's value is ``sum(act(hinge)) + sum(reg(x_k) for k in reg)``;
 ``act=False`` keeps the raw argument, so the BOT terms return a radius.  So
 ``_spec("crc", (Hinge(1, (1, 1, -1), (1, 0, -1), -1),), reg=(0, 2))`` reads
 act(||x_c + v_r - x_d|| + r_c - r_d - gamma) + reg(x_c) + reg(x_d).
@@ -60,11 +59,10 @@ class Spec(NamedTuple):
     rad: np.ndarray          # (hinges, class slots)
     margin: np.ndarray       # (hinges, 1)
     rmin: tuple[tuple[int, int, int], ...]   # (hinge, i, j) over class slots
-    sign: float
     act: bool
 
 
-def _spec(kinds: str, hinges, reg=(), sign=1.0, act=True) -> Spec:
+def _spec(kinds: str, hinges, reg=(), act=True) -> Spec:
     cls = tuple(k for k, kind in enumerate(kinds) if kind == "c")
     slots = cls + tuple(k for k, kind in enumerate(kinds) if kind == "r")
     normed = [i for i, h in enumerate(hinges) if h.norm]
@@ -80,7 +78,7 @@ def _spec(kinds: str, hinges, reg=(), sign=1.0, act=True) -> Spec:
                 nreg=len(reg), norm=norm,
                 rad=np.array([[h.rad[k] for k in cls] for h in hinges], dtype=np.float64),
                 margin=np.array([[h.margin] for h in hinges], dtype=np.float64),
-                rmin=rmin, sign=sign, act=act)
+                rmin=rmin, act=act)
 
 
 # both penalize ball overlap: act(r_c + r_d - ||x_c - x_d|| + gamma)
@@ -107,8 +105,6 @@ SPECS = {
     ), reg=(0, 1, 2)),
     "gci2_neg": _spec("crc", (Hinge(-1, (1, 1, -1), (1, 0, 1), 1),), reg=(0, 2)),
     "gci3_neg": _spec("rcc", (Hinge(-1, (-1, 1, -1), (0, 1, 1), 1),), reg=(1, 2)),
-    # the completion score: -act(||x_c + v_r - x_d|| - r_c - r_d - gamma), no regularization
-    "score_gci2": _spec("crc", (Hinge(1, (1, 1, -1), (-1, 0, -1), -1),), sign=-1.0),
 }
 
 TERMS = tuple(SPECS)
@@ -205,12 +201,30 @@ class EmbeddingModel:
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.params).all())
 
-    def score_tails(self, c, r, tails: np.ndarray) -> np.ndarray:
-        """Completion score of (c, r, t) for every candidate tail t; ``c`` and ``r``
-        are ids or per-tail id arrays, broadcast to ``tails``."""
-        tails = np.asarray(tails, dtype=np.int64)
-        return loss_term(self, "score_gci2",
-                         (np.broadcast_to(c, tails.shape), np.broadcast_to(r, tails.shape), tails))
+    def score_tails(self, c, r, tails) -> np.ndarray:
+        """-act(||x_c + v_r - x_t|| - r_c - r_t - gamma) for each (c, r, t) of the broadcast
+        ids, such as ``(q, 1)`` heads and relations against ``(n,)`` tails.  Tables are gathered
+        once; ``(x_c - x_t) + v_r`` adds up in that order (pinned bits), ``CHUNK`` rows a pass."""
+        tables = (self.centers, self.rel_vectors, self.centers)
+        ids = [_check_ids(np.asarray(a, dtype=np.int64), table, what) for a, table, what
+               in zip((c, r, tails), tables, ("class", "relation", "class"))]
+        shape = np.broadcast_shapes(*(a.shape for a in ids))
+        rows, cols = int(np.prod(shape[:-1])), shape[-1] if shape else 1
+        xc, vr, xt = (np.broadcast_to(table.take(a, axis=0), shape + (self.dim,))
+                      .reshape(rows, cols, self.dim) for a, table in zip(ids, tables))
+        arg = np.broadcast_to(-self.radii.take(ids[0]) + -self.radii.take(ids[2]),
+                              shape).reshape(rows, cols) + -1.0 * self.margin
+        h, w = max(1, CHUNK // max(cols, 1)), max(1, min(cols, CHUNK))
+        buf = np.empty(min(rows, h) * w * self.dim)
+        for block in ((slice(i, i + h), slice(j, j + w))
+                      for i in range(0, rows, h) for j in range(0, cols, w)):
+            y = buf[:arg[block].size * self.dim].reshape(arg[block].shape + (self.dim,))
+            np.subtract(xc[block], xt[block], out=y)
+            y += vr[block]
+            arg[block] += np.sqrt(np.einsum("ijk,ijk->ij", y, y))
+        slope = 0.0 if self.activation == "relu" else self.leaky_slope
+        val = np.maximum(arg, 0.0) if slope == 0.0 else np.where(arg > 0.0, arg, slope * arg)
+        return -val.reshape(shape)
 
 
 class GradientBuffer:
@@ -248,6 +262,13 @@ class GradientBuffer:
         self._add_rows(self.rels, ids, g)
 
 
+def _check_ids(ids: np.ndarray, table: np.ndarray, what: str) -> np.ndarray:
+    """``ids``, or KeyError unless each is a row of ``table`` (a negative id wraps past all)."""
+    if ids.size and ids.view(np.uint64).max() >= len(table):
+        raise KeyError(f"unknown {what} id in batch (valid range 0..{len(table) - 1})")
+    return ids
+
+
 def loss_term(model: EmbeddingModel, term: str, cols, grad: GradientBuffer | None = None,
               coef=1.0) -> np.ndarray:
     """Per-sample values of one loss term; optionally accumulate `coef` x gradient.
@@ -263,12 +284,8 @@ def loss_term(model: EmbeddingModel, term: str, cols, grad: GradientBuffer | Non
         raise ValueError(f"{term} takes {len(p.slots)} id columns, got {len(cols)}")
     ids = np.array([cols[k] for k in p.slots], dtype=np.int64)
     nc, dim = p.nc, model.dim
-    # largest id per column; a negative id wraps past every table size
-    top = ids.view(np.uint64).max(axis=1).tolist() if ids.shape[1] else []
-    for tops, table, what in ((top[:nc], model.centers, "class"),
-                              (top[nc:], model.rel_vectors, "relation")):
-        if tops and max(tops) >= len(table):
-            raise KeyError(f"unknown {what} id in batch (valid range 0..{len(table) - 1})")
+    _check_ids(ids[:nc], model.centers, "class")
+    _check_ids(ids[nc:], model.rel_vectors, "relation")
     strict = model.reg_mode == "strict"
     # the activation's slope below 0; 1 keeps the raw argument (the BOT terms)
     neg = (0.0 if model.activation == "relu" else model.leaky_slope) if p.act else 1.0
@@ -295,7 +312,7 @@ def loss_term(model: EmbeddingModel, term: str, cols, grad: GradientBuffer | Non
             arg += p.norm @ nrm
             reg = nrm[len(nrm) - p.nreg:] - (1.0 if strict else model.reg_radius)
         val = np.maximum(arg, 0.0) if neg == 0.0 else np.where(arg > 0.0, arg, neg * arg)
-        val = p.sign * np.add.reduce(val, axis=0)
+        val = np.add.reduce(val, axis=0)
         if p.nreg:
             val += np.add.reduce(np.abs(reg) if strict else np.maximum(reg, 0.0), axis=0)
         out[lo:lo + CHUNK] = val
@@ -303,7 +320,7 @@ def loss_term(model: EmbeddingModel, term: str, cols, grad: GradientBuffer | Non
             continue
 
         w = coef[lo:lo + CHUNK] if coef.ndim else coef
-        u = np.where(arg > 0.0, 1.0, neg) * (w * p.sign)
+        u = np.where(arg > 0.0, 1.0, neg) * w
         dr = p.rad.T @ u
         for h, i, j in p.rmin:
             first = r[i] <= r[j]

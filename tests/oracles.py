@@ -242,11 +242,21 @@ def brute_loss(model, term, ids):
         rel, c, d = ids
         dist = norm(comb((1, x(c)), (-1, v(rel)), (-1, x(d))))
         return act(r(c) + r(d) - dist + g) + reg(c) + reg(d)
-    if term == "score_gci2":
-        c, rel, d = ids
-        dist = norm(comb((1, x(c)), (1, v(rel)), (-1, x(d))))
-        return -act(dist - r(c) - r(d) - g)
     raise ValueError(f"unknown loss term: {term!r}")
+
+
+def brute_score(model, c, rel, d):
+    """The completion score -act(||x_c + v_rel - x_d|| - r_c - r_d - gamma) of one
+    (c, rel, d), written out in plain Python: the reference for ``score_tails``."""
+    import math
+
+    diff = [float(model.centers[c][k]) + float(model.rel_vectors[rel][k])
+            - float(model.centers[d][k]) for k in range(model.dim)]
+    a = (math.sqrt(sum(t * t for t in diff)) - float(model.radii[c]) - float(model.radii[d])
+         - model.margin)
+    if a > 0.0:
+        return -a
+    return 0.0 if model.activation == "relu" else -model.leaky_slope * a
 
 
 def finite_difference(fn, model, h=1e-6):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elgeo.axioms import Axiom, Form, Signature, parse_normalized
+from elgeo import evaluation
+from elgeo.axioms import Axiom, Form, Signature, pack_keys, parse_normalized
 from elgeo.closure import compute_closure
 from elgeo.dataset import build_kb
 from elgeo.evaluation import (
-    EvaluationError, NaiveModel, RankRecord, aggregate, emit_roc, evaluate,
+    EvaluationError, NaiveModel, RankRecord, _rank_rows, aggregate, emit_roc, evaluate,
     naive_fit, rank_axiom, trapezoid,
 )
 from elgeo.geometry import CHUNK, EmbeddingModel
@@ -109,15 +110,14 @@ class TestRankAxiom:
 
 
 class HeadTailScorer:
-    """Score table keyed by (head, tail); relation ignored.  Takes a head id or
-    one head id per tail."""
+    """Score table keyed by (head, tail); relation ignored.  Takes ids that
+    broadcast together, as ``EmbeddingModel.score_tails`` does."""
 
     def __init__(self, table):
         self.table = table
 
     def score_tails(self, c, r, tails):
-        tails = np.asarray(tails)
-        return self.table[np.broadcast_to(c, tails.shape), tails]
+        return self.table[c, tails]
 
 
 MODES = ("optimistic", "average")
@@ -204,6 +204,86 @@ class TestBlockRanking:
         block = model.score_tails(np.repeat(heads, n), np.repeat(rels, n),
                                   np.tile(tails, len(heads)))
         assert np.array_equal(block, per_query)
+
+
+    def test_one_score_tails_call_per_block(self, monkeypatch):
+        calls = []
+
+        class CountingScorer(HeadTailScorer):
+            def score_tails(self, c, r, tails):
+                calls.append((np.shape(c), np.shape(r), np.shape(tails)))
+                return super().score_tails(c, r, tails)
+
+        monkeypatch.setattr(evaluation, "BLOCK", 10)   # a pool of 4: two queries a block
+        rows = np.array([(2 + i, 0, 5 + i % 4) for i in range(7)])
+        scorer = CountingScorer(np.random.default_rng(3).random((9, 9)))
+        records = _rank_rows(scorer, rows, [5, 6, 7, 8], np.zeros(0, dtype=np.int64), (9, 1),
+                             "optimistic")
+        assert len(records) == 7
+        assert calls == [((2, 1), (2, 1), (4,))] * 3 + [((1, 1), (1, 1), (4,))]
+
+
+class TestFilterRange:
+    """Filtered ranks from each query's run of train keys, against brute force.  The
+    key space is 12 classes by 3 relations, so class 11 and relation 2 are its edges."""
+
+    DIMS = (12, 3)
+
+    def check(self, queries, pool, train, mode):
+        scorer = HeadTailScorer(np.random.default_rng(len(train)).integers(0, 4, (12, 12)) / 2.0)
+        keys = np.sort(pack_keys(Form.GCI2, np.array(train, dtype=np.int64).reshape(-1, 3).T,
+                                 *self.DIMS))
+        records = _rank_rows(scorer, np.array(queries), pool, keys, self.DIMS, mode)
+        train = set(train)
+        for (c, r, d), rec in zip(queries, records):
+            scores = scorer.table[c, pool].tolist()
+            idx = pool.index(d)
+            keep = [i for i, t in enumerate(pool) if t == d or (c, r, t) not in train]
+            assert rec.rank == brute_rank(scores, idx, mode)
+            assert rec.frank == brute_rank([scores[i] for i in keep], keep.index(idx), mode)
+            assert (rec.n_cand, rec.n_fcand) == (len(pool), len(keep))
+        return [rec.n_cand - rec.n_fcand for rec in records]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_keys_next_to_a_run_are_not_filtered(self, mode):
+        pool = list(range(12))
+        queries = [(5, 1, 4), (6, 0, 2), (0, 0, 3), (11, 2, 7)]
+        train = [(5, 2, 0), (5, 0, 11), (6, 1, 0), (4, 1, 11),   # around (5, 1, *)
+                 (5, 1, 0), (5, 1, 11), (5, 1, 8),               # inside (5, 1, *)
+                 (5, 2, 11),                                     # just before (6, 0, *)
+                 (0, 0, 0), (0, 0, 11), (0, 1, 0),               # the first run and its next
+                 (11, 2, 0), (11, 2, 11), (11, 1, 11), (10, 2, 11)]   # the last run
+        assert self.check(queries, pool, train, mode) == [3, 0, 2, 2]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_train_tail_outside_the_pool_drops_nothing(self, mode):
+        pool = [2, 3, 4, 5, 6, 7, 8]
+        assert self.check([(5, 1, 4)], pool, [(5, 1, 10), (5, 1, 0), (5, 1, 3)], mode) == [1]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_true_tail_that_is_a_train_tail_is_kept(self, mode):
+        pool = [2, 3, 4, 5, 6, 7, 8]
+        train = [(5, 1, 4), (5, 1, 6)]
+        assert self.check([(5, 1, 4), (5, 1, 6), (5, 1, 7)], pool, train, mode) == [1, 1, 2]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_copy_of_a_train_tail_in_the_pool_is_dropped(self, mode):
+        pool = [2, 3, 2, 4, 3]
+        assert self.check([(5, 1, 4), (5, 1, 3)], pool, [(5, 1, 2), (5, 1, 3)], mode) == [4, 2]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_an_empty_train_split_filters_nothing(self, mode):
+        assert self.check([(5, 1, 4), (0, 2, 11)], list(range(12)), [], mode) == [0, 0]
+        sig = Signature()
+        a, b, c = (sig.intern_class(name) for name in "ABC")
+        sig.intern_relation("r")
+        kb = build_kb(sig, as_rows([Axiom(Form.GCI0, (a, b))]),
+                      test=as_rows([Axiom(Form.GCI2, (a, 0, c)), Axiom(Form.GCI2, (b, 0, a))]))
+        assert len(kb.train_gci2) == 0
+        scorer = HeadTailScorer(np.random.default_rng(1).random((5, 5)))
+        rep = evaluate(scorer, kb, tie_mode=mode)
+        assert [(r.rank, r.n_fcand) for r in rep.records] == \
+            [(r.frank, r.n_cand) for r in rep.records]
 
 
 class TestAggregate:

@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from elgeo.axioms import Signature
 from elgeo.geometry import (
-    TERMS, TERM_ARITY, EmbeddingModel, GradientBuffer, load_model, loss_term, save_model,
+    CHUNK, TERMS, TERM_ARITY, EmbeddingModel, GradientBuffer, load_model, loss_term, save_model,
 )
 from elgeo.training import Adam
 
-from oracles import gradcheck_max_error, gradient, loss_value
+from oracles import brute_score, gradcheck_max_error, gradient, loss_value
 
 
 def model2d(margin=0.0, reg_mode="strict", reg_radius=1.0,
@@ -125,22 +127,38 @@ class TestNegativeLosses:
         assert loss_value(m, "gci2_neg", (c, 0, d)) == pytest.approx(0.1 * (0.2 - 3.0))
 
 
+def score(m, c, r, d):
+    return float(m.score_tails(c, r, d))
+
+
+def random_model(rng, dim, activation, margin, n_classes=12, n_relations=3):
+    sig = Signature()
+    for i in range(n_classes - 2):   # past TOP and BOT
+        sig.intern_class(f"k{i}")
+    for i in range(n_relations):
+        sig.intern_relation(f"r{i}")
+    m = EmbeddingModel.create(sig, dim=dim, margin=margin, activation=activation,
+                              leaky_slope=0.1, seed=0)
+    m.params[:] = rng.uniform(-1.0, 1.0, m.params.shape)
+    return m
+
+
 class TestScore:
     def test_exact_translation(self):
         m, sig = model2d(margin=0.0)
         c = put(m, sig, "a", (0.0, 0.0), 0.1)
         d = put(m, sig, "b", (1.0, 0.0), 0.1)
         m.rel_vectors[0] = (1.0, 0.0)
-        assert loss_value(m, "score_gci2", (c, 0, d)) == pytest.approx(0.0)
+        assert score(m, c, 0, d) == pytest.approx(0.0)
 
     def test_distance_two(self):
         m, sig = model2d(margin=0.0)
         c = put(m, sig, "a", (0.0, 0.0), 0.1)
         d = put(m, sig, "b", (-1.0, 0.0), 0.1)
         m.rel_vectors[0] = (1.0, 0.0)
-        assert loss_value(m, "score_gci2", (c, 0, d)) == pytest.approx(-1.8)
+        assert score(m, c, 0, d) == pytest.approx(-1.8)
         m.margin = 0.1
-        assert loss_value(m, "score_gci2", (c, 0, d)) == pytest.approx(-1.7)
+        assert score(m, c, 0, d) == pytest.approx(-1.7)
 
     def test_monotone_in_distance(self):
         m, sig = model2d(margin=0.0)
@@ -149,21 +167,84 @@ class TestScore:
         last = None
         for dist in np.linspace(0.5, 5.0, 12):
             d = put(m, sig, "b", (dist, 0.0), 0.1)
-            s = loss_value(m, "score_gci2", (c, 0, d))
+            s = score(m, c, 0, d)
             if last is not None:
                 assert s < last
             last = s
 
-    def test_score_tails_vectorized_matches_scalar(self):
-        m, sig = model2d(margin=0.05)
-        rng = np.random.default_rng(3)
-        m.centers[:] = rng.normal(size=m.centers.shape)
-        m.radii[:] = rng.normal(size=m.radii.shape)
-        m.rel_vectors[:] = rng.normal(size=m.rel_vectors.shape)
-        tails = np.arange(sig.n_classes)
-        batch = m.score_tails(2, 0, tails)
-        for t in tails:
-            assert batch[t] == pytest.approx(loss_value(m, "score_gci2", (2, 0, int(t))))
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+    @pytest.mark.parametrize("margin", [-0.15, 0.15])
+    @pytest.mark.parametrize("dim", [1, 2, 7])
+    def test_matches_brute_score(self, activation, margin, dim):
+        rng = np.random.default_rng([dim, int(margin > 0), len(activation)])
+        for _ in range(3):
+            m = random_model(rng, dim, activation, margin)
+            heads = rng.integers(m.n_classes, size=6)
+            rels = rng.integers(m.n_relations, size=6)
+            pool = np.arange(m.n_classes)
+            got = m.score_tails(heads[:, None], rels[:, None], pool)
+            want = [[brute_score(m, int(c), int(r), int(t)) for t in pool]
+                    for c, r in zip(heads, rels)]
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            if activation == "relu":
+                assert (got <= 0.0).all()
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 50])
+    @pytest.mark.parametrize("n", [CHUNK // 3, CHUNK + 37])
+    def test_score_tails_vectorized_matches_scalar(self, dim, n):
+        """One (q, 1) x (n,) call, per-row id arrays, one call per query and one per
+        score give the same bits, with pools shorter and longer than CHUNK."""
+        rng = np.random.default_rng([dim, n])
+        m = random_model(rng, dim, "leaky_relu", 0.05, n_classes=40)
+        heads, rels = rng.integers(40, size=3), rng.integers(3, size=3)
+        pool = rng.integers(40, size=n)
+        block = m.score_tails(heads[:, None], rels[:, None], pool)
+        assert block.shape == (3, n)
+        per_row = m.score_tails(np.repeat(heads, n), np.repeat(rels, n), np.tile(pool, 3))
+        per_query = [m.score_tails(int(c), int(r), pool) for c, r in zip(heads, rels)]
+        scalar = [[m.score_tails(int(c), int(r), int(t)) for t in pool]
+                  for c, r in zip(heads, rels)]
+        assert np.array_equal(per_row.reshape(3, n), block)
+        assert np.array_equal(np.array(per_query), block)
+        assert np.array_equal(np.array(scalar), block)
+
+    def test_scalar_and_empty_ids_keep_their_shapes(self):
+        m = random_model(np.random.default_rng(4), 3, "relu", 0.1)
+        assert m.score_tails(2, 0, 3).shape == ()
+        assert float(m.score_tails(2, 0, 3)) == m.score_tails(2, 0, [3])[0]
+        empty = np.zeros(0, dtype=np.int64)
+        assert m.score_tails(2, 0, empty).shape == (0,)
+        assert m.score_tails(np.array([[2], [3]]), 0, empty).shape == (2, 0)
+        assert m.score_tails(empty[:, None], empty[:, None], np.arange(5)).shape == (0, 5)
+
+    @pytest.mark.parametrize("slot", range(3))
+    @pytest.mark.parametrize("bad", ["size", -1])
+    def test_an_id_outside_its_table_is_a_key_error(self, slot, bad):
+        m = random_model(np.random.default_rng(5), 3, "relu", 0.1)
+        ids = [np.array([[2], [3]]), np.array([[0], [1]]), np.arange(2, 9)]
+        size = m.n_relations if slot == 1 else m.n_classes
+        ids[slot][-1] = size if bad == "size" else -1
+        what = "relation" if slot == 1 else "class"
+        with pytest.raises(KeyError, match=f"unknown {what} id"):
+            m.score_tails(*ids)
+
+    def test_a_block_call_holds_no_candidate_by_dim_temporary(self):
+        """Peak memory of a (q, 1) x (n,) call stays under a quarter of q * n * dim
+        float64s: the difference vectors never exist for every pair at once."""
+        rng = np.random.default_rng(7)
+        q, n, dim = 16, 4096, 40
+        assert q * n * dim * 8 >= 20 * 2 ** 20
+        m = random_model(rng, dim, "leaky_relu", 0.1, n_classes=50)
+        heads, rels = rng.integers(50, size=(q, 1)), rng.integers(3, size=(q, 1))
+        pool = rng.integers(50, size=n)
+        tracemalloc.start()
+        try:
+            scores = m.score_tails(heads, rels, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (q, n)
+        assert peak < q * n * dim * 8 / 4
 
 
 class TestRegularization:
@@ -221,8 +302,9 @@ class TestGradients:
         m, sig = model2d(margin=0.0)
         c = put(m, sig, "a", (0.0, 0.0), 0.1)
         d = put(m, sig, "b", (1.0, 0.0), 0.1)
+        m.radii[c] = 0.3                # the hinge is active: ||0|| + 0.3 - 0.1 > 0
         m.rel_vectors[0] = (1.0, 0.0)   # c + r - d = 0
-        g = gradient(m, "score_gci2", (c, 0, d))
+        g = gradient(m, "gci2_pos", (c, 0, d))
         assert ("relation", 0) not in g   # zero vector dropped from sparse view
 
     def test_finite_difference_agreement_smoke(self):
@@ -376,9 +458,7 @@ class TestNonNegativity:
                         else int(rng.integers(sig.n_classes))
                         for j in range(TERM_ARITY[term]))
                     val = loss_value(m, term, ids)
-                    if term == "score_gci2":
-                        assert val <= 0.0
-                    elif term in ("gci0_bot", "gci3_bot"):
-                        pass   # raw radius, may be negative by design
-                    else:
+                    if term not in ("gci0_bot", "gci3_bot"):   # raw radius, may be negative
                         assert val >= 0.0, term
+                pool = np.arange(sig.n_classes)
+                assert (m.score_tails(pool[:, None], rng.integers(2), pool) <= 0.0).all()

@@ -2,15 +2,18 @@
 ``elgeo normalize`` on a fixture whose nested existentials fix the order in
 which relations, and so their ids, are interned, the report and curves of
 ``elgeo naive --out`` on those toys, the checkpoint and per-epoch report of
-``elgeo train`` on two of them, and the report and curves of ``elgeo evaluate
---out`` on those checkpoints."""
+``elgeo train`` on two of them, the report and curves of ``elgeo evaluate
+--out`` on those checkpoints, and the bytes of completion scores on random models."""
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from elgeo.axioms import Signature
 from elgeo.cli import main
+from elgeo.geometry import EmbeddingModel
 from elgeo.normalize import normalize
 from elgeo.sexpr import parse_general
 
@@ -164,6 +167,30 @@ EVAL_SHA256 = {
 }
 
 
+# (activation, dim, margin) -> sha256 of the float64 scores of 5 queries against a pool
+# of 1,100 tails, longer than one chunk, on a random model (see completion_scores);
+# relu at margin -0.05 scores 1,235 of them -0.0
+SCORE_SHA256 = {
+    ("relu", 1, -0.05): "3c94c06e0193a78ce91d629684e2a87e5a979ba268b9232836707b2a0f5caa69",
+    ("relu", 7, 0.1): "5bde7ca54391207a8da8d3ce22c6c99fed3c99b0c22df6910a6135287e19c463",
+    ("leaky_relu", 2, 0.0): "0aafcd842677882703594cde0980c8e60d71346f5b0b51ca2c036d638804d38f",
+    ("leaky_relu", 50, -0.1): "b9e0a4c3fc210aaa8fb7d5993e88b8884e2469ece2baa5fb07199d097c4cab3a",
+}
+
+
+def completion_scores(activation, dim, margin):
+    rng = np.random.default_rng([dim, len(activation)])
+    sig = Signature()
+    for i in range(38):
+        sig.intern_class(f"k{i}")
+    for i in range(3):
+        sig.intern_relation(f"r{i}")
+    m = EmbeddingModel.create(sig, dim=dim, margin=margin, activation=activation, leaky_slope=0.1)
+    m.params[:] = rng.normal(size=m.params.shape)
+    heads, rels = rng.integers(40, size=5), rng.integers(3, size=5)
+    return m.score_tails(heads[:, None], rels[:, None], rng.integers(40, size=1100))
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -234,3 +261,10 @@ def test_a_pinned_train_run_decays_the_rate_twice_and_stops_early(tmp_path):
     epochs = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
     assert json.loads((out / "summary.json").read_text())["stop_epoch"] == len(epochs) == 13
     assert sorted({rec["lr"] for rec in epochs}, reverse=True) == pytest.approx([1e-2, 1e-3, 1e-4])
+
+
+@pytest.mark.parametrize("activation,dim,margin", sorted(SCORE_SHA256))
+def test_completion_scores_keep_the_pinned_bytes(activation, dim, margin):
+    scores = completion_scores(activation, dim, margin)
+    assert hashlib.sha256(np.ascontiguousarray(scores, dtype="<f8").tobytes()).hexdigest() == \
+        SCORE_SHA256[activation, dim, margin]
