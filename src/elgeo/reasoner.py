@@ -10,13 +10,16 @@ edge sets R(r):
   R5  (C,D) in R(r), BOT in S(D)                    -> BOT in S(C)
   R6  the three bottom forms, analogously to R1/R2/R4 with E = BOT
 
-Role inclusion axioms are parsed and stored but play no part here.  The
-fixpoint is unique, so the worklist order does not affect the result.
+Each class that triggers a rule has one rule table, and R4-R6 read one map
+D' -> [E ...] per relation, so a new edge (C,D) in R(r) meets S(D) in one set
+intersection with that map's keys.  Role inclusion axioms are parsed and
+stored but play no part here.  The fixpoint is unique, so the order of the
+work stacks does not affect the result.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .axioms import BOT, TOP, Form, Signature, format_row
@@ -37,105 +40,85 @@ class SubsumptionClosure:
         return self.subsumers[c]
 
     def pairs(self):
-        """All derived subclass/superclass pairs, unsat classes expanded."""
+        """All derived subclass/superclass pairs in id order, unsat classes expanded."""
         n = self.sig.n_classes
         for c in range(n):
             if c in self.unsat:
                 for d in range(n):
                     yield c, d
             else:
-                for d in self.subsumers[c]:
+                for d in sorted(self.subsumers[c]):
                     yield c, d
 
 
 def saturate(kb: KnowledgeBase) -> SubsumptionClosure:
     n = kb.sig.n_classes
-    subsumers: list[set[int]] = [set() for _ in range(n)]
-    edges: set[tuple[int, int, int]] = set()     # (r, C, D)
-    incoming: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # D -> [(r, C)]
+    # rules[d] = (R1 targets, R2 (other part, E) pairs, R3 (r, E) pairs) for each class d
+    # that triggers them; the BOT forms are the rules with E = BOT
+    rules: defaultdict[int, tuple[list, list, list]] = defaultdict(lambda: ([], [], []))
+    # fillers[r][D'] = [E ...] for R4/R6; R5 is the filler BOT with E = BOT in every relation
+    fillers: list[dict[int, list[int]]] = [{BOT: [BOT]} for _ in range(kb.sig.n_relations)]
 
-    # axiom indexes, keyed by the slots that trigger each rule
-    gci0_by_sub: dict[int, list[int]] = {}
-    gci1_by_part: dict[int, list[tuple[int, int]]] = {}      # D1 -> [(D2, E)]
-    gci2_by_sub: dict[int, list[tuple[int, int]]] = {}       # D -> [(r, E)]
-    gci3_by_key: dict[tuple[int, int], list[int]] = {}       # (r, D') -> [E]
-    gci0_bot: set[int] = set()
-    gci1_bot_by_part: dict[int, list[int]] = {}              # D1 -> [D2]
-    gci3_bot_keys: set[tuple[int, int]] = set()
-
-    for c, d in kb.rows(Form.GCI0):
-        gci0_by_sub.setdefault(c, []).append(d)
-    for c, d, e in kb.rows(Form.GCI1):
-        gci1_by_part.setdefault(c, []).append((d, e))
+    for c, d in kb.rows(Form.GCI0) + [(c, BOT) for c, in kb.rows(Form.GCI0_BOT)]:
+        rules[c][0].append(d)
+    for c, d, e in kb.rows(Form.GCI1) + [(c, d, BOT) for c, d in kb.rows(Form.GCI1_BOT)]:
+        rules[c][1].append((d, e))
         if d != c:
-            gci1_by_part.setdefault(d, []).append((c, e))
+            rules[d][1].append((c, e))
     for c, r, d in kb.rows(Form.GCI2):
-        gci2_by_sub.setdefault(c, []).append((r, d))
-    for r, c, d in kb.rows(Form.GCI3):
-        gci3_by_key.setdefault((r, c), []).append(d)
-    gci0_bot.update(c for c, in kb.rows(Form.GCI0_BOT))
-    for c, d in kb.rows(Form.GCI1_BOT):
-        gci1_bot_by_part.setdefault(c, []).append(d)
-        if d != c:
-            gci1_bot_by_part.setdefault(d, []).append(c)
-    gci3_bot_keys.update(kb.rows(Form.GCI3_BOT))
-    # classes D' that R4/R6 can fire on: fillers of some GCI3 or GCI3_BOT
-    fillers = {dp for _, dp in gci3_by_key} | {dp for _, dp in gci3_bot_keys}
+        rules[c][2].append((r, d))
+    for r, c, d in kb.rows(Form.GCI3) + [(r, c, BOT) for r, c in kb.rows(Form.GCI3_BOT)]:
+        fillers[r].setdefault(c, []).append(d)
+    # one rule table per class that triggers any rule, the last entry saying whether it
+    # triggers R4-R6; None for every other class
+    filler_classes = set().union(*fillers)
+    table = [(*rules[d], d in filler_classes) if d in rules or d in filler_classes else None
+             for d in range(n)]
 
-    work: deque = deque()
-
-    def add_sub(c: int, d: int):
-        if d not in subsumers[c]:
-            subsumers[c].add(d)
-            work.append(("s", c, d))
-
-    def add_edge(r: int, c: int, d: int):
-        if (r, c, d) not in edges:
-            edges.add((r, c, d))
-            incoming[d].append((r, c))
-            work.append(("e", r, c, d))
-
-    for c in range(n):
-        add_sub(c, c)
-        add_sub(c, TOP)
-
-    while work:
-        item = work.popleft()
-        if item[0] == "s":
-            _, c, d = item
-            for e in gci0_by_sub.get(d, ()):
-                add_sub(c, e)
-            for other, e in gci1_by_part.get(d, ()):
-                if other in subsumers[c]:
-                    add_sub(c, e)
-            for r, e in gci2_by_sub.get(d, ()):
-                add_edge(r, c, e)
-            if d in gci0_bot:
-                add_sub(c, BOT)
-            for other in gci1_bot_by_part.get(d, ()):
-                if other in subsumers[c]:
-                    add_sub(c, BOT)
-            # d joined S(c): re-fire R4/R5/R6 for edges pointing at c
-            if d == BOT or d in fillers:
-                for r, src in tuple(incoming[c]):
-                    for e in gci3_by_key.get((r, d), ()):
-                        add_sub(src, e)
-                    if (r, d) in gci3_bot_keys:
-                        add_sub(src, BOT)
-                    if d == BOT:
-                        add_sub(src, BOT)
-        else:
-            _, r, c, d = item
-            for dp in tuple(subsumers[d]):
-                for e in gci3_by_key.get((r, dp), ()):
-                    add_sub(c, e)
-                if (r, dp) in gci3_bot_keys:
-                    add_sub(c, BOT)
-            if BOT in subsumers[d]:
-                add_sub(c, BOT)
+    subsumers: list[set[int]] = [{c, TOP} for c in range(n)]
+    incoming: list[list[tuple[int, int]]] = [[] for _ in range(n)]     # D -> [(r, C)]
+    edge_keys: set[int] = set()        # (r, C, D) as one int: no tuple per edge is kept
+    todo = [(c, d) for c in range(n) for d in subsumers[c] if table[d] is not None]
+    edges: list[tuple[int, int, int]] = []                                # (r, C, D)
+    while todo or edges:
+        if edges:
+            # R4-R6 on a new edge: the subsumers of D that are fillers of r, set at a time
+            r, c, d = edges.pop()
+            filler = fillers[r]
+            for dp in filler.keys() & subsumers[d]:
+                _derive(c, filler[dp], subsumers, table, todo)
+            continue
+        c, d = todo.pop()
+        told, pairs, exists, is_filler = table[d]
+        if told:
+            _derive(c, told, subsumers, table, todo)
+        if pairs:
+            s_c = subsumers[c]
+            _derive(c, [e for other, e in pairs if other in s_c], subsumers, table, todo)
+        for r, e in exists:
+            key = (r * n + c) * n + e
+            if key not in edge_keys:
+                edge_keys.add(key)
+                incoming[e].append((r, c))
+                edges.append((r, c, e))
+        if is_filler:
+            # d joined S(c): R4-R6 for the edges that point at c
+            for r, src in incoming[c]:
+                if d in fillers[r]:
+                    _derive(src, fillers[r][d], subsumers, table, todo)
 
     unsat = {c for c in range(n) if BOT in subsumers[c]}
     return SubsumptionClosure(sig=kb.sig, subsumers=subsumers, unsat=unsat)
+
+
+def _derive(c: int, targets, subsumers: list[set[int]], table: list, todo: list):
+    """Add targets to S(c); queue each new one that triggers a rule."""
+    s_c = subsumers[c]
+    for e in targets:
+        if e not in s_c:
+            s_c.add(e)
+            if table[e] is not None:
+                todo.append((c, e))
 
 
 def dump_subsumptions(closure: SubsumptionClosure) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 RESERVED_PREFIX = "_N"   # reserved for classes introduced by the normalizer
 
@@ -84,116 +85,123 @@ def rolechain(r1: str, r2: str, s: str) -> GeneralAxiom:
 # --- reader -----------------------------------------------------------------
 
 _TOKEN = re.compile(r"[()]|[^\s()]+")   # \s matches exactly the str.isspace() characters
-
-
-@dataclass(frozen=True)
-class _Node:
-    """Raw s-expression node before translation."""
-    sym: str | None
-    children: tuple["_Node", ...]
-    pos: int                       # text offset of the symbol or of the opening '('
+_NOT_A_CLASS = frozenset(_AXIOM_HEADS + ("and", "some", "one"))
 
 
 class _Error(Exception):
-    """(reason, offset); parse_general turns it into a positioned SexprError."""
+    """(reason, token index); parse_general turns it into a positioned SexprError."""
 
 
-def _read_nodes(text: str) -> list[_Node]:
-    items: list[_Node] = []
-    stack: list[tuple[list[_Node], int]] = []
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        if tok == "(":
-            stack.append((items, m.start()))
-            items = []
-        elif tok == ")":
+def _element_lists(tokens: list[str]) -> tuple[list[int], list]:
+    """The token indices of the document's elements, and lists[k] = those of the elements
+    of the list that opens at token k.  Balance errors come first, before any other."""
+    document: list[int] = []
+    lists: list = [None] * len(tokens)
+    stack, items = [], document
+    for k, tok in enumerate(tokens):
+        if tok == ")":
             if not stack:
-                raise _Error("unbalanced ')'", m.start())
-            parent, start = stack.pop()
-            parent.append(_Node(None, tuple(items), start))
-            items = parent
+                raise _Error("unbalanced ')'", k)
+            items = stack.pop()
         else:
-            items.append(_Node(tok, (), m.start()))
+            items.append(k)
+            if tok == "(":
+                stack.append(items)
+                items = lists[k] = []
     if stack:
-        raise _Error("unbalanced '('", stack[-1][1])
-    return items
+        raise _Error("unbalanced '('", stack[-1][-1])
+    return document, lists
 
 
-def _check_identifier(name: str, node: _Node):
-    if name.startswith(RESERVED_PREFIX):
-        raise _Error(f"identifier {name!r} uses the reserved prefix {RESERVED_PREFIX!r}",
-                     node.pos)
+class _Reader:
+    """Recursive descent from the token list straight to Concepts, one per atom name.
 
+    A list's elements are all located before any is translated, so a node's own
+    arity error is reported before any error inside its arguments.
+    """
 
-def _to_concept(node: _Node) -> Concept:
-    if node.sym is not None:
-        if node.sym == "top":
-            return TOP_CONCEPT
-        if node.sym == "bot":
-            return BOT_CONCEPT
-        if node.sym in _AXIOM_HEADS or node.sym in ("and", "some", "one"):
-            raise _Error(f"{node.sym!r} cannot be used as a class name", node.pos)
-        _check_identifier(node.sym, node)
-        return atom(node.sym)
-    if not node.children or node.children[0].sym is None:
-        raise _Error("expected a head symbol", node.pos)
-    head = node.children[0].sym
-    args = node.children[1:]
-    if head == "and":
-        if len(args) < 2:
-            raise _Error("'and' needs at least 2 arguments", node.pos)
-        return conj(_to_concept(a) for a in args)
-    if head == "some":
-        if len(args) != 2:
-            raise _Error("'some' needs exactly 2 arguments", node.pos)
-        return some(_role_name(args[0]), _to_concept(args[1]))
-    if head == "one":
-        if len(args) != 1 or args[0].sym is None:
-            raise _Error("'one' needs exactly 1 individual name", node.pos)
-        _check_identifier(args[0].sym, args[0])
-        return atom("{" + args[0].sym + "}")
-    if head in ("top", "bot"):
-        if args:
-            raise _Error(f"'{head}' takes no arguments", node.pos)
-        return TOP_CONCEPT if head == "top" else BOT_CONCEPT
-    raise _Error(f"unknown head symbol: {head}", node.pos)
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.document, self.lists = _element_lists(tokens)
+        self.atoms = {"top": TOP_CONCEPT, "bot": BOT_CONCEPT}
 
+    def head(self, k: int, what: str) -> tuple[str, list[int]]:
+        items = self.lists[k]
+        if not items or self.tokens[items[0]] == "(":
+            raise _Error(f"expected {what} head symbol", k)
+        return self.tokens[items[0]], items[1:]
 
-def _role_name(node: _Node) -> str:
-    if node.sym is None:
-        raise _Error("relation name must be a symbol", node.pos)
-    return node.sym
+    def identifier(self, k: int) -> str:
+        name = self.tokens[k]
+        if name.startswith(RESERVED_PREFIX):
+            raise _Error(f"identifier {name!r} uses the reserved prefix {RESERVED_PREFIX!r}", k)
+        return name
 
+    def role(self, k: int) -> str:
+        if self.tokens[k] == "(":
+            raise _Error("relation name must be a symbol", k)
+        return self.tokens[k]
 
-def _to_axiom(node: _Node) -> GeneralAxiom:
-    if node.sym is not None:
-        raise _Error(f"expected an axiom, got symbol {node.sym!r}", node.pos)
-    if not node.children or node.children[0].sym is None:
-        raise _Error("expected an axiom head symbol", node.pos)
-    head = node.children[0].sym
-    args = node.children[1:]
-    if head in ("subclassof", "equivalent"):
-        if len(args) != 2:
-            raise _Error(f"'{head}' needs exactly 2 arguments", node.pos)
-        left, right = _to_concept(args[0]), _to_concept(args[1])
-        return subclassof(left, right) if head == "subclassof" else equivalent(left, right)
-    if head == "subrole":
-        if len(args) != 2:
-            raise _Error("'subrole' needs exactly 2 relation names", node.pos)
-        return subrole(_role_name(args[0]), _role_name(args[1]))
-    if head == "rolechain":
-        if len(args) != 3:
-            raise _Error("'rolechain' needs exactly 3 relation names", node.pos)
-        return rolechain(*(_role_name(a) for a in args))
-    raise _Error(f"unknown head symbol: {head}", node.pos)
+    def concept(self, k: int) -> Concept:
+        tok = self.tokens[k]
+        if tok != "(":
+            found = self.atoms.get(tok)
+            if found is None:
+                if tok in _NOT_A_CLASS:
+                    raise _Error(f"{tok!r} cannot be used as a class name", k)
+                found = self.atoms[tok] = atom(self.identifier(k))
+            return found
+        head, args = self.head(k, "a")
+        if head == "some":
+            if len(args) != 2:
+                raise _Error("'some' needs exactly 2 arguments", k)
+            return some(self.role(args[0]), self.concept(args[1]))
+        if head == "and":
+            if len(args) < 2:
+                raise _Error("'and' needs at least 2 arguments", k)
+            return Concept("and", parts=tuple(map(self.concept, args)))
+        if head == "one":
+            if len(args) != 1 or self.tokens[args[0]] == "(":
+                raise _Error("'one' needs exactly 1 individual name", k)
+            name = "{" + self.identifier(args[0]) + "}"
+            found = self.atoms.get(name)
+            if found is None:
+                found = self.atoms[name] = atom(name)
+            return found
+        if head in ("top", "bot"):
+            if args:
+                raise _Error(f"'{head}' takes no arguments", k)
+            return self.atoms[head]
+        raise _Error(f"unknown head symbol: {head}", k)
+
+    def axiom(self, k: int) -> GeneralAxiom:
+        if self.tokens[k] != "(":
+            raise _Error(f"expected an axiom, got symbol {self.tokens[k]!r}", k)
+        head, args = self.head(k, "an axiom")
+        if head in ("subclassof", "equivalent"):
+            if len(args) != 2:
+                raise _Error(f"'{head}' needs exactly 2 arguments", k)
+            return GeneralAxiom(head, left=self.concept(args[0]), right=self.concept(args[1]))
+        if head == "subrole":
+            if len(args) != 2:
+                raise _Error("'subrole' needs exactly 2 relation names", k)
+            return subrole(self.role(args[0]), self.role(args[1]))
+        if head == "rolechain":
+            if len(args) != 3:
+                raise _Error("'rolechain' needs exactly 3 relation names", k)
+            return rolechain(*map(self.role, args))
+        raise _Error(f"unknown head symbol: {head}", k)
 
 
 def parse_general(text: str) -> list[GeneralAxiom]:
     """Parse an s-expression document into a list of general axioms."""
+    tokens = _TOKEN.findall(text)
     try:
-        return [_to_axiom(node) for node in _read_nodes(text)]
+        reader = _Reader(tokens)
+        return [reader.axiom(k) for k in reader.document]
     except _Error as exc:
-        reason, pos = exc.args
+        reason, k = exc.args
+        pos = next(islice(_TOKEN.finditer(text), k, None)).start()
         line = text.count("\n", 0, pos) + 1
         col = pos - text.rfind("\n", 0, pos)
         raise SexprError(reason, line, col) from None

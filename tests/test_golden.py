@@ -1,9 +1,10 @@
 """Outputs pinned byte for byte: the toy datasets ``elgeo gen-toy`` writes at seed 0,
 ``elgeo normalize`` on a fixture whose nested existentials fix the order in
 which relations, and so their ids, are interned, the report and curves of
-``elgeo naive --out`` on those toys, the checkpoint and per-epoch report of
-``elgeo train`` on two of them, the report and curves of ``elgeo evaluate
---out`` on those checkpoints, and the bytes of completion scores on random models."""
+``elgeo naive --out`` on those toys, the subsumptions ``elgeo reason`` writes
+for two of them, the checkpoint and per-epoch report of ``elgeo train`` on two
+of them, the report and curves of ``elgeo evaluate --out`` on those
+checkpoints, and the bytes of completion scores on random models."""
 
 import hashlib
 import json
@@ -167,6 +168,13 @@ EVAL_SHA256 = {
 }
 
 
+# (toy, its --seed) -> sha256 of what ``elgeo reason --out`` writes: each class's
+# subsumers in id order
+REASON_SHA256 = {
+    ("basic", "0"): "5e19bc81de928b7aeca039241fe97492fafe326c00e707590c48919c9d7b49c5",
+    ("hierarchy", "2"): "b0a0ca36bb865162836ecb1ada3d2a94b0c8dea46394b8bf135b60329a101062",
+}
+
 # (activation, dim, margin) -> sha256 of the float64 scores of 5 queries against a pool
 # of 1,100 tails, longer than one chunk, on a random model (see completion_scores);
 # relu at margin -0.05 scores 1,235 of them -0.0
@@ -212,6 +220,14 @@ def test_normalize_interns_in_the_pinned_order():
     _, sig = normalize(parse_general(FIXTURE))
     assert sig.relation_names == RELATIONS
     assert sig.class_names == CLASSES
+
+
+@pytest.mark.parametrize("preset,seed", sorted(REASON_SHA256))
+def test_reason_writes_the_pinned_bytes(preset, seed, tmp_path):
+    toy = tmp_path / preset
+    assert main(["gen-toy", str(toy), "--preset", preset, "--seed", seed]) == 0
+    assert main(["reason", str(toy), "--out", str(tmp_path / "pairs.tsv")]) == 0
+    assert sha256(tmp_path / "pairs.tsv") == REASON_SHA256[preset, seed]
 
 
 @pytest.mark.parametrize("preset,tie_mode,symmetric", sorted(NAIVE_SHA256))

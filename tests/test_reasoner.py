@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from elgeo.axioms import BOT, TOP, parse_normalized
+from elgeo.axioms import BOT, TOP, Form, Signature, parse_normalized
+from elgeo.closure import compute_closure
 from elgeo.dataset import build_kb
-from elgeo.reasoner import dump_subsumptions, saturate
+from elgeo.reasoner import SubsumptionClosure, dump_subsumptions, saturate
 
-from oracles import as_rows, is_subsumed, random_kb, rescan_saturate
+from oracles import as_rows, is_subsumed, random_kb, rescan_closure, rescan_saturate
 
 
 def kb_from(text):
@@ -78,6 +79,31 @@ class TestInvariants:
             for c in range(kb.sig.n_classes):
                 assert closure.subsumers[c] == oracle[c], c
 
+    def test_oracle_equivalence_at_scale(self):
+        """Enough classes, relations and axioms that each relation's filler map holds
+        several classes and edges meet them from both sides; the closure built on the
+        result must equal the one built on the oracle's."""
+        rng = np.random.default_rng(19)
+        forms, unsat, derived = set(), 0, 0
+        for _ in range(25):
+            kb = random_kb(rng, n_classes=int(rng.integers(20, 41)),
+                           n_relations=int(rng.integers(3, 6)),
+                           n_axioms=int(rng.integers(60, 151)))
+            closure = saturate(kb)
+            oracle = rescan_saturate(kb)
+            n = kb.sig.n_classes
+            assert closure.subsumers == [oracle[c] for c in range(n)]
+            assert closure.unsat == {c for c in range(n) if BOT in oracle[c]}
+            dc = compute_closure(kb, closure)
+            for form, expected in rescan_closure(kb, oracle).items():
+                assert dc.sets[form] == expected, form.value
+            forms |= {form for form in Form if len(kb.axioms[form])}
+            unsat += len(closure.unsat) - 1
+            derived += sum(map(len, closure.subsumers)) - 2 * n
+        assert {Form.GCI0, Form.GCI1, Form.GCI2, Form.GCI3, Form.GCI0_BOT, Form.GCI1_BOT,
+                Form.GCI3_BOT} <= forms
+        assert unsat > 0 and derived > 0
+
     def test_reflexivity_top_transitivity(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -122,3 +148,19 @@ def test_dump_contains_all_pairs():
     assert "GCI0\tA\tC" in lines
     assert "GCI0\tA\tTOP" in lines
     assert len(lines) == sum(1 for _ in closure.pairs())
+
+
+def test_pairs_come_in_id_order_whatever_the_set_history():
+    sig = Signature()
+    for i in range(40):
+        sig.intern_class(f"K{i}")
+    subsumers = [{c, TOP} for c in range(sig.n_classes)]
+    subsumers[5] = set()
+    for d in (37, 5, 2, TOP):   # 37 lands in the slot 5 would take, so the set iterates 37 first
+        subsumers[5].add(d)
+    assert list(subsumers[5]) != sorted(subsumers[5])
+    closure = SubsumptionClosure(sig=sig, subsumers=subsumers, unsat={BOT})
+    pairs = list(closure.pairs())
+    assert pairs == sorted(pairs)
+    assert [d for c, d in pairs if c == 5] == [TOP, 2, 5, 37]
+    assert [d for c, d in pairs if c == BOT] == list(range(sig.n_classes))

@@ -1,9 +1,46 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elgeo.sexpr import (
-    BOT_CONCEPT, TOP_CONCEPT, SexprError, atom, conj, equivalent, parse_general,
-    some, subclassof, subrole, rolechain,
+    BOT_CONCEPT, TOP_CONCEPT, GeneralAxiom, SexprError, atom, conj, equivalent,
+    parse_general, some, subclassof, subrole, rolechain,
 )
+
+# an atom named "{a}" is printed as the nominal (one a), which reads back as that atom
+ATOMS = st.sampled_from(["A", "B", "K0_1", "x-y.z", "{a}", "{p2}"])
+ROLES = st.sampled_from(["r", "s", "part-of", "r0_1"])
+CONCEPTS = st.recursive(
+    st.one_of(ATOMS.map(atom), st.sampled_from([TOP_CONCEPT, BOT_CONCEPT])),
+    lambda parts: st.one_of(st.lists(parts, min_size=2, max_size=4).map(conj),
+                            st.builds(some, ROLES, parts)),
+    max_leaves=8)
+AXIOMS = st.one_of(
+    st.builds(GeneralAxiom, st.sampled_from(["subclassof", "equivalent"]), CONCEPTS, CONCEPTS),
+    st.builds(subrole, ROLES, ROLES),
+    st.builds(rolechain, ROLES, ROLES, ROLES))
+SPACES = ["", " ", "\t", "\n", "\r\n", " \n\t "]
+
+
+def concept_tokens(c, rnd):
+    if c.kind in ("top", "bot"):
+        return rnd.choice([[c.kind], ["(", c.kind, ")"]])
+    if c.kind == "atom":
+        return ["(", "one", c.name[1:-1], ")"] if c.name.startswith("{") else [c.name]
+    head = ["and"] if c.kind == "and" else ["some", c.relation]
+    return ["(", *head, *(t for p in c.parts for t in concept_tokens(p, rnd)), ")"]
+
+
+def print_document(axioms, rnd):
+    """The axioms as s-expressions, with random whitespace wherever a token boundary allows."""
+    tokens = []
+    for ax in axioms:
+        args = [ax.left, ax.right] if ax.left is not None else []
+        tokens += ["(", ax.kind, *ax.roles, *(t for c in args for t in concept_tokens(c, rnd)), ")"]
+    out = [rnd.choice(SPACES)]
+    for tok, after in zip(tokens, tokens[1:] + [")"]):
+        spaces = SPACES if "(" in (tok, after) or ")" in (tok, after) else SPACES[1:]
+        out += [tok, rnd.choice(spaces)]
+    return "".join(out)
 
 
 class TestParseGeneral:
@@ -38,6 +75,20 @@ class TestParseGeneral:
         ("(subclassof A B)\r(foo)", 1, 18, "unknown head symbol: foo"),
         ("(subclassof A\n   _N1)", 2, 4, "reserved prefix"),
         ("(subclassof A (some (r) B))", 1, 21, "relation name must be a symbol"),
+        # a balance error wins over any translation error, wherever it is
+        ("(foo A B)\n(subclassof A B)\n  (subclassof A (and B C)", 3, 3, "unbalanced '('"),
+        ("(subclassof A (and B C) junk", 1, 1, "unbalanced '('"),
+        # of two translation errors, the first in document order is reported
+        ("(subclassof A B)\n(subclassof A (or B C))\n(bar)", 2, 15, "unknown head symbol: or"),
+        ("(subclassof (or A B) (xor C))", 1, 13, "unknown head symbol: or"),
+        ("(subclassof A (and (or B) (some r)))", 1, 20, "unknown head symbol: or"),
+        # ... except that a node's own arity is checked before its arguments
+        ("(subclassof (or A) B C)", 1, 1, "'subclassof' needs exactly 2 arguments"),
+        ("(subclassof A\n (and B\n  (some r\n   (and C (some s (foo D))))))", 4, 19,
+         "unknown head symbol: foo"),
+        ("(subclassof A B) junk", 1, 18, "expected an axiom, got symbol 'junk'"),
+        ("(subclassof {_N1} (one _N1))", 1, 24, "reserved prefix"),
+        ("(subclassof A and)", 1, 15, "'and' cannot be used as a class name"),
     ])
     def test_error_position(self, text, line, col, reason):
         with pytest.raises(SexprError) as err:
@@ -65,3 +116,19 @@ class TestParseGeneral:
         a = parse_general("(subclassof A(and B C))")
         b = parse_general("( subclassof\n  A \t ( and B C ) )")
         assert a == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(AXIOMS, min_size=1, max_size=5), st.randoms(use_true_random=False))
+def test_printed_axioms_read_back_equal(axioms, rnd):
+    assert parse_general(print_document(axioms, rnd)) == axioms
+
+
+def test_an_atom_name_reads_as_one_concept_per_document():
+    axioms = parse_general("(subclassof A B)\n(subclassof B (and A (some r A)))\n"
+                           "(equivalent (one a) {a})")
+    a, b = axioms[0].left, axioms[0].right
+    assert axioms[1].left is b
+    assert axioms[1].right.parts[0] is a and axioms[1].right.parts[1].parts[0] is a
+    assert axioms[2].left is axioms[2].right == atom("{a}")
+    assert parse_general("(subclassof A B)")[0].left is not a
