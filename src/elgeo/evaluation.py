@@ -49,8 +49,8 @@ class RankRecord:
 # weight of each other candidate whose score equals the true tail's
 TIE_WEIGHT = {"optimistic": 0.0, "average": 0.5}
 
-# Rows (queries x candidates) per score_tails call: bounds the blocks whatever the pool size.
-BLOCK = 16 * CHUNK
+# Entries (queries x candidates) scored per block: bounds the blocks whatever the pool size.
+BLOCK = 64 * CHUNK
 
 
 def _runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -59,40 +59,75 @@ def _runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, np.arange(len(i)) + (lo - np.cumsum(hi - lo) + (hi - lo))[i]
 
 
+def _exact_bounds(scorer, pool):
+    """``score_bounds`` for a scorer that has none: its own scores, with err 0."""
+    def bounds(c, r):
+        scores = scorer.score_tails(c[:, None], r[:, None], pool)
+        scores = np.broadcast_to(scores, (len(c), len(pool)))
+        return scores, np.zeros(scores.shape)
+    return bounds
+
+
+def _rescore(scorer, c, r, pool, scores, err, at):
+    """Overwrite the scores at flat indices ``at`` whose err is not 0 with
+    ``score_tails``' own, in one call, and set their err to 0."""
+    at = at[err.take(at) != 0.0]
+    if len(at):
+        qi, ci = np.divmod(at, len(pool))
+        np.put(scores, at, scorer.score_tails(c[qi], r[qi], pool[ci]))
+        np.put(err, at, 0.0)
+
+
 def _rank_rows(scorer, rows: np.ndarray, candidates, train_keys: np.ndarray, dims,
                tie_mode: str) -> list[RankRecord]:
-    """Rank the tail of each (head, rel, tail) row among the candidates, one
-    ``score_tails((q, 1) heads, (q, 1) rels, pool)`` call per block of queries.
+    """Rank the tail of each (head, rel, tail) row among the candidates, a block of
+    queries at a time.  The scorer's ``score_bounds(pool)`` (``_exact_bounds`` if it
+    has none) gives each block's scores and a bound ``err`` on how far each lies from
+    ``score_tails``' own, 0 where it is that score.  The true tails are rescored
+    exactly, then so is every candidate whose gap to its true tail is not above its
+    err: a rank reads only whether a candidate scores above, at or below its true
+    tail, and every other candidate is on the side its approximate score shows, never
+    at it.  So every rank is the one ``score_tails`` scores alone would give.
     The filtered rank leaves out the candidates in the query's run of sorted
     ``train_keys`` (``pack_keys`` over ``dims``) but never the true tail."""
+    if tie_mode not in TIE_WEIGHT:
+        raise ValueError(f"unknown tie mode: {tie_mode!r}")
     pool = np.asarray(candidates, dtype=np.int64)
-    n, order = len(pool), np.argsort(pool)
-    step = max(1, BLOCK // max(n, 1))
-    records = []
-    for block in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
-        c, r, d = block.T
-        true = pool == d[:, None]
-        missing = ~true.any(axis=1)
-        if missing.any():
-            raise EvaluationError(
-                f"true tail not among candidates for head id {c[missing.argmax()]}")
-        if tie_mode not in TIE_WEIGHT:
-            raise ValueError(f"unknown tie mode: {tie_mode!r}")
-        tie = TIE_WEIGHT[tie_mode]
-        scores = np.broadcast_to(scorer.score_tails(c[:, None], r[:, None], pool), true.shape)
-        s = scores[np.arange(len(d)), true.argmax(axis=1), None]
-        # each candidate's share of the rank; the true tail's own tie is taken back
-        ahead = (scores > s) + tie * (scores == s)
-        start = pack_keys(Form.GCI2, (c, r, np.zeros_like(c)), *dims)
-        query, at = _runs(*np.searchsorted(train_keys, [start, start + dims[0]]))
-        tails = train_keys[at] - start[query]
-        hit, at = _runs(*np.searchsorted(pool[order], [tails, tails + 1]))
-        keep = np.ones_like(true)
-        keep[query[hit], order[at]] = true[query[hit], order[at]]   # the true tail stays
-        ranks = 1 - tie + np.stack([ahead.sum(axis=1), (ahead * keep).sum(axis=1)], axis=1)
-        records += [RankRecord(*row, *rank, n, n_f) for row, rank, n_f in
-                    zip(block.tolist(), ranks.tolist(), keep.sum(axis=1).tolist())]
-    return records
+    step = max(1, BLOCK // max(len(pool), 1))
+    bounds = (scorer.score_bounds(pool) if hasattr(scorer, "score_bounds")
+              else _exact_bounds(scorer, pool))
+    order = np.argsort(pool)
+    return [rec for lo in range(0, len(rows), step)
+            for rec in _rank_block(scorer, bounds, rows[lo:lo + step], pool, order, train_keys,
+                                   dims, TIE_WEIGHT[tie_mode])]
+
+
+def _rank_block(scorer, bounds, block, pool, order, train_keys, dims, tie) -> list[RankRecord]:
+    """``_rank_rows`` for one block of rows; its (q, n) arrays go when it returns."""
+    c, r, d = block.T
+    true = pool == d[:, None]
+    missing = ~true.any(axis=1)
+    if missing.any():
+        raise EvaluationError(f"true tail not among candidates for head id {c[missing.argmax()]}")
+    scores, err = bounds(c, r)
+    _rescore(scorer, c, r, pool, scores, err, np.flatnonzero(true))
+    s = scores[np.arange(len(d)), true.argmax(axis=1), None]
+    gap = np.subtract(scores, s)
+    _rescore(scorer, c, r, pool, scores, err, np.flatnonzero(~(np.abs(gap, out=gap) > err)))
+    above, level = scores > s, scores == s
+    start = pack_keys(Form.GCI2, (c, r, np.zeros_like(c)), *dims)
+    query, at = _runs(*np.searchsorted(train_keys, [start, start + dims[0]]))
+    tails = train_keys[at] - start[query]
+    hit, at = _runs(*np.searchsorted(pool[order], [tails, tails + 1]))
+    keep = np.ones_like(true)
+    keep[query[hit], order[at]] = true[query[hit], order[at]]   # the true tail stays
+    # 1, plus each candidate above, plus tie per candidate level with the true tail, whose
+    # own tie is taken back; counts, so any summation order gives these bits
+    ranks = 1 - tie + np.stack([above.sum(axis=1) + tie * level.sum(axis=1),
+                                (above & keep).sum(axis=1) + tie * (level & keep).sum(axis=1)],
+                               axis=1)
+    return [RankRecord(*row, *rank, len(pool), n_f) for row, rank, n_f in
+            zip(block.tolist(), ranks.tolist(), keep.sum(axis=1).tolist())]
 
 
 def rank_axiom(scorer, ax: Axiom, candidates, filter_set=None,

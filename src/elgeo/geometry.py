@@ -226,6 +226,66 @@ class EmbeddingModel:
         val = np.maximum(arg, 0.0) if slope == 0.0 else np.where(arg > 0.0, arg, slope * arg)
         return -val.reshape(shape)
 
+    def score_bounds(self, tails):
+        """Approximate scores against the (n,) ``tails``, each with a bound on its error.
+
+        Returns ``bounds(c, r) -> (scores, err)`` over (q,) heads and relations; the
+        tails and their squared norms are gathered once, here.  With a = x_c + v_r the
+        squared distance ||a - x_t||^2 is expanded as ||a||^2 + ||x_t||^2 - 2 a.x_t: one
+        matrix product per call.  ``err`` bounds |scores - score_tails(c[:, None],
+        r[:, None], tails)| on every entry, whatever the summation order of either,
+        from Higham's |fl(a.t) - a.t| <= gamma_dim |a|.|t| (gamma_dim = dim u / (1 - dim u),
+        u the unit roundoff).  With M = ||a|| + ||x_t||, the expanded square is off by at
+        most E = c1 M^2, c1 a little over (dim + 4) u, plus what underflow adds, so its root
+        by at most min(sqrt(E), E / root); the rounding of a, of the pinned path and of
+        the adds of radii, margin and norm add a few u per unit of M, ||v_r||, |r_c|,
+        |r_t| and |gamma|.  ``err`` is 0 only where relu's argument is certainly <= 0, so that both
+        scores are -0.0, and inf or NaN where the expansion overflows."""
+        t = _check_ids(np.asarray(tails, dtype=np.int64), self.centers, "class")
+        xt, rt = self.centers.take(t, axis=0), self.radii.take(t)
+        with np.errstate(over="ignore"):
+            tt = np.einsum("ij,ij->i", xt, xt)
+        u, slope = 2.0 ** -53, 0.0 if self.activation == "relu" else self.leaky_slope
+        c1 = (self.dim + 4) * u * (1 + 2 ** -10)
+        under = 16 * self.dim * 2.0 ** -1074   # more than underflow adds to a squared norm
+        lin = (self.dim + 8) * u * (1 + 2 ** -10) + 6 * u * (1 + np.sqrt(c1))   # per unit of M
+        se_t, lin_t = np.sqrt(c1 * tt), lin * np.sqrt(tt) + 6 * u * np.abs(rt)
+        lipschitz = max(1.0, abs(slope))
+
+        def bounds(c, r):
+            c = _check_ids(np.asarray(c, dtype=np.int64), self.centers, "class")
+            r = _check_ids(np.asarray(r, dtype=np.int64), self.rel_vectors, "relation")
+            # an overflowing square leaves err inf or NaN, which the caller rescores
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = self.rel_vectors.take(r, axis=0)
+                a = self.centers.take(c, axis=0) + v
+                aa, vv = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", v, v)
+                rc = self.radii.take(c)
+                root = np.matmul(-2.0 * a, xt.T)
+                root += aa[:, None]
+                root += tt
+                np.sqrt(np.maximum(root, 0.0, out=root), out=root)
+                # minus the argument: -(((-r_c + -r_t) + -gamma) + root) in the pinned order
+                neg = np.add(rc[:, None], rt)
+                neg += self.margin
+                neg -= root
+                se = np.add(np.sqrt(c1 * aa + under)[:, None], se_t)   # at least sqrt(E)
+                err = np.divide(se, np.maximum(root, se, out=root), out=root)
+                err *= se                                             # min(sqrt(E), E / root)
+                err += (lin * np.sqrt(aa) + 2 * u * np.sqrt(vv) + 3 * np.sqrt(under)
+                        + 6 * u * (np.abs(rc) + abs(self.margin)))[:, None]
+                err += lin_t
+                if lipschitz != 1.0:
+                    err *= lipschitz
+                if slope == 0.0:   # -max(arg, 0), and err 0 where arg + err <= 0
+                    err[np.subtract(neg, err, out=se) >= 0.0] = 0.0
+                    return np.minimum(neg, -0.0, out=neg), err
+                if 0.0 < slope <= 1.0:   # -max(arg, slope * arg), the pinned where() then
+                    return np.minimum(neg, np.multiply(neg, slope, out=se), out=neg), err
+                return -np.where(neg < 0.0, -neg, slope * -neg), err
+
+        return bounds
+
 
 class GradientBuffer:
     """Dense parameter gradients laid out like the model's params (repeated ids add up).

@@ -86,6 +86,9 @@ def rolechain(r1: str, r2: str, s: str) -> GeneralAxiom:
 
 _TOKEN = re.compile(r"[()]|[^\s()]+")   # \s matches exactly the str.isspace() characters
 _NOT_A_CLASS = frozenset(_AXIOM_HEADS + ("and", "some", "one"))
+# Most lists open at once.  The reader recurses once per level and the normalizer up
+# to three times, so this keeps both well inside Python's default recursion limit.
+MAX_DEPTH = 256
 
 
 class _Error(Exception):
@@ -94,10 +97,11 @@ class _Error(Exception):
 
 def _element_lists(tokens: list[str]) -> tuple[list[int], list]:
     """The token indices of the document's elements, and lists[k] = those of the elements
-    of the list that opens at token k.  Balance errors come first, before any other."""
+    of the list that opens at token k.  Balance errors come first, before any other, then
+    the first list opened inside ``MAX_DEPTH`` others."""
     document: list[int] = []
     lists: list = [None] * len(tokens)
-    stack, items = [], document
+    stack, items, deep = [], document, None
     for k, tok in enumerate(tokens):
         if tok == ")":
             if not stack:
@@ -106,10 +110,14 @@ def _element_lists(tokens: list[str]) -> tuple[list[int], list]:
         else:
             items.append(k)
             if tok == "(":
+                if len(stack) == MAX_DEPTH and deep is None:
+                    deep = k
                 stack.append(items)
                 items = lists[k] = []
     if stack:
         raise _Error("unbalanced '('", stack[-1][-1])
+    if deep is not None:
+        raise _Error(f"lists nested more than {MAX_DEPTH} deep", deep)
     return document, lists
 
 

@@ -38,6 +38,19 @@ class TestNormalize:
         assert main(["normalize", str(src), str(tmp_path / "o.tsv")]) == 2
         assert "error: 1:18: unknown head symbol: foo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", ["some", "and"])
+    def test_nesting_past_the_cap_exits_2_and_at_it_0(self, shape, tmp_path, capsys):
+        from elgeo.sexpr import MAX_DEPTH
+        from test_sexpr import nested
+        src = tmp_path / "deep.sexp"
+        src.write_text(nested(MAX_DEPTH, shape))
+        assert main(["normalize", str(src), str(tmp_path / "o.tsv")]) == 0
+        src.write_text(nested(MAX_DEPTH + 1, shape))
+        assert main(["normalize", str(src), str(tmp_path / "o.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert "error: 1:" in err and f"lists nested more than {MAX_DEPTH} deep" in err
+        assert "Traceback" not in err
+
     def test_idempotent_on_normal_file(self, tmp_path):
         src = tmp_path / "a.sexp"
         src.write_text("(subclassof A B)\n(subclassof (and A B) C)\n")

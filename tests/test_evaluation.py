@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,7 +181,7 @@ class TestBlockRanking:
 
     def test_missing_tail_in_a_later_block(self):
         rng = np.random.default_rng(61)
-        n_pool = CHUNK * 9   # one query a block at 16k rows
+        n_pool = evaluation.BLOCK // 2 + 1   # one query a block
         kb = self.kb(rng, n_pool, [2, 3, 4, 5], 0.0)
         kb.pools["cands"] = [t for t in kb.pools["cands"] if t != kb.test[2].args[2]]
         scorer = HeadTailScorer(np.zeros((6, kb.sig.n_classes)))
@@ -284,6 +286,102 @@ class TestFilterRange:
         rep = evaluate(scorer, kb, tie_mode=mode)
         assert [(r.rank, r.n_fcand) for r in rep.records] == \
             [(r.frank, r.n_cand) for r in rep.records]
+
+
+def planted_model(activation):
+    """A model that plants ties and near-ties against ``score_bounds``.  Classes 2-9
+    share one radius and a center near 1e3 up to 1e-7, and relation 0 is nearly 0, so
+    x_c + v_0 - x_t is tiny next to ||x_c + v_0|| and the expanded square misorders
+    them.  10-12 copy 13 (exact ties), 14 is 13 one ulp away (a near tie), and 20-25
+    have radius 10, so relu scores each -0.0 from any small head (its flat region)."""
+    rng = np.random.default_rng(71)
+    sig = Signature()
+    for i in range(38):
+        sig.intern_class(f"k{i}")
+    for name in ("r", "s"):
+        sig.intern_relation(name)
+    m = EmbeddingModel.create(sig, dim=6, margin=0.1, activation=activation, leaky_slope=0.1)
+    m.params[:] = rng.normal(scale=0.5, size=m.params.shape)
+    m.centers[2:10] = rng.normal(scale=1e3, size=6) + rng.normal(scale=1e-7, size=(8, 6))
+    m.radii[2:10] = -0.2
+    m.rel_vectors[0] = rng.normal(scale=1e-9, size=6)
+    m.centers[10:13], m.radii[10:13] = m.centers[13], m.radii[13]
+    m.centers[14], m.radii[14] = m.centers[13], m.radii[13]
+    m.centers[14, 0] = np.nextafter(m.centers[13, 0], np.inf)
+    m.radii[20:26] = 10.0
+    return m
+
+
+class TestCertifiedRanking:
+    """Ranks from ``score_bounds`` plus rescoring equal brute force on ``score_tails``'
+    own scores, on planted cancellations, exact ties and near ties."""
+
+    # cancellations, then true tails with exact copies or a near copy, then true tails
+    # in relu's flat region, then plain queries
+    QUERIES = [(2, 0, 5), (3, 0, 7), (4, 0, 2), (9, 0, 9), (15, 1, 13), (16, 0, 10),
+               (17, 1, 14), (18, 1, 20), (19, 0, 25), (26, 1, 22), (27, 0, 30), (28, 1, 31),
+               (29, 0, 12)]
+    POOL = np.array([*range(2, 40), 13, 5, 20, 20, 7])   # repeated ids, true tails among them
+    TRAIN = [(2, 0, 3), (15, 1, 10), (18, 1, 21), (27, 0, 13)]
+
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_planted_ties_rank_as_brute_force_does(self, activation, mode, monkeypatch):
+        m = planted_model(activation)
+        pool, dims = self.POOL, (m.n_classes, m.n_relations)
+        monkeypatch.setattr(evaluation, "BLOCK", 2 * len(pool) + 1)   # two queries a block
+        keys = np.sort(pack_keys(Form.GCI2, np.array(self.TRAIN).T, *dims))
+        records = _rank_rows(m, np.array(self.QUERIES), pool, keys, dims, mode)
+        train = set(self.TRAIN)
+        for (c, r, d), rec in zip(self.QUERIES, records):
+            scores = m.score_tails(c, r, pool).tolist()
+            idx = pool.tolist().index(d)
+            keep = [i for i, t in enumerate(pool) if t == d or (c, r, t) not in train]
+            assert rec.rank == brute_rank(scores, idx, mode)
+            assert rec.frank == brute_rank([scores[i] for i in keep], keep.index(idx), mode)
+            assert (rec.n_cand, rec.n_fcand) == (len(pool), len(keep))
+
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+    def test_the_planted_cases_defeat_the_approximation(self, activation):
+        """Ranking from the approximate scores alone would go wrong: some candidate sits
+        on the other side of its true tail, and some tie exactly."""
+        m = planted_model(activation)
+        rows, pool = np.array(self.QUERIES), self.POOL
+        scores, err = m.score_bounds(pool)(rows[:, 0], rows[:, 1])
+        pinned = m.score_tails(rows[:, :1], rows[:, 1:2], pool)
+        at = np.arange(len(rows)), (pool == rows[:, 2:]).argmax(axis=1)
+        side = np.sign(pinned - pinned[at][:, None])
+        assert (np.sign(scores - scores[at][:, None]) != side).any()
+        assert ((side == 0) & (pool != rows[:, 2:])).sum() >= 4
+        if activation == "relu":
+            flat = (err == 0.0) & (pinned == 0.0)
+            assert flat[at].sum() == 3 and flat.sum() > 3 * 6
+
+    def test_memory_stays_within_a_multiple_of_a_block(self):
+        """Peak traced memory stays under 8 blocks of float64s (about 5 at this change)
+        whether 40 queries or 400 are ranked against a pool of 4,096: one (400, 4,096)
+        array alone would take 25."""
+        from elgeo.evaluation import BLOCK
+        rng = np.random.default_rng(73)
+        sig = Signature()
+        for i in range(4096):
+            sig.intern_class(f"k{i}")
+        for name in ("r", "s", "t"):
+            sig.intern_relation(name)
+        m = EmbeddingModel.create(sig, dim=16, activation="leaky_relu")
+        pool, dims = np.arange(2, 4098), (m.n_classes, m.n_relations)
+        assert 400 * len(pool) > 3 * 8 * BLOCK
+        for q in (40, 400):
+            rows = np.stack([rng.choice(pool, q), rng.integers(3, size=q), rng.choice(pool, q)],
+                            axis=1)
+            tracemalloc.start()
+            try:
+                records = _rank_rows(m, rows, pool, np.zeros(0, dtype=np.int64), dims, "average")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(records) == q
+            assert peak < 8 * BLOCK * 8
 
 
 class TestAggregate:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elgeo.axioms import Signature
 from elgeo.geometry import (
@@ -245,6 +246,86 @@ class TestScore:
             tracemalloc.stop()
         assert scores.shape == (q, n)
         assert peak < q * n * dim * 8 / 4
+
+
+def bound_model(rng, dim, activation, slope, table):
+    """A random model whose tables are ``normal`` at a random scale, ``cancel``-heavy
+    (centers near 1e3, x_3 + v_0 = x_5 up to rounding, radii that put the argument near
+    0), ``integer`` (exact sums, ties, relu's flat region), or ``tiny``/``huge`` enough
+    to underflow or overflow a squared norm."""
+    sig = Signature()
+    for i in range(14):
+        sig.intern_class(f"k{i}")
+    for i in range(3):
+        sig.intern_relation(f"r{i}")
+    m = EmbeddingModel.create(sig, dim=dim, margin=float(rng.normal(scale=0.2)),
+                              activation=activation, leaky_slope=slope)
+    size = m.params.shape
+    if table == "integer":
+        m.params[:] = rng.integers(-3, 4, size=size)
+    elif table == "cancel":
+        m.centers[:] = rng.normal(scale=1e3, size=dim) + rng.normal(
+            scale=10.0 ** rng.uniform(-12, 0), size=m.centers.shape)
+        m.rel_vectors[:] = rng.normal(scale=10.0 ** rng.uniform(-12, -3),
+                                      size=m.rel_vectors.shape)
+        m.rel_vectors[0] = m.centers[5] - m.centers[3]
+        m.radii[:] = -m.margin / 2 + rng.normal(scale=10.0 ** rng.uniform(-14, -1),
+                                                size=m.n_classes)
+    else:
+        scale = {"normal": 10.0 ** rng.uniform(-3, 3), "tiny": 1e-160, "huge": 1e160}[table]
+        m.params[:] = rng.normal(scale=scale, size=size)
+    return m
+
+
+class TestScoreBounds:
+    """``score_bounds``: approximate scores with a bound on their distance to the pinned ones."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 65),
+           activation=st.sampled_from(["relu", "leaky_relu"]),
+           slope=st.sampled_from([0.0, 0.01, 0.5, 1.0, 3.0, -0.2]),
+           table=st.sampled_from(["normal", "cancel", "integer", "tiny", "huge"]))
+    @settings(max_examples=300, deadline=None)
+    def test_err_bounds_the_distance_to_the_pinned_scores(self, seed, dim, activation, slope,
+                                                          table):
+        rng = np.random.default_rng(seed)
+        m = bound_model(rng, dim, activation, slope, table)
+        heads, rels = rng.integers(m.n_classes, size=6), rng.integers(3, size=6)
+        heads[0], rels[0] = 3, 0
+        pool = np.append(rng.integers(m.n_classes, size=30), [5, 5, 3])
+        with np.errstate(over="ignore", invalid="ignore"):   # the huge tables overflow
+            scores, err = m.score_bounds(pool)(heads, rels)
+            pinned = m.score_tails(heads[:, None], rels[:, None], pool)
+            gap = np.abs(scores - pinned)
+        assert scores.shape == err.shape == pinned.shape == (6, 33)
+        sure = np.isfinite(err)
+        if table != "huge":
+            assert sure.all()
+        # an entry with a non-finite err is rescored, so only the others need the bound
+        assert (gap[sure] <= err[sure]).all()
+        assert (err[sure] >= 0.0).all()
+        exact = err == 0.0
+        assert (scores[exact] == pinned[exact]).all()
+        if exact.any():
+            assert activation == "relu" or slope == 0.0
+            assert (pinned[exact] == 0.0).all()
+
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+    def test_unit_scale_bounds_are_tight_enough_to_decide(self, activation):
+        rng = np.random.default_rng(11)
+        m = random_model(rng, 50, activation, 0.1, n_classes=300)
+        pool = np.arange(300)
+        scores, err = m.score_bounds(pool)(rng.integers(300, size=20), rng.integers(3, size=20))
+        assert err.max() < 1e-12
+
+    def test_ids_are_checked(self):
+        m = random_model(np.random.default_rng(5), 3, "relu", 0.1)
+        with pytest.raises(KeyError, match="unknown class id"):
+            m.score_bounds([2, m.n_classes])
+        bounds = m.score_bounds([2, 3])
+        with pytest.raises(KeyError, match="unknown relation id"):
+            bounds(np.array([2]), np.array([m.n_relations]))
+        with pytest.raises(KeyError, match="unknown class id"):
+            bounds(np.array([-1]), np.array([0]))
 
 
 class TestRegularization:

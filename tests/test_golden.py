@@ -4,17 +4,23 @@ which relations, and so their ids, are interned, the report and curves of
 ``elgeo naive --out`` on those toys, the subsumptions ``elgeo reason`` writes
 for two of them, the checkpoint and per-epoch report of ``elgeo train`` on two
 of them, the report and curves of ``elgeo evaluate --out`` on those
-checkpoints, and the bytes of completion scores on random models."""
+checkpoints, whatever the number of BLAS threads, and the bytes of completion
+scores on random models."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from elgeo.axioms import Signature
+from elgeo.axioms import Form, Signature, rows_of
 from elgeo.cli import main
-from elgeo.geometry import EmbeddingModel
+from elgeo.dataset import build_kb, load_dataset, save_dataset
+from elgeo.geometry import EmbeddingModel, save_model
 from elgeo.normalize import normalize
 from elgeo.sexpr import parse_general
 
@@ -284,3 +290,49 @@ def test_completion_scores_keep_the_pinned_bytes(activation, dim, margin):
     scores = completion_scores(activation, dim, margin)
     assert hashlib.sha256(np.ascontiguousarray(scores, dtype="<f8").tobytes()).hexdigest() == \
         SCORE_SHA256[activation, dim, margin]
+
+
+def wide_run(tmp_path):
+    """A seeded dim-64 relu checkpoint over 700 classes, and its dataset: 60 test queries
+    fit in one block, whose matrix product is large enough for a threaded BLAS to split."""
+    rng = np.random.default_rng(83)
+    sig = Signature()
+    classes = [sig.intern_class(f"c{i:03d}") for i in range(700)]
+    rel = sig.intern_relation("r")
+    pairs = rng.choice(classes, size=(4000, 2))
+    pairs = pairs[np.unique(pairs, axis=0, return_index=True)[1]]
+    kb = build_kb(sig, rows_of((Form.GCI2, (h, rel, t)) for h, t in pairs[60:].tolist()),
+                  test=rows_of((Form.GCI2, (h, rel, t)) for h, t in pairs[:60].tolist()))
+    save_dataset(str(tmp_path / "wide"), kb)
+    sig = load_dataset(str(tmp_path / "wide")).sig   # the names in the order the files give
+    save_model(EmbeddingModel.create(sig, dim=64, margin=0.8, seed=9), str(tmp_path / "wide.bin"))
+    return [str(tmp_path / "wide.bin"), str(tmp_path / "wide"), "--tie-mode", "average"]
+
+
+def pinned_run(tmp_path):
+    """A pinned train run and the evaluate arguments of one of its pins."""
+    (preset, seed, train_args), toy = SKEW_RELU, tmp_path / "skew"
+    assert main(["gen-toy", str(toy), "--preset", preset, "--seed", seed]) == 0
+    assert main(["train", str(toy), str(tmp_path / "run"), *train_args.split()]) == 0
+    return [str(tmp_path / "run" / "checkpoint.bin"), str(toy), "--pool", "tails",
+            "--tie-mode", "average"]
+
+
+@pytest.mark.parametrize("run", [pinned_run, wide_run], ids=["pinned", "wide"])
+def test_evaluate_bytes_do_not_depend_on_blas_threads(run, tmp_path):
+    """``elgeo evaluate`` writes the same report and curves with one BLAS thread and
+    with two: the matrix product's summation order may change, its error bound does not."""
+    argv = run(tmp_path)
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+                   OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / f"eval{threads}"
+        proc = subprocess.run([sys.executable, "-m", "elgeo.cli", "evaluate", *argv,
+                               "--out", str(out)], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        written.append([sha256(out / name) for name in ("eval_report.json", "roc.csv")])
+    assert written[0] == written[1]
+    if run is pinned_run:
+        assert tuple(written[0]) == EVAL_SHA256[SKEW_RELU, "--pool tails --tie-mode average"]

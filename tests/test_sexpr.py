@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from elgeo.normalize import normalize
 from elgeo.sexpr import (
-    BOT_CONCEPT, TOP_CONCEPT, GeneralAxiom, SexprError, atom, conj, equivalent,
+    BOT_CONCEPT, MAX_DEPTH, TOP_CONCEPT, GeneralAxiom, SexprError, atom, conj, equivalent,
     parse_general, some, subclassof, subrole, rolechain,
 )
 
@@ -132,3 +133,35 @@ def test_an_atom_name_reads_as_one_concept_per_document():
     assert axioms[1].right.parts[0] is a and axioms[1].right.parts[1].parts[0] is a
     assert axioms[2].left is axioms[2].right == atom("{a}")
     assert parse_general("(subclassof A B)")[0].left is not a
+
+
+def nested(depth, shape):
+    """A one-axiom document ``depth`` lists deep: a chain of existentials on the right,
+    or of conjunctions on the left, which the normalizer recurses into the deepest."""
+    k = depth - 1   # the axiom's own list is the first
+    if shape == "some":
+        return "(subclassof A " + "(some r " * k + "B" + ")" * k + ")"
+    return "(subclassof " + "(and " * k + "A" + "".join(f" B{i})" for i in range(k)) + " E)"
+
+
+@pytest.mark.parametrize("shape", ["some", "and"])
+def test_a_document_at_the_depth_cap_parses_and_normalizes(shape):
+    rows, sig = normalize(parse_general(nested(MAX_DEPTH, shape)))
+    assert sum(1 for _ in rows.in_order()) == MAX_DEPTH - 1   # one row per nested list
+
+
+@pytest.mark.parametrize("shape", ["some", "and"])
+def test_one_list_past_the_depth_cap_is_a_positioned_error(shape):
+    text = nested(MAX_DEPTH + 1, shape)
+    with pytest.raises(SexprError) as exc:
+        parse_general(text)
+    opener = len("(subclassof A " if shape == "some" else "(subclassof ") + \
+        (MAX_DEPTH - 1) * len("(some r " if shape == "some" else "(and ")
+    assert (exc.value.line, exc.value.col) == (1, opener + 1)
+    assert text[opener] == "("
+    assert exc.value.reason == f"lists nested more than {MAX_DEPTH} deep"
+
+
+def test_balance_errors_come_before_the_depth_cap():
+    with pytest.raises(SexprError, match="unbalanced '\\)'"):
+        parse_general(nested(MAX_DEPTH + 1, "some") + ")")
