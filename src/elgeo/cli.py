@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 runtime failure, 2 input/usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -16,7 +15,7 @@ from .closure import (
 )
 from .config import (
     SCHEMA, ConfigError, apply_overrides, extras, load_config_file, load_preset,
-    resolved, to_train_config,
+    parse_entry, parse_values, resolved, to_train_config,
 )
 from .dataset import DatasetError, load_dataset, save_dataset
 from .evaluation import EvaluationError, emit_roc, evaluate, naive_fit
@@ -80,23 +79,23 @@ def cmd_closure(args) -> int:
     return 0
 
 
-def _start_training_run(args):
-    """What train and grid share: the config, the dataset, its closure when the
-    config needs one, the output directory and a started manifest."""
-    values = _gather_config(args)
+def _start_training_run(args, values: dict):
+    """What train and grid share: the TrainConfig of the config ``values``, the
+    dataset, its closure when the config needs one, the output directory and a
+    started manifest."""
     cfg = to_train_config(values)
+    config = resolved(cfg, values)
     kb = load_dataset(args.dataset)
-    dc = (compute_closure(kb, saturate(kb), max_derived=int(extras(values)["closure.max_derived"]))
+    dc = (compute_closure(kb, saturate(kb), max_derived=int(config["closure.max_derived"]))
           if cfg.needs_closure else None)
     os.makedirs(args.out, exist_ok=True)
-    manifest = RunManifest(command=args.command, config=resolved(values),
-                           seed=cfg.seed).start()
+    manifest = RunManifest(command=args.command, config=config, seed=cfg.seed).start()
     manifest.add_input(args.dataset)
     return cfg, kb, dc, manifest
 
 
 def cmd_train(args) -> int:
-    cfg, kb, dc, manifest = _start_training_run(args)
+    cfg, kb, dc, manifest = _start_training_run(args, _gather_config(args))
     ckpt = os.path.join(args.out, "checkpoint.bin")
     model, report = train(kb, cfg, dc, checkpoint_path=ckpt)
     report_path = os.path.join(args.out, "report.jsonl")
@@ -113,15 +112,12 @@ def cmd_train(args) -> int:
 
 def cmd_grid(args) -> int:
     values, grids = _gather_config(args), {}
-    for item in args.grid:
-        key, eq, rhs = item.partition("=")
-        key = key.strip()
-        if not eq or SCHEMA.get(f"train.{key}") is None:
-            raise ConfigError(f"--grid entries look like name=v1,v2, name a train.* key: {item!r}")
+    for item in args.grid:   # name=v1,v2 for the key train.name
+        key, vals = parse_entry(f"train.{item.strip()}", f"--grid {item!r}: ", parse_values)
+        attr = SCHEMA[key][0]
         # each value is typed and checked as its train.* config key would be
-        grids[key] = tuple(getattr(to_train_config({**values, f"train.{key}": val}), key)
-                           for val in json.loads(f"[{rhs}]"))
-    cfg, kb, dc, manifest = _start_training_run(args)
+        grids[attr] = tuple(getattr(to_train_config({**values, key: val}), attr) for val in vals)
+    cfg, kb, dc, manifest = _start_training_run(args, values)
     result = grid_search(kb, cfg, grids or None, dc)
     table_path = os.path.join(args.out, "grid_results.tsv")
     write_atomic(table_path, [result.to_table()])

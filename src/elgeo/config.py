@@ -1,14 +1,16 @@
 """Flat dotted-key configuration files with a strict key schema.
 
 Syntax: one ``key = value`` per line, ``#`` comments, blank lines ignored.
-Values are parsed as JSON where possible (numbers, booleans, lists, quoted
-strings) and fall back to bare strings.  Unknown keys are rejected.
+A file or preset line, a ``--set`` override and a ``--grid`` axis are each read
+by ``parse_entry``: split at the first ``=``, the stripped key checked against
+``SCHEMA``, the value read by ``parse_value`` as JSON where possible (numbers,
+booleans, lists, quoted strings), else as the bare string.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 from importlib import resources
 
 from .closure import DEFAULT_MAX_DERIVED
@@ -35,10 +37,9 @@ SCHEMA: dict[str, tuple[str, type] | None] = {
     **dict.fromkeys(DEFAULT_EXTRAS),
 }
 
-PRESET_NAMES = (
-    "relu-original", "leaky-relaxed", "neg-losses", "neg-filter",
-    "ablate-leaky", "ablate-relaxed", "ablate-losses", "ablate-filter",
-)
+PRESETS = resources.files("elgeo").joinpath("presets")
+PRESET_NAMES = tuple(sorted(p.name.removesuffix(".cfg") for p in PRESETS.iterdir()
+                            if p.name.endswith(".cfg")))
 
 
 def parse_value(raw: str):
@@ -49,20 +50,29 @@ def parse_value(raw: str):
         return raw
 
 
+def parse_values(raw: str) -> list:
+    """A ``--grid`` axis's values: the JSON list ``[raw]`` where that parses
+    (``0.01,0.001``, ``"strict","relaxed"``), else each comma-separated value."""
+    values = parse_value(f"[{raw}]")
+    return values if isinstance(values, list) else [parse_value(v) for v in raw.split(",")]
+
+
+def parse_entry(entry: str, where: str, read=parse_value) -> tuple[str, object]:
+    """The one ``key = value`` rule: split at the first ``=``, check the stripped
+    key against SCHEMA and read the value with ``read``; ``where`` leads each error."""
+    key, eq, rhs = entry.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ConfigError(f"{where}expected 'key = value'")
+    if key not in SCHEMA:
+        raise ConfigError(f"{where}unknown config key: {key!r}")
+    return key, read(rhs)
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    values: dict = {}
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
-        key, _, rhs = line.partition("=")
-        key = key.strip()
-        if key not in SCHEMA:
-            raise ConfigError(f"{source}:{lineno}: unknown config key: {key!r}")
-        values[key] = parse_value(rhs)
-    return values
+    return dict(parse_entry(line, f"{source}:{lineno}: ")
+                for lineno, line in enumerate(text.split("\n"), 1)
+                if line.strip() and not line.lstrip().startswith("#"))
 
 
 def load_config_file(path: str) -> dict:
@@ -73,22 +83,13 @@ def load_preset(name: str) -> dict:
     if name not in PRESET_NAMES:
         raise ConfigError(
             f"unknown preset: {name!r} (choose from {', '.join(PRESET_NAMES)})")
-    text = resources.files("elgeo").joinpath(f"presets/{name}.cfg").read_text("utf-8")
+    text = PRESETS.joinpath(f"{name}.cfg").read_text("utf-8")
     return parse_config_text(text, source=f"preset:{name}")
 
 
 def apply_overrides(values: dict, overrides: list[str]) -> dict:
     """Apply CLI ``key=value`` strings on top of file values."""
-    out = dict(values)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must look like key=value: {item!r}")
-        key, _, rhs = item.partition("=")
-        key = key.strip()
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key: {key!r}")
-        out[key] = parse_value(rhs)
-    return out
+    return {**values, **dict(parse_entry(item, f"--set {item!r}: ") for item in overrides)}
 
 
 # field type -> the value types it takes; no field but a bool one takes a bool
@@ -126,9 +127,7 @@ def extras(values: dict) -> dict:
     return out
 
 
-def resolved(values: dict) -> dict:
-    """Full key=value view with every default materialized (for manifests)."""
-    cfg = to_train_config(values)
-    out = {f"train.{k}": v for k, v in cfg.to_dict().items()}
-    out.update(extras(values))
-    return out
+def resolved(cfg: TrainConfig, values: dict) -> dict:
+    """Full key=value view with every default materialized (for manifests): the
+    fields of ``cfg``, which is ``to_train_config(values)``, then the extras of ``values``."""
+    return {**{f"train.{k}": v for k, v in asdict(cfg).items()}, **extras(values)}

@@ -30,6 +30,7 @@ passes its gradient to ``r_i`` on ties.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -157,6 +158,10 @@ class EmbeddingModel:
     rel_vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        # a NaN here makes every score NaN, which compares false, so every rank would be 1
+        for name in ("margin", "reg_radius", "leaky_slope"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite: {getattr(self, name)!r}")
         if self.reg_mode not in REG_MODES:
             raise ValueError(f"unknown reg_mode: {self.reg_mode!r}")
         if self.activation not in ACTIVATIONS:
@@ -203,25 +208,19 @@ class EmbeddingModel:
 
     def score_tails(self, c, r, tails) -> np.ndarray:
         """-act(||x_c + v_r - x_t|| - r_c - r_t - gamma) for each (c, r, t) of the broadcast
-        ids, such as ``(q, 1)`` heads and relations against ``(n,)`` tails.  Tables are gathered
-        once; ``(x_c - x_t) + v_r`` adds up in that order (pinned bits), ``CHUNK`` rows a pass."""
+        ids, one id per entry or ``(q, 1)`` heads and relations against ``(n,)`` tails;
+        ``(x_c - x_t) + v_r`` adds up in that order (pinned bits), ``CHUNK`` entries a pass."""
         tables = (self.centers, self.rel_vectors, self.centers)
         ids = [_check_ids(np.asarray(a, dtype=np.int64), table, what) for a, table, what
                in zip((c, r, tails), tables, ("class", "relation", "class"))]
         shape = np.broadcast_shapes(*(a.shape for a in ids))
-        rows, cols = int(np.prod(shape[:-1])), shape[-1] if shape else 1
-        xc, vr, xt = (np.broadcast_to(table.take(a, axis=0), shape + (self.dim,))
-                      .reshape(rows, cols, self.dim) for a, table in zip(ids, tables))
-        arg = np.broadcast_to(-self.radii.take(ids[0]) + -self.radii.take(ids[2]),
-                              shape).reshape(rows, cols) + -1.0 * self.margin
-        h, w = max(1, CHUNK // max(cols, 1)), max(1, min(cols, CHUNK))
-        buf = np.empty(min(rows, h) * w * self.dim)
-        for block in ((slice(i, i + h), slice(j, j + w))
-                      for i in range(0, rows, h) for j in range(0, cols, w)):
-            y = buf[:arg[block].size * self.dim].reshape(arg[block].shape + (self.dim,))
-            np.subtract(xc[block], xt[block], out=y)
-            y += vr[block]
-            arg[block] += np.sqrt(np.einsum("ijk,ijk->ij", y, y))
+        c, r, t = (np.broadcast_to(a, shape).ravel() for a in ids)
+        arg = -self.radii.take(c) + -self.radii.take(t) + -1.0 * self.margin
+        for lo in range(0, len(arg), CHUNK):
+            y = self.centers.take(c[lo:lo + CHUNK], axis=0)
+            y -= self.centers.take(t[lo:lo + CHUNK], axis=0)
+            y += self.rel_vectors.take(r[lo:lo + CHUNK], axis=0)
+            arg[lo:lo + CHUNK] += np.sqrt(np.einsum("ij,ij->i", y, y))
         slope = 0.0 if self.activation == "relu" else self.leaky_slope
         val = np.maximum(arg, 0.0) if slope == 0.0 else np.where(arg > 0.0, arg, slope * arg)
         return -val.reshape(shape)
@@ -430,7 +429,7 @@ def save_model(model: EmbeddingModel, path: str):
 
 def load_model(path: str) -> EmbeddingModel:
     """Read a checkpoint; a file cut short, overlong, malformed or holding a
-    non-finite parameter raises ValueError naming it."""
+    non-finite parameter or header float raises ValueError naming it."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -468,7 +467,7 @@ def load_model(path: str) -> EmbeddingModel:
                          f"past its identifier tables")
     if not np.isfinite(params).all():   # NaN compares false, so every rank would be 1
         raise ValueError(f"corrupt checkpoint: {path} has non-finite parameters")
-    try:   # tables of the wrong shape, bad names, a bad reg_mode or activation
+    try:   # tables of the wrong shape, bad names, a bad reg_mode, activation or float
         if tables["classes"][:2] != [TOP_NAME, BOT_NAME]:
             raise ValueError(f"class names start with {tables['classes'][:2]!r}")
         sig = Signature()
@@ -480,5 +479,5 @@ def load_model(path: str) -> EmbeddingModel:
             sig=sig, dim=dim, margin=header["margin"], reg_mode=header["reg_mode"],
             reg_radius=header["reg_radius"], activation=header["activation"],
             leaky_slope=header["leaky_slope"], seed=header["seed"], params=params)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"corrupt checkpoint: {path}: {exc}") from None

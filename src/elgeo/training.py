@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -78,6 +79,13 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("lr", "margin", "reg_radius", "leaky_slope", "plateau_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite: {getattr(self, name)!r}")
+        if self.epochs < 0 or self.lr <= 0:
+            raise ValueError(f"epochs must be >= 0 and lr > 0: {self.epochs}, {self.lr}")
+        if not 0 < self.plateau_factor <= 1:
+            raise ValueError(f"plateau_factor must lie in (0, 1]: {self.plateau_factor}")
         if self.plateau_patience <= 0 or self.early_stop_patience <= 0:
             raise ValueError("patience values must be positive")
         if self.batch_size < 1 or self.dim < 1:
@@ -99,11 +107,6 @@ class TrainConfig:
     def needs_closure(self) -> bool:
         """Whether the sampler reads a deductive closure (filtered or entailed negatives)."""
         return self.filter_negatives or self.entailed_ratio > 0.0
-
-    def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["neg_forms"] = list(self.neg_forms)
-        return d
 
 
 @dataclass

@@ -60,6 +60,9 @@ def rewrite(path, mutate):
                      + struct.pack("<Q", len(tblob)) + tblob)
 
 
+HEADER_FLOATS = ("margin", "reg_radius", "leaky_slope")
+
+
 def setting(key, value):
     return lambda header, tables: ({**header, key: value}, tables)
 
@@ -80,6 +83,10 @@ MUTATIONS = {
     "TOP and BOT swapped": lambda header, tables: (
         header, {**tables, "classes": ["BOT", "TOP", *tables["classes"][2:]]}),
     "tables a list": lambda header, tables: (header, list(tables.values())),
+    # a NaN compares false, so every rank would be 1
+    **{f"{value} {key}": setting(key, float(value)) for key in HEADER_FLOATS
+       for value in ("NaN", "Infinity", "-Infinity")},
+    "margin past the float range": setting("margin", 10 ** 400),
 }
 
 
@@ -106,6 +113,22 @@ def test_evaluate_with_misspelled_activation_exits_2(tmp_path, capsys):
     rewrite(path, MUTATIONS["activation typo"])
     assert main(["evaluate", str(path), toy]) == 2
     assert "checkpoint.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", HEADER_FLOATS)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_model_with_a_non_finite_header_float_is_refused(tmp_path, capsys, key, value):
+    sig = Signature()
+    sig.intern_class("a")
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        EmbeddingModel.create(sig, dim=2, **{key: value})
+    toy = str(tmp_path / "toy")
+    assert main(["gen-toy", toy, "--preset", "basic"]) == 0
+    path = tmp_path / "checkpoint.bin"
+    save_model(EmbeddingModel.create(load_dataset(toy).sig, dim=4), str(path))
+    rewrite(path, setting(key, value))
+    assert main(["evaluate", str(path), toy]) == 2
+    assert f"corrupt checkpoint: {path}: {key} must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

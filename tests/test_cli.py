@@ -329,6 +329,20 @@ class TestGridCmd:
         table = Path(out, "grid_results.tsv").read_text()
         assert table.count("\n") == 3   # header + 2 entries
 
+    def test_bare_strings_are_values_as_with_set(self, toy, tmp_path):
+        """``--grid`` reads each value by the rule ``--set`` uses: bare strings train, and
+        the quoted JSON form writes the same table."""
+        tables = []
+        for axis in ("reg_mode=strict,relaxed", 'reg_mode="strict","relaxed"'):
+            out = tmp_path / str(len(tables))
+            assert main(["grid", toy, str(out), "--set", "train.epochs=1",
+                         "--grid", "dim=4", "--grid", axis]) == 0
+            tables.append((out / "grid_results.tsv").read_text())
+        assert tables[0] == tables[1]
+        rows = tables[0].splitlines()[1:]
+        assert sorted(json.loads(row.split("\t")[2])["reg_mode"] for row in rows) == \
+            ["relaxed", "strict"]
+
     def test_no_valid_split_exit_2_before_training(self, tmp_path, capsys):
         toy, out = str(tmp_path / "toy"), tmp_path / "grid"
         assert main(["gen-toy", toy, "--preset", "hierarchy"]) == 0   # it has no valid split
@@ -343,6 +357,7 @@ class TestGridCmd:
         ["--set", "train.entailed_ratio=2"], ["--set", "train.reg_mode=foo"],
         ["--grid", "dim=4,0"], ["--grid", "dim=4.5"], ["--grid", "early_stop_patience=0"],
         ["--grid", "dimension=4"], ["--grid", "eval.pool=4"], ["--grid", "dim"],
+        ["--grid", "margin=0.1,Infinity"], ["--grid", "plateau_factor=0.5,2"],
     ], ids=" ".join)
     def test_config_error_exit_2_not_a_failed_run(self, extra, toy, tmp_path, capsys):
         out = tmp_path / "grid"

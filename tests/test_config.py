@@ -1,13 +1,18 @@
-"""Config values must already have their TrainConfig field's type: nothing is coerced."""
+"""Config entries are read by one rule, and each value must already have its TrainConfig
+field's type (nothing is coerced) and lie in the range a run can use."""
 
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import elgeo
 from elgeo.cli import main
 from elgeo.config import (
-    PRESET_NAMES, ConfigError, apply_overrides, load_preset, to_train_config,
+    PRESET_NAMES, ConfigError, apply_overrides, load_preset, parse_config_text, parse_entry,
+    parse_values, resolved, to_train_config,
 )
+from elgeo.manifest import config_digest
 from elgeo.training import TrainConfig
 
 # field type -> values of other types, each of which must raise ConfigError
@@ -70,12 +75,25 @@ def test_a_batch_size_or_dim_below_1_is_rejected(name, value):
         to_train_config({f"train.{name}": value})
 
 
-# values of the right type that the sampler and the model reject
+# values of the right type that no run can use: the sampler, the model and TrainConfig
+# reject them
 OUT_OF_RANGE = [("entailed_ratio", "2", "entailed_ratio must lie in [0, 1]"),
                 ("max_resample_attempts", "0", "max_resample_attempts must be positive"),
                 ("reg_mode", "foo", "unknown reg_mode: 'foo'"),
                 ("activation", "bar", "unknown activation: 'bar'"),
-                ("weighting", "baz", "unknown weighting: 'baz'")]
+                ("weighting", "baz", "unknown weighting: 'baz'"),
+                ("lr", "NaN", "lr must be finite: nan"),
+                ("lr", "Infinity", "lr must be finite: inf"),
+                ("margin", "Infinity", "margin must be finite: inf"),
+                ("margin", "-Infinity", "margin must be finite: -inf"),
+                ("reg_radius", "NaN", "reg_radius must be finite: nan"),
+                ("leaky_slope", "NaN", "leaky_slope must be finite: nan"),
+                ("plateau_factor", "NaN", "plateau_factor must be finite: nan"),
+                ("lr", "-0.01", "epochs must be >= 0 and lr > 0: 400, -0.01"),
+                ("lr", "0", "epochs must be >= 0 and lr > 0: 400, 0.0"),
+                ("epochs", "-3", "epochs must be >= 0 and lr > 0: -3, 0.01"),
+                ("plateau_factor", "0", "plateau_factor must lie in (0, 1]: 0.0"),
+                ("plateau_factor", "1.5", "plateau_factor must lie in (0, 1]: 1.5")]
 
 
 @pytest.mark.parametrize("name,value,message", OUT_OF_RANGE)
@@ -104,3 +122,62 @@ def test_the_cli_exits_2_on_a_dim_below_1_before_making_the_run(dim, tmp_path, c
     assert main(["train", str(tmp_path / "toy"), str(out), "--set", f"train.dim={dim}"]) == 2
     assert "must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_the_edges_of_the_ranges_are_taken():
+    cfg = to_train_config(apply_overrides({}, ["train.epochs=0", "train.plateau_factor=1"]))
+    assert (cfg.epochs, cfg.plateau_factor) == (0, 1.0)
+
+
+def test_preset_names_are_the_bundled_files():
+    presets = Path(elgeo.__file__).parent / "presets"
+    assert PRESET_NAMES == tuple(sorted(p.stem for p in presets.glob("*.cfg")))
+    assert len(PRESET_NAMES) == 8
+
+
+@pytest.mark.parametrize("raw", ["0.5", "-4", "true", '"relu"', "relu", '["gci0", "gci2"]'])
+def test_a_file_line_a_set_override_and_a_grid_axis_read_a_value_alike(raw):
+    (key, value), = parse_config_text(f" train.lr = {raw} ").items()
+    assert apply_overrides({}, [f"train.lr={raw}"]) == {key: value}
+    assert parse_entry(f"train.lr={raw}", "", parse_values) == (key, [value])
+    assert parse_entry(f"train.lr={raw},{raw}", "", parse_values) == (key, [value, value])
+
+
+@pytest.mark.parametrize("entry", ["train.lr", "train.lrate=0.1", " = 3"])
+def test_every_source_names_a_bad_entry_alike(entry):
+    messages = []
+    for read in (lambda: parse_config_text(entry, "f.cfg"),
+                 lambda: apply_overrides({}, [entry])):
+        with pytest.raises(ConfigError) as info:
+            read()
+        messages.append(str(info.value).split(": ", 1)[1])
+    assert messages[0] == messages[1]
+
+
+# config_digest of config.resolved for each preset, alone and with train.epochs=2
+RESOLVED_DIGESTS = {
+    ("ablate-filter", True): "8319666e04966b0ccce166caedc782a07545b98f1b40ef4f2e58d7f95f3c9ee4",
+    ("ablate-filter", False): "cf37e225994ee5d4f3296fca5dbe01dfbee12f23113d06e086989f842cdd944d",
+    ("ablate-leaky", True): "e48e40a74649044b2278382960d9f57189f212671f76a58135b134fd5e484f15",
+    ("ablate-leaky", False): "4f0e376e5b47372dd31f1f47898e5efda930504351cbc106ca6a760fa46d4446",
+    ("ablate-losses", True): "d719125cb878ca1156bd217860e7aa19b07c4298ba6f6f193cd0733d7d72f9e5",
+    ("ablate-losses", False): "69c6ea66adf6c2406154ec6ea768d41732152d6a9f305e38cedbea0dc3ec2a90",
+    ("ablate-relaxed", True): "d89708e1b00095bbe437d61f3e928f248f574a2e9050815a7651c77f1764856f",
+    ("ablate-relaxed", False): "797d76358cf5e74bacdeb4b548434b55a2d4fe99137457ceb328e3421273cc8f",
+    ("leaky-relaxed", True): "b26773e90f5627895f92f369fcbc289487435072522f45460a03919d21933aaa",
+    ("leaky-relaxed", False): "68b18c40641b5372c436fb67f7bb397a6502c1b8ca692bb1a934d1e5137819c2",
+    ("neg-filter", True): "1ac2eeb217ca75909a11b721e9b0c39039294464f505fc129dfe17c44c4a9485",
+    ("neg-filter", False): "6cca10ec70e48a56f01c504ee25c9b3a9b4dc763a16f935863188913aaf644ba",
+    ("neg-losses", True): "edf9a58a1e6400f37e2950ebef1c0dc00945b84af653147e684b0da8f21404f6",
+    ("neg-losses", False): "fa8cc2fc5678d7ad315e58a722b8edcf6a185b20ee9592814a27fe520c22d06a",
+    ("relu-original", True): "0f1ee1cea12c07a365a7709f1d01e7dbeee20cb23e25c540da03c262fcf86ab0",
+    ("relu-original", False): "1d65e7de4e5c611dd3405e0792e7b47c03772cd75864d018891856afa21811cf",
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("overrides", [[], ["train.epochs=2"]], ids=["preset", "epochs=2"])
+def test_the_resolved_view_keeps_its_digest(name, overrides):
+    values = apply_overrides(load_preset(name), overrides)
+    view = resolved(to_train_config(values), values)
+    assert config_digest(view) == RESOLVED_DIGESTS[name, bool(overrides)]
