@@ -38,26 +38,21 @@ class Form(Enum):
     __hash__ = object.__hash__
 
 
-ARITY = {
-    Form.GCI0: 2,
-    Form.GCI1: 3,
-    Form.GCI2: 3,
-    Form.GCI3: 3,
-    Form.GCI0_BOT: 1,
-    Form.GCI1_BOT: 2,
-    Form.GCI3_BOT: 2,
-    Form.RI0: 2,
-    Form.RI1: 3,
+# Each form's slots in argument order: "c" holds a class id, "r" a relation id.
+LAYOUT = {
+    Form.GCI0: "cc", Form.GCI1: "ccc", Form.GCI2: "crc", Form.GCI3: "rcc",
+    Form.GCI0_BOT: "c", Form.GCI1_BOT: "cc", Form.GCI3_BOT: "rc",
+    Form.RI0: "rr", Form.RI1: "rrr",
 }
 
-# Argument positions holding relation ids; all other slots are class ids.
-RELATION_SLOTS = {
-    Form.GCI2: (1,),
-    Form.GCI3: (0,),
-    Form.GCI3_BOT: (0,),
-    Form.RI0: (0, 1),
-    Form.RI1: (0, 1, 2),
-}
+ARITY = {form: len(kinds) for form, kinds in LAYOUT.items()}
+
+
+def per_slot(form: Form, class_value, relation_value) -> tuple:
+    """One value per slot of ``form``: ``relation_value`` at its relation slots and
+    ``class_value`` at the rest."""
+    return tuple(relation_value if kind == "r" else class_value for kind in LAYOUT[form])
+
 
 GCI_FORMS = (
     Form.GCI0, Form.GCI1, Form.GCI2, Form.GCI3,
@@ -69,8 +64,7 @@ def pack_keys(form: Form, cols, n_classes: int, n_relations: int) -> np.ndarray:
     """int64 keys of ``form`` axioms given as one id array per slot: a mixed radix, base
     ``n_relations`` at relation slots and ``n_classes`` elsewhere, so keys sort like
     their rows.  ValueError when an id is out of range or a key could overflow int64."""
-    dims = tuple(n_relations if k in RELATION_SLOTS.get(form, ()) else n_classes
-                 for k in range(ARITY[form]))
+    dims = per_slot(form, n_classes, n_relations)
     if math.prod(dims) >= 2 ** 63:
         raise ValueError(f"{form.value} keys over {n_classes} classes and "
                          f"{n_relations} relations do not fit in int64")
@@ -285,9 +279,8 @@ def parse_normalized(text: str, sig: Signature | None = None) -> tuple[Rows, Sig
         sig = Signature()
     classes, relations = (sig._class_ids, sig._class_names), (sig._rel_ids, sig._rel_names)
     # tag -> (form, field count, one interning table per slot)
-    specs = {form.value: (form, ARITY[form] + 1, [
-        relations if k in RELATION_SLOTS.get(form, ()) else classes for k in range(ARITY[form])])
-        for form in Form}
+    specs = {form.value: (form, ARITY[form] + 1, per_slot(form, classes, relations))
+             for form in Form}
     flat: dict[Form, list[int]] = {form: [] for form in Form}
     forms: list[Form] = []
     for lineno, fields in lines(text):
@@ -312,9 +305,8 @@ def parse_normalized(text: str, sig: Signature | None = None) -> tuple[Rows, Sig
 
 
 def format_row(form: Form, args, sig: Signature) -> str:
-    rel_slots = RELATION_SLOTS.get(form, ())
-    return "\t".join([form.value] + [sig.relation_name(a) if slot in rel_slots
-                                      else sig.class_name(a) for slot, a in enumerate(args)])
+    names = per_slot(form, sig.class_name, sig.relation_name)
+    return "\t".join([form.value] + [name(a) for name, a in zip(names, args)])
 
 
 def serialize_normalized(rows: Rows, sig: Signature) -> str:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .axioms import (
-    ARITY, BOT, RELATION_SLOTS, Axiom, Form, GCI_FORMS, Signature, format_row, lines,
+    ARITY, BOT, Axiom, Form, GCI_FORMS, Signature, format_row, lines, per_slot,
 )
 from .dataset import KnowledgeBase
 from .manifest import read_text, write_atomic, write_json
@@ -183,16 +183,13 @@ def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
     asserted: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
     for form in GCI_FORMS:
         fpath = os.path.join(path, f"closure_{form.value.lower()}.tsv")
-        rel_slots = RELATION_SLOTS.get(form, ())
+        lookups = per_slot(form, sig.class_id, sig.relation_id)
         for lineno, fields in lines(read_text(fpath)):
             if (len(fields) != ARITY[form] + 2 or fields[0] != form.value
                     or fields[-1] not in ("asserted", "derived")):
                 raise ValueError(f"{fpath}:{lineno}: malformed closure dump line")
             try:
-                args = tuple(
-                    sig.relation_id(name) if slot in rel_slots else sig.class_id(name)
-                    for slot, name in enumerate(fields[1:-1])
-                )
+                args = tuple(id_of(name) for id_of, name in zip(lookups, fields[1:-1]))
             except KeyError as exc:
                 raise ValueError(
                     f"{fpath}:{lineno}: {exc.args[0]}; the dump does not match "

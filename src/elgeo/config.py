@@ -112,7 +112,10 @@ def to_train_config(values: dict) -> TrainConfig:
                 or conv is tuple and not all(isinstance(v, str) for v in val)):
             expected = "a list of strings" if conv is tuple else conv.__name__
             raise ConfigError(f"{key} expects {expected}, got {val!r}")
-        kwargs[attr] = conv(val)
+        try:
+            kwargs[attr] = conv(val)
+        except OverflowError:   # an int past float's range
+            raise ConfigError(f"{key} is too large for a float") from None
     try:
         return TrainConfig(**kwargs)
     except ValueError as exc:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import (
-    ARITY, BOT, RELATION_SLOTS, TOP, AxiomRows, Form, Rows, Signature,
-    format_row, identifier_error, key_member, lines, pack_keys, parse_normalized, rows_of,
+    ARITY, BOT, TOP, AxiomRows, Form, Rows, Signature, format_row, identifier_error,
+    key_member, lines, pack_keys, parse_normalized, per_slot, rows_of,
 )
 from .manifest import read_text, write_atomic
 
@@ -60,15 +60,13 @@ class KnowledgeBase:
 def _check_ids(name: str, rows: Rows, sig: Signature):
     """DatasetError naming the split's first axiom, in file order, with an id
     outside ``sig``: relation slots against its relations, the rest its classes."""
-    tops = {form: [sig.n_relations if k in RELATION_SLOTS.get(form, ()) else sig.n_classes
-                   for k in range(ARITY[form])] for form in rows.ids}
+    tops = {form: per_slot(form, sig.n_classes, sig.n_relations) for form in rows.ids}
     if not any(((ids < 0) | (ids >= np.array(tops[form], dtype=np.int64))).any()
                for form, ids in rows.ids.items()):
         return
     for form, args in rows.in_order():
-        for slot, (cid, top) in enumerate(zip(args, tops[form])):
+        for cid, top, kind in zip(args, tops[form], per_slot(form, "class", "relation")):
             if not 0 <= cid < top:
-                kind = "relation" if slot in RELATION_SLOTS.get(form, ()) else "class"
                 raise DatasetError(f"{name} axiom {form.value} {args} references "
                                    f"unknown {kind} id {cid}")
 
@@ -116,6 +114,8 @@ def build_kb(sig: Signature, train: Rows, valid: Rows | None = None, test: Rows 
             raise DatasetError(f"pool name {name!r} is not an identifier: {reason}")
         if not members:
             raise DatasetError(f"pool {name!r} has no members")
+        if BOT in members:   # the bottom rewrite leaves no axiom with a BOT consequent
+            raise DatasetError(f"pool {name!r} holds BOT, which no axiom has as its consequent")
         for cid in members:
             if not 0 <= cid < sig.n_classes:
                 raise DatasetError(f"pool {name!r} references unknown class id {cid}")

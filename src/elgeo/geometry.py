@@ -4,10 +4,10 @@ Classes are open n-balls (center x, raw and possibly negative radius r) and
 relations are translation vectors v.  Each loss term (seven positive, four
 negative) is a row of ``SPECS``, computed forward and backward by :func:`loss_term`.
 
-Reading a row: ``_spec(kinds, hinges, reg, act)`` names the id columns
-in axiom order (``c`` class, ``r`` relation).  Each ``Hinge(norm, vec, rad,
-margin, rmin)`` is one hinge argument, ``vec`` and ``rad`` holding a sign or 0
-per slot::
+Reading a row: ``_spec(form, hinges, reg, act)`` takes its id columns in
+``form``'s slot order, which ``axioms.LAYOUT`` states (``c`` class, ``r``
+relation).  Each ``Hinge(norm, vec, rad, margin, rmin)`` is one hinge
+argument, ``vec`` and ``rad`` holding a sign or 0 per slot::
 
     norm * ||sum_k vec[k] * x_k|| + sum_k rad[k] * r_k + margin * gamma
                                   [+ min(r_i, r_j) when rmin = (i, j)]
@@ -15,7 +15,8 @@ per slot::
 with x_k slot k's center or translation and gamma the model margin.  A
 sample's value is ``sum(act(hinge)) + sum(reg(x_k) for k in reg)``;
 ``act=False`` keeps the raw argument, so the BOT terms return a radius.  So
-``_spec("crc", (Hinge(1, (1, 1, -1), (1, 0, -1), -1),), reg=(0, 2))`` reads
+over GCI2's layout ``"crc"``,
+``_spec(Form.GCI2, (Hinge(1, (1, 1, -1), (1, 0, -1), -1),), reg=(0, 2))`` reads
 act(||x_c + v_r - x_d|| + r_c - r_d - gamma) + reg(x_c) + reg(x_d).
 Regularization is ``| ||x|| - 1 |`` when ``strict`` (centers on the unit
 sphere) and ``max(0, ||x|| - R)`` when ``relaxed`` (centers in the R-ball).
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .axioms import BOT_NAME, TOP_NAME, Signature
+from .axioms import BOT_NAME, LAYOUT, TOP_NAME, Form, Signature
 from .manifest import write_atomic
 
 
@@ -63,7 +64,8 @@ class Spec(NamedTuple):
     act: bool
 
 
-def _spec(kinds: str, hinges, reg=(), act=True) -> Spec:
+def _spec(form: Form, hinges, reg=(), act=True) -> Spec:
+    kinds = LAYOUT[form]
     cls = tuple(k for k, kind in enumerate(kinds) if kind == "c")
     slots = cls + tuple(k for k, kind in enumerate(kinds) if kind == "r")
     normed = [i for i, h in enumerate(hinges) if h.norm]
@@ -83,39 +85,32 @@ def _spec(kinds: str, hinges, reg=(), act=True) -> Spec:
 
 
 # both penalize ball overlap: act(r_c + r_d - ||x_c - x_d|| + gamma)
-_OVERLAP = _spec("cc", (Hinge(-1, (1, -1), (1, 1), 1),), reg=(0, 1))
+_OVERLAP = _spec(Form.GCI1_BOT, (Hinge(-1, (1, -1), (1, 1), 1),), reg=(0, 1))
 
 SPECS = {
-    "gci0_pos": _spec("cc", (Hinge(1, (1, -1), (1, -1), -1),), reg=(0, 1)),
-    "gci1_pos": _spec("ccc", (
+    "gci0_pos": _spec(Form.GCI0, (Hinge(1, (1, -1), (1, -1), -1),), reg=(0, 1)),
+    "gci1_pos": _spec(Form.GCI1, (
         Hinge(1, (1, -1, 0), (-1, -1, 0), -1),         # the two balls must meet
         Hinge(1, (1, 0, -1), (1, 0, -1), -1),          # c inside e
         Hinge(1, (0, 1, -1), (0, 1, -1), -1),          # d inside e
         Hinge(0, (0, 0, 0), (0, 0, -1), -1, rmin=(0, 1)),
     ), reg=(0, 1, 2)),
-    "gci2_pos": _spec("crc", (Hinge(1, (1, 1, -1), (1, 0, -1), -1),), reg=(0, 2)),
-    "gci3_pos": _spec("rcc", (Hinge(1, (-1, 1, -1), (0, -1, -1), -1),), reg=(1, 2)),
-    "gci0_bot": _spec("c", (Hinge(0, (0,), (1,), 0),), act=False),
+    "gci2_pos": _spec(Form.GCI2, (Hinge(1, (1, 1, -1), (1, 0, -1), -1),), reg=(0, 2)),
+    "gci3_pos": _spec(Form.GCI3, (Hinge(1, (-1, 1, -1), (0, -1, -1), -1),), reg=(1, 2)),
+    "gci0_bot": _spec(Form.GCI0_BOT, (Hinge(0, (0,), (1,), 0),), act=False),
     "gci1_bot": _OVERLAP,
-    "gci3_bot": _spec("rc", (Hinge(0, (0, 0), (0, 1), 0),), act=False),
+    "gci3_bot": _spec(Form.GCI3_BOT, (Hinge(0, (0, 0), (0, 1), 0),), act=False),
     "gci0_neg": _OVERLAP,
-    "gci1_neg": _spec("ccc", (
+    "gci1_neg": _spec(Form.GCI1, (
         Hinge(1, (1, -1, 0), (-1, -1, 0), -1),         # penalize non-overlap of c and d
         Hinge(-1, (1, 0, -1), (1, 0, 0), 1),           # e's center outside ball c
         Hinge(-1, (0, 1, -1), (0, 1, 0), 1),           # e's center outside ball d
     ), reg=(0, 1, 2)),
-    "gci2_neg": _spec("crc", (Hinge(-1, (1, 1, -1), (1, 0, 1), 1),), reg=(0, 2)),
-    "gci3_neg": _spec("rcc", (Hinge(-1, (-1, 1, -1), (0, 1, 1), 1),), reg=(1, 2)),
+    "gci2_neg": _spec(Form.GCI2, (Hinge(-1, (1, 1, -1), (1, 0, 1), 1),), reg=(0, 2)),
+    "gci3_neg": _spec(Form.GCI3, (Hinge(-1, (-1, 1, -1), (0, 1, 1), 1),), reg=(1, 2)),
 }
 
 TERMS = tuple(SPECS)
-
-# Number of id columns each term consumes (relation slots included).
-TERM_ARITY = {term: len(spec.slots) for term, spec in SPECS.items()}
-
-# Columns holding relation ids (all other columns are class ids).
-TERM_RELATION_SLOTS = {term: spec.slots[spec.nc:] for term, spec in SPECS.items()
-                       if len(spec.slots) > spec.nc}
 
 # Rows per pass of the loss loop: bounds the gathered and gradient blocks a
 # call holds at once, whatever the batch size.

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .axioms import RELATION_SLOTS, Form, Signature, rows_of
+from .axioms import Form, Signature, per_slot, rows_of
 from .dataset import KnowledgeBase, build_kb
 
 
 def _named(sig: Signature, form: Form, *names: str):
     """The (form, ids) pair of a row given by its names, interned in slot order."""
-    rel_slots = RELATION_SLOTS.get(form, ())
-    return form, tuple(sig.intern_relation(name) if k in rel_slots else sig.intern_class(name)
-                       for k, name in enumerate(names))
+    interns = per_slot(form, sig.intern_class, sig.intern_relation)
+    return form, tuple(intern(name) for intern, name in zip(interns, names))
 
 
 def basic_kb() -> KnowledgeBase:

@@ -91,7 +91,7 @@ class TrainConfig:
         if self.batch_size < 1 or self.dim < 1:
             raise ValueError(f"batch_size and dim must be positive: {self.batch_size}, {self.dim}")
         for f in self.neg_forms:
-            if f not in ("gci0", "gci1", "gci2", "gci3"):
+            if f not in {form.value.lower() for form in NEG_TERM}:
                 raise ValueError(f"negative losses exist only for gci0..gci3, got {f!r}")
         for key, allowed in (("reg_mode", REG_MODES), ("activation", ACTIVATIONS),
                              ("weighting", WEIGHTINGS)):
@@ -207,6 +207,7 @@ def _batches(data: dict, rng: np.random.Generator, size: int) -> list[tuple[Form
     return [batch for turn in itertools.zip_longest(*cuts) for batch in turn if batch is not None]
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a diverging run ends in TrainingError
 def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = None,
           checkpoint_path: str | None = None) -> tuple[EmbeddingModel, TrainReport]:
     """Train an embedding; deterministic for a fixed config seed."""

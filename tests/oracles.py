@@ -441,8 +441,7 @@ def gradcheck_max_error(draws=100, dim=8, seed=0, h=1e-6):
     """
     from elgeo.axioms import Signature
     from elgeo.geometry import (
-        TERMS, TERM_ARITY, TERM_RELATION_SLOTS, EmbeddingModel,
-        GradientBuffer, loss_term,
+        SPECS, TERMS, EmbeddingModel, GradientBuffer, loss_term,
     )
 
     rng = np.random.default_rng(seed)
@@ -453,7 +452,7 @@ def gradcheck_max_error(draws=100, dim=8, seed=0, h=1e-6):
     sig.intern_relation("r1")
     worst = 0.0
     for term in TERMS:
-        rel_slots = TERM_RELATION_SLOTS.get(term, ())
+        rel_slots = SPECS[term].slots[SPECS[term].nc:]
         for activation in ("relu", "leaky_relu"):
             for reg_mode in ("strict", "relaxed"):
                 model = EmbeddingModel.create(
@@ -467,7 +466,7 @@ def gradcheck_max_error(draws=100, dim=8, seed=0, h=1e-6):
                     ids = tuple(
                         int(rng.integers(model.sig.n_relations)) if j in rel_slots
                         else int(rng.integers(model.sig.n_classes))
-                        for j in range(TERM_ARITY[term]))
+                        for j in range(len(SPECS[term].slots)))
                     buf = GradientBuffer(model)
                     cols = tuple(np.array([i]) for i in ids)
                     loss_term(model, term, cols, grad=buf)
@@ -481,7 +480,7 @@ def gradcheck_max_error(draws=100, dim=8, seed=0, h=1e-6):
 
 # --- loader references: the per-line parser and split checks of the Axiom-list loader ---
 
-from elgeo.axioms import ARITY, RELATION_SLOTS, Axiom, ParseError, format_row  # noqa: E402
+from elgeo.axioms import ARITY, LAYOUT, Axiom, ParseError, format_row  # noqa: E402
 
 
 def reference_make_axiom(form, args):
@@ -521,7 +520,7 @@ def reference_parse_normalized(text, sig=None):
         expected = ARITY[form] + 1
         if len(fields) != expected:
             raise ParseError(f"expected {expected} fields, got {len(fields)}", lineno)
-        rel_slots = RELATION_SLOTS.get(form, ())
+        rel_slots = [k for k, kind in enumerate(LAYOUT[form]) if kind == "r"]
         args = []
         for slot, name in enumerate(fields[1:]):
             if not name:

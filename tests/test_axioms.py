@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elgeo.axioms import (
-    ARITY, BOT, RELATION_SLOTS, Axiom, Form, ParseError, Signature,
+    ARITY, BOT, LAYOUT, Axiom, Form, ParseError, Signature,
     pack_keys, parse_normalized, rows_of, serialize_normalized,
 )
 from oracles import as_axioms, as_rows, parse_axioms as parse, reference_make_axiom
@@ -115,7 +115,7 @@ def _row_pairs(draw):
     pairs = []
     for _ in range(draw(st.integers(0, 12))):
         form = draw(st.sampled_from(list(Form)))
-        rel_slots = RELATION_SLOTS.get(form, ())
+        rel_slots = [k for k, kind in enumerate(LAYOUT[form]) if kind == "r"]
         args = tuple(
             draw(st.sampled_from(rels)) if slot in rel_slots
             else draw(st.sampled_from(classes))
@@ -158,7 +158,7 @@ class TestPackKeys:
     def test_round_trip_in_row_order(self, seed, form):
         rng = np.random.default_rng(seed)
         nc, nr = int(rng.integers(2, 10 ** 6)), int(rng.integers(1, 1000))
-        dims = [nr if k in RELATION_SLOTS.get(form, ()) else nc for k in range(ARITY[form])]
+        dims = [nr if kind == "r" else nc for kind in LAYOUT[form]]
         rows = np.stack([rng.integers(0, d, size=50) for d in dims], axis=1)
         keys = pack_keys(form, rows.T, nc, nr)
         assert keys.dtype == np.int64

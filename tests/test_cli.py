@@ -155,6 +155,21 @@ class TestTrainCmd:
         assert "derived-axiom budget exceeded (5)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("preset", ["neg-filter", "relu-original"])
+    def test_a_pool_holding_bot_exit_2_before_the_run(self, preset, toy, tmp_path, capsys):
+        Path(toy, "pools.tsv").write_text("all\tG0\nall\tBOT\n")
+        out = tmp_path / "run"
+        assert main(["train", toy, str(out), "--preset", preset, "--set", "train.epochs=1"]) == 2
+        assert "pool 'all' holds BOT" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_run_diverging_through_finite_values_exit_1(self, toy, tmp_path, capsys):
+        """The overflow on the way to a non-finite loss raises no RuntimeWarning, even
+        under warnings as errors, so the run ends in TrainingError."""
+        assert main(["train", toy, str(tmp_path / "run"), "--set", "train.lr=1e300",
+                     "--set", "train.epochs=1", "--set", "train.dim=4"]) == 1
+        assert "non-finite loss" in capsys.readouterr().err
+
 
 class TestEvaluateCmd:
     def test_closure_positives_without_dump_exit_2(self, toy, tmp_path, capsys):

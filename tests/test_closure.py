@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elgeo.axioms import (
-    ARITY, BOT, GCI_FORMS, RELATION_SLOTS, Axiom, Form, parse_normalized, rows_of,
+    ARITY, BOT, GCI_FORMS, LAYOUT, Axiom, Form, parse_normalized, rows_of,
 )
 from elgeo.closure import (
     ClosureBudgetError, UnsupportedFormError, compute_closure, dump_closure,
@@ -158,7 +158,7 @@ class TestProperties:
             loaded = load_closure_dump(path, kb.sig)
             reference = rescan_contains(kb, S)
             for form in GCI_FORMS:
-                rel_slots = RELATION_SLOTS.get(form, ())
+                rel_slots = [k for k, kind in enumerate(LAYOUT[form]) if kind == "r"]
                 for args in product(*(rels if j in rel_slots else classes
                                       for j in range(ARITY[form]))):
                     try:

@@ -93,7 +93,9 @@ OUT_OF_RANGE = [("entailed_ratio", "2", "entailed_ratio must lie in [0, 1]"),
                 ("lr", "0", "epochs must be >= 0 and lr > 0: 400, 0.0"),
                 ("epochs", "-3", "epochs must be >= 0 and lr > 0: -3, 0.01"),
                 ("plateau_factor", "0", "plateau_factor must lie in (0, 1]: 0.0"),
-                ("plateau_factor", "1.5", "plateau_factor must lie in (0, 1]: 1.5")]
+                ("plateau_factor", "1.5", "plateau_factor must lie in (0, 1]: 1.5"),
+                pytest.param("lr", "1" + "0" * 400, "train.lr is too large for a float",
+                             id="lr-an-int-past-float-range")]
 
 
 @pytest.mark.parametrize("name,value,message", OUT_OF_RANGE)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from elgeo.axioms import Signature
 from elgeo.geometry import (
-    CHUNK, TERMS, TERM_ARITY, EmbeddingModel, GradientBuffer, load_model, loss_term, save_model,
+    CHUNK, SPECS, TERMS, EmbeddingModel, GradientBuffer, load_model, loss_term, save_model,
 )
 from elgeo.training import Adam
 
@@ -532,12 +532,11 @@ class TestNonNegativity:
                 m.rel_vectors[:] = rng.uniform(-2, 2, m.rel_vectors.shape)
                 m.margin = float(rng.uniform(-0.1, 0.1))
                 for term in TERMS:
-                    from elgeo.geometry import TERM_RELATION_SLOTS
-                    rel_slots = TERM_RELATION_SLOTS.get(term, ())
+                    rel_slots = SPECS[term].slots[SPECS[term].nc:]
                     ids = tuple(
                         int(rng.integers(sig.n_relations)) if j in rel_slots
                         else int(rng.integers(sig.n_classes))
-                        for j in range(TERM_ARITY[term]))
+                        for j in range(len(SPECS[term].slots)))
                     val = loss_value(m, term, ids)
                     if term not in ("gci0_bot", "gci3_bot"):   # raw radius, may be negative
                         assert val >= 0.0, term

@@ -4,8 +4,8 @@ which relations, and so their ids, are interned, the report and curves of
 ``elgeo naive --out`` on those toys, the subsumptions ``elgeo reason`` writes
 for two of them, the checkpoint and per-epoch report of ``elgeo train`` on two
 of them, the report and curves of ``elgeo evaluate --out`` on those
-checkpoints, whatever the number of BLAS threads, and the bytes of completion
-scores on random models."""
+checkpoints, whatever the number of BLAS threads, the bytes of completion
+scores on random models, and the coefficients of every loss-term row."""
 
 import hashlib
 import json
@@ -20,7 +20,7 @@ import pytest
 from elgeo.axioms import Form, Signature, rows_of
 from elgeo.cli import main
 from elgeo.dataset import build_kb, load_dataset, save_dataset
-from elgeo.geometry import EmbeddingModel, save_model
+from elgeo.geometry import SPECS, EmbeddingModel, save_model
 from elgeo.normalize import normalize
 from elgeo.sexpr import parse_general
 
@@ -191,6 +191,21 @@ SCORE_SHA256 = {
     ("leaky_relu", 50, -0.1): "b9e0a4c3fc210aaa8fb7d5993e88b8884e2469ece2baa5fb07199d097c4cab3a",
 }
 
+# loss term -> sha256 of its SPECS row, field by field (see spec_sha256)
+SPEC_SHA256 = {
+    "gci0_pos": "a076ffbd97ddf5be8b155e255ac6762bb0be2f604d4ad612857f2d0f7d0e5c74",
+    "gci1_pos": "37dd705b65ea046992e7ea8470eb0168747245d14b8f80a1762cb5a36704a9e4",
+    "gci2_pos": "a3cc2dd0922965caea095d610ae5adba76297b71c79956ae91073fe21c83bd54",
+    "gci3_pos": "04b4dd1a104c391d63e3a5a6b315d6fe26460dbd7f00dd087a44613b31d3a459",
+    "gci0_bot": "0f9194d022b891546492f74c5b9d00de07209192e95f415ab492b053b418dc41",
+    "gci1_bot": "7b67428f3964c60081e69e6af399b4a903f0e88c24f1cf961f534f411c852c9a",
+    "gci3_bot": "3ce4b1417e33501abe7eccfde1f1b3fb9ecd7ddc8466abaec9af04974740dd56",
+    "gci0_neg": "7b67428f3964c60081e69e6af399b4a903f0e88c24f1cf961f534f411c852c9a",
+    "gci1_neg": "e73b2ed62e613f0e935717266fa1f6fa90a72b95ca0d5b81049c97430b4be436",
+    "gci2_neg": "ae6ff402b957f46adb7a5827cd9c175940380be2594db3156a5a754134868344",
+    "gci3_neg": "9034c7356ab750f236e3554413f073f4b9e85b45a71e3b92c9d244ac792040a5",
+}
+
 
 def completion_scores(activation, dim, margin):
     rng = np.random.default_rng([dim, len(activation)])
@@ -290,6 +305,21 @@ def test_completion_scores_keep_the_pinned_bytes(activation, dim, margin):
     scores = completion_scores(activation, dim, margin)
     assert hashlib.sha256(np.ascontiguousarray(scores, dtype="<f8").tobytes()).hexdigest() == \
         SCORE_SHA256[activation, dim, margin]
+
+
+def spec_sha256(spec):
+    """sha256 of a ``Spec`` over its fields in order: slots, nc, vec, nreg, norm, rad,
+    margin, rmin and act, each array as its shape and little-endian float64 bytes."""
+    h = hashlib.sha256()
+    for name, value in spec._asdict().items():
+        if isinstance(value, np.ndarray):
+            value = (value.shape, np.ascontiguousarray(value, dtype="<f8").tobytes().hex())
+        h.update(f"{name}={value!r};".encode())
+    return h.hexdigest()
+
+
+def test_every_loss_term_keeps_its_pinned_coefficients():
+    assert {term: spec_sha256(spec) for term, spec in SPECS.items()} == SPEC_SHA256
 
 
 def wide_run(tmp_path):

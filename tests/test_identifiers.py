@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elgeo.axioms import GCI_FORMS, TOP, Form, ParseError, Signature, parse_normalized, rows_of
+from elgeo.axioms import BOT, GCI_FORMS, TOP, Form, ParseError, Signature, parse_normalized, rows_of
 from elgeo.cli import main
 from elgeo.closure import compute_closure, dump_closure, load_closure_dump
 from elgeo.dataset import DatasetError, build_kb, load_dataset, save_dataset
@@ -42,7 +42,7 @@ def test_a_name_fails_at_build_time_or_round_trips_byte_exact(classes, relation,
         # every name ends a line somewhere: a trailing CR is lost only there
         kb = build_kb(sig, rows_of([(Form.GCI0, (TOP, c)) for c in ids]
                                    + [(Form.GCI3, (r, c, TOP)) for c in ids]),
-                      pools={pool: ids})
+                      pools={pool: [c for c in ids if c != BOT] or [TOP]})   # no BOT in a pool
     except (ValueError, DatasetError):
         assert bad
         return
@@ -106,6 +106,16 @@ def test_build_kb_rejects_a_named_pool_with_no_members():
     a, b = sig.intern_class("A"), sig.intern_class("B")
     with pytest.raises(DatasetError, match="pool 'p' has no members"):
         build_kb(sig, rows_of([(Form.GCI0, (a, b))]), pools={"p": [], "q": [a]})
+
+
+def test_build_kb_rejects_a_pool_that_holds_bot():
+    # no axiom has BOT as its consequent, so BOT is no candidate; TOP stays allowed
+    sig = Signature()
+    a, b = sig.intern_class("A"), sig.intern_class("B")
+    with pytest.raises(DatasetError, match="pool 'q' holds BOT"):
+        build_kb(sig, rows_of([(Form.GCI0, (a, b))]), pools={"p": [TOP, a], "q": [b, BOT]})
+    assert build_kb(sig, rows_of([(Form.GCI0, (a, b))]), pools={"p": [TOP, a]}).pools["p"] == \
+        [TOP, a]
 
 
 def test_load_model_rejects_a_name_in_its_tables(tmp_path):

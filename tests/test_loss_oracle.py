@@ -12,7 +12,7 @@ import pytest
 from elgeo import geometry
 from elgeo.axioms import Signature
 from elgeo.geometry import (
-    TERMS, TERM_ARITY, TERM_RELATION_SLOTS, EmbeddingModel, GradientBuffer, loss_term,
+    SPECS, TERMS, EmbeddingModel, GradientBuffer, loss_term,
 )
 
 from oracles import brute_loss, gradient
@@ -38,10 +38,10 @@ def random_model(activation, reg_mode, rng):
 
 
 def random_cols(m, term, rng):
-    rel_slots = TERM_RELATION_SLOTS.get(term, ())
+    rel_slots = SPECS[term].slots[SPECS[term].nc:]
     cols = tuple(
         rng.integers(m.sig.n_relations if j in rel_slots else m.sig.n_classes, size=BATCH)
-        for j in range(TERM_ARITY[term]))
+        for j in range(len(SPECS[term].slots)))
     for col in cols:   # 12 draws from at most 5 ids always repeat one
         assert len(np.unique(col)) < BATCH
     return cols
