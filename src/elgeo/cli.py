@@ -19,7 +19,7 @@ from .config import (
 )
 from .dataset import DatasetError, load_dataset, save_dataset
 from .evaluation import EvaluationError, emit_roc, evaluate, naive_fit
-from .geometry import load_model
+from .geometry import load_model, save_model
 from .manifest import RunManifest, config_digest, read_text, write_atomic, write_json
 from .normalize import normalize
 from .reasoner import dump_subsumptions, saturate
@@ -81,14 +81,12 @@ def cmd_closure(args) -> int:
 
 def _start_training_run(args, values: dict):
     """What train and grid share: the TrainConfig of the config ``values``, the
-    dataset, its closure when the config needs one, the output directory and a
-    started manifest."""
+    dataset, its closure when the config needs one, and a started manifest."""
     cfg = to_train_config(values)
     config = resolved(cfg, values)
     kb = load_dataset(args.dataset)
     dc = (compute_closure(kb, saturate(kb), max_derived=int(config["closure.max_derived"]))
           if cfg.needs_closure else None)
-    os.makedirs(args.out, exist_ok=True)
     manifest = RunManifest(command=args.command, config=config, seed=cfg.seed).start()
     manifest.add_input(args.dataset)
     return cfg, kb, dc, manifest
@@ -96,8 +94,10 @@ def _start_training_run(args, values: dict):
 
 def cmd_train(args) -> int:
     cfg, kb, dc, manifest = _start_training_run(args, _gather_config(args))
-    ckpt = os.path.join(args.out, "checkpoint.bin")
-    model, report = train(kb, cfg, dc, checkpoint_path=ckpt)
+    model, report = train(kb, cfg, dc)
+    os.makedirs(args.out, exist_ok=True)   # once the run succeeded: a failed one leaves none
+    report.checkpoint_path = ckpt = os.path.join(args.out, "checkpoint.bin")
+    save_model(model, ckpt)
     report_path = os.path.join(args.out, "report.jsonl")
     report.to_jsonl(report_path)
     summary_path = os.path.join(args.out, "summary.json")
@@ -119,6 +119,7 @@ def cmd_grid(args) -> int:
         grids[attr] = tuple(getattr(to_train_config({**values, key: val}), attr) for val in vals)
     cfg, kb, dc, manifest = _start_training_run(args, values)
     result = grid_search(kb, cfg, grids or None, dc)
+    os.makedirs(args.out, exist_ok=True)   # once the run succeeded: a failed one leaves none
     table_path = os.path.join(args.out, "grid_results.tsv")
     write_atomic(table_path, [result.to_table()])
     manifest.outputs = [table_path]

@@ -1,4 +1,4 @@
-"""Per-normal-form entailed-axiom sets expanded from a KB and its subsumption closure.
+"""Per-normal-form entailed axioms expanded from a KB and its subsumption closure.
 
 One pass of slot-rewriting rules runs over every asserted axiom, with the
 rewrite premises drawn from the (transitively closed) subsumption closure:
@@ -11,21 +11,25 @@ rewrite premises drawn from the (transitively closed) subsumption closure:
   GCI3_BOT  filler down
 
 Because the premises are transitively closed, a second pass derives nothing
-new.  The expansion is sound but not complete.  Membership for GCI1 is
-checked modulo conjunction commutativity, and disjointness (GCI1_BOT)
-membership propagates down the hierarchy at query time.  Membership reads
-the stored sets alone, so a closure loaded from its dump answers like the
-computed one.
+new.  The expansion is sound but not complete.  Each form is one sorted array
+of int64 keys (``axioms.pack_keys``); membership, a binary search in it, reads
+the keys alone, so a loaded dump answers like the computed closure.  GCI1 is
+looked up in either conjunct order; disjointness (GCI1_BOT) propagates down the
+hierarchy at query time.  ``sets`` and ``asserted`` are decoded views, kept for
+``perfbench/`` and the tests.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain
+
+import numpy as np
 
 from .axioms import (
-    ARITY, BOT, Axiom, Form, GCI_FORMS, Signature, format_row, lines, per_slot,
+    ARITY, BOT, Axiom, Form, GCI_FORMS, Signature, format_row, key_member, lines,
+    pack_keys, per_slot,
 )
 from .dataset import KnowledgeBase
 from .manifest import read_text, write_atomic, write_json
@@ -50,110 +54,141 @@ class UnsupportedFormError(Exception):
 
 @dataclass
 class DeductiveClosure:
-    """Per-form entailed id tuples.
-
-    ``sub`` is the subsumption closure the sets were expanded from (None for
-    a loaded dump); membership never reads it.
+    """Per-form sorted unique int64 keys of the entailed and of the asserted rows,
+    packed over ``dims``, the class and relation counts.  ``sub`` is the subsumption
+    closure they were expanded from (None for a loaded dump); membership never reads it.
     """
 
     sig: Signature
-    sets: dict[Form, set[tuple[int, ...]]]
-    asserted: dict[Form, set[tuple[int, ...]]]
+    dims: tuple[int, int]
+    keys: dict[Form, np.ndarray]
+    asserted_keys: dict[Form, np.ndarray]
     sub: SubsumptionClosure | None = None
     stats: dict[str, int] = field(default_factory=dict)
 
-    def contains(self, ax: Axiom) -> bool:
-        """Entailment membership for the covered (GCI) forms, read from the stored sets."""
-        form, args = ax.form, ax.args
+    def ids(self, form: Form, keys: np.ndarray) -> np.ndarray:
+        """The (k, arity) id rows of ``form``'s ``keys``, in key order."""
+        return np.stack(np.unravel_index(keys, per_slot(form, *self.dims)), axis=1)
+
+    @property
+    def sets(self) -> dict[Form, set[tuple[int, ...]]]:
+        """Each form's rows as id tuples, decoded on every read, like ``asserted``."""
+        return self._decoded(self.keys)
+
+    @property
+    def asserted(self) -> dict[Form, set[tuple[int, ...]]]:
+        return self._decoded(self.asserted_keys)
+
+    def _decoded(self, keys: dict[Form, np.ndarray]) -> dict[Form, set[tuple[int, ...]]]:
+        return {form: set(map(tuple, self.ids(form, k).tolist())) for form, k in keys.items()}
+
+    def contains(self, query):
+        """Entailment membership for the covered (GCI) forms: a bool array over the
+        rows of an ``AxiomRows``, or one bool for an ``Axiom``."""
+        form, one = query.form, isinstance(query, Axiom)
         if form not in GCI_FORMS:
             raise UnsupportedFormError(f"unsupported form: {form.value}")
-        stored = self.sets[form]
+        cols = np.array([query.args], dtype=np.int64).T if one else query.ids.T
+        hit = self._has(form, cols)
         if form is Form.GCI0 or form is Form.GCI0_BOT:
-            # BOT's rows are tautologies and stay implicit
-            return args[0] == BOT or args in stored
-        if form is Form.GCI1:
-            c, d, e = args
-            return args in stored or (d, c, e) in stored
-        if form is Form.GCI1_BOT:
-            c, d = args
-            if args in stored or (d, c) in stored:
-                return True
-            below = self._subsumed
-            return any((below(c, a) and below(d, b)) or (below(c, b) and below(d, a))
-                       for a, b in self.asserted[Form.GCI1_BOT])
-        return args in stored
+            hit |= cols[0] == BOT   # BOT's rows are tautologies and stay implicit
+        elif form is Form.GCI1:
+            hit |= self._has(form, cols[[1, 0, 2]])
+        elif form is Form.GCI1_BOT:
+            # an asserted disjointness of a and b holds for every pair below them
+            (c, d), (a, b) = cols[:, :, None], self.ids(form, self.asserted_keys[form]).T
+            below = self._below
+            hit |= self._has(form, cols[::-1]) | (
+                (below(c, a) & below(d, b)) | (below(c, b) & below(d, a))).any(axis=1)
+        return bool(hit[0]) if one else hit
 
-    def _subsumed(self, x: int, y: int) -> bool:
-        """x is a subclass of y by the stored GCI0 and GCI0_BOT rows."""
-        if x == BOT:
-            return True
-        if y == BOT:
-            return (x,) in self.sets[Form.GCI0_BOT]
-        return (x, y) in self.sets[Form.GCI0]
+    def _has(self, form: Form, cols) -> np.ndarray:
+        return key_member(self.keys[form], pack_keys(form, cols, *self.dims))
+
+    def _below(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x is a subclass of y by the stored GCI0 and GCI0_BOT rows, broadcast."""
+        x, y = np.broadcast_arrays(x, y)
+        return (x == BOT) | np.where(y == BOT, self._has(Form.GCI0_BOT, (x,)),
+                                     self._has(Form.GCI0, (x, y)))
 
     def derived_counts(self) -> dict[str, int]:
-        return {
-            form.value: len(self.sets[form]) - len(self.asserted[form] & self.sets[form])
-            for form in GCI_FORMS
-        }
+        return {form.value: int((~key_member(self.asserted_keys[form], self.keys[form])).sum())
+                for form in GCI_FORMS}
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` by one sort, many times faster than its hashing on int64 keys."""
+    keys = np.sort(keys)
+    return keys[np.append(True, keys[1:] != keys[:-1])] if len(keys) else keys
+
+
+def _product(*slots) -> list[np.ndarray]:
+    """Each row's slot-wise product, one id array per slot.  A slot is an id column, or
+    a pair ``((offsets, members), col)``: row i takes each member of group ``col[i]``."""
+    counts = [offsets[at + 1] - offsets[at]
+              for (offsets, _), at in (s for s in slots if isinstance(s, tuple))]
+    if not counts:
+        return list(slots)
+    size = np.prod(counts, axis=0)
+    row = np.repeat(np.arange(len(size)), size)
+    k = np.arange(len(row)) - np.repeat(np.cumsum(size) - size, size)
+    out = []
+    for slot in slots[::-1]:   # the last slot varies fastest
+        if isinstance(slot, tuple):
+            (offsets, members), at = slot
+            m = counts.pop()[row]
+            out.append(members[offsets[at][row] + k % m])
+            k //= m
+        else:
+            out.append(slot[row])
+    return out[::-1]
 
 
 def compute_closure(kb: KnowledgeBase, sub: SubsumptionClosure,
                     max_derived: int = DEFAULT_MAX_DERIVED) -> DeductiveClosure:
-    """Expand the KB into per-form entailed-axiom sets (see module docstring)."""
-    asserted = {form: set(kb.rows(form)) for form in GCI_FORMS}
+    """Expand the KB into per-form entailed keys (see module docstring)."""
     n = kb.sig.n_classes
-    # C -> known subclasses of C; BOT's rows are tautologies and stay implicit
-    down: list[list[int]] = [[] for _ in range(n)]
-    for c in range(n):
-        if c == BOT:
-            continue
-        for d in sub.superclasses_of(c):
-            down[d].append(c)
-    up = sub.superclasses_of
+    dims = (n, kb.sig.n_relations)
+    ups = [sub.superclasses_of(c) for c in range(n)]
+    # every (class, superclass) pair in class order; BOT's rows are tautologies and stay
+    # implicit.  up and down hold each class's superclasses and subclasses but BOT, as
+    # (offsets, members)
+    src = np.repeat(np.arange(n), [len(s) for s in ups])
+    dst = np.fromiter(chain.from_iterable(ups), dtype=np.int64, count=len(src))
+    unsat = np.bincount(src[dst == BOT], minlength=n) > 0
+    up = np.searchsorted(src[dst != BOT], np.arange(n + 1)), dst[dst != BOT]
+    keep = src != BOT
+    order = np.argsort(dst[keep], kind="stable")
+    down = np.searchsorted(dst[keep][order], np.arange(n + 1)), src[keep][order]
+    parts: dict[Form, list[np.ndarray]] = {form: [] for form in GCI_FORMS}
 
-    sets: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
-
-    def grow(form: Form, *slots):
-        """Add the slot-wise product of id tuples to the form's set, within budget."""
-        sets[form].update(product(*slots))
-        if sum(map(len, sets.values())) > max_derived:
-            raise ClosureBudgetError(max_derived)
+    def put(form: Form, *slots):
+        parts[form].append(pack_keys(form, _product(*slots), *dims))
 
     # A BOT right-hand side comes only from an unsatisfiable superclass: GCI0's
     # d and the filler dp of GCI2 and GCI3.  Those rows live in the bottom
     # forms (C below some R.BOT is itself empty).
-    for c in range(n):
-        if c == BOT:
-            continue
-        ups = up(c)
-        if BOT in ups:
-            grow(Form.GCI0_BOT, (c,))
-            ups = ups - {BOT}
-        grow(Form.GCI0, (c,), ups)
+    put(Form.GCI0_BOT, src[keep & (dst == BOT)])
+    put(Form.GCI0, src[keep & (dst != BOT)], dst[keep & (dst != BOT)])
+    c, d, e = kb.axioms[Form.GCI1].ids.T
+    put(Form.GCI1, (down, c), d, e)
+    c, r, d = kb.axioms[Form.GCI2].ids.T
+    put(Form.GCI0_BOT, (down, c[unsat[d]]))
+    put(Form.GCI2, (down, c), r, (up, d))
+    r, c, d = kb.axioms[Form.GCI3].ids.T
+    put(Form.GCI3_BOT, r[unsat[d]], (down, c[unsat[d]]))
+    put(Form.GCI3, r, (down, c), (up, d))
+    put(Form.GCI0_BOT, (down, kb.axioms[Form.GCI0_BOT].ids[:, 0]))
+    r, c = kb.axioms[Form.GCI3_BOT].ids.T
+    put(Form.GCI3_BOT, r, (down, c))
+    put(Form.GCI1_BOT, *kb.axioms[Form.GCI1_BOT].ids.T)
 
-    for c, d, e in asserted[Form.GCI1]:
-        grow(Form.GCI1, down[c], (d,), (e,))
-    for c, r, d in asserted[Form.GCI2]:
-        ups = up(d)
-        if BOT in ups:
-            grow(Form.GCI0_BOT, down[c])
-            ups = ups - {BOT}
-        grow(Form.GCI2, down[c], (r,), ups)
-    for r, c, d in asserted[Form.GCI3]:
-        ups = up(d)
-        if BOT in ups:
-            grow(Form.GCI3_BOT, (r,), down[c])
-            ups = ups - {BOT}
-        grow(Form.GCI3, (r,), down[c], ups)
-    for c, in asserted[Form.GCI0_BOT]:
-        grow(Form.GCI0_BOT, down[c])
-    for r, c in asserted[Form.GCI3_BOT]:
-        grow(Form.GCI3_BOT, (r,), down[c])
-    for c, d in asserted[Form.GCI1_BOT]:
-        grow(Form.GCI1_BOT, (c,), (d,))
-
-    dc = DeductiveClosure(sig=kb.sig, sets=sets, asserted=asserted, sub=sub)
+    keys = {form: _unique(np.concatenate(parts[form])) for form in GCI_FORMS}
+    if sum(map(len, keys.values())) > max_derived:
+        raise ClosureBudgetError(max_derived)
+    asserted = {form: _unique(pack_keys(form, kb.axioms[form].ids.T, *dims))
+                for form in GCI_FORMS}
+    dc = DeductiveClosure(kb.sig, dims, keys, asserted, sub)
     dc.stats = dc.derived_counts()
     return dc
 
@@ -163,38 +198,39 @@ def dump_closure(dc: DeductiveClosure, path: str):
     ``closure_stats.json`` with the derived counts (never read back)."""
     os.makedirs(path, exist_ok=True)
     for form in GCI_FORMS:
-        asserted = dc.asserted[form]
+        keys = dc.keys[form]
+        asserted = key_member(dc.asserted_keys[form], keys).tolist()
         write_atomic(os.path.join(path, f"closure_{form.value.lower()}.tsv"), (
-            f"{format_row(form, args, dc.sig)}\t"
-            f"{'asserted' if args in asserted else 'derived'}\n"
-            for args in sorted(dc.sets[form])))
+            f"{format_row(form, args, dc.sig)}\t{'asserted' if known else 'derived'}\n"
+            for args, known in zip(dc.ids(form, keys).tolist(), asserted)))
     write_json(os.path.join(path, STATS_FILE), {"derived": dc.stats})
 
 
 def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
-    """Rebuild membership sets from dump files (no subsumption closure attached).
+    """Rebuild the key arrays from dump files (no subsumption closure attached).
 
     Every form's file must be there: a missing one raises FileNotFoundError.
     Names are looked up, never interned: a name outside ``sig``, like a wrong
     form tag, field count or provenance (``asserted``/``derived``), raises a
     ValueError naming the file and line, and ``sig`` is left unchanged.
     """
-    sets: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
-    asserted: dict[Form, set[tuple[int, ...]]] = {form: set() for form in GCI_FORMS}
+    keys, asserted, dims = {}, {}, (sig.n_classes, sig.n_relations)
     for form in GCI_FORMS:
         fpath = os.path.join(path, f"closure_{form.value.lower()}.tsv")
         lookups = per_slot(form, sig.class_id, sig.relation_id)
+        rows, marks = [], []
         for lineno, fields in lines(read_text(fpath)):
             if (len(fields) != ARITY[form] + 2 or fields[0] != form.value
                     or fields[-1] not in ("asserted", "derived")):
                 raise ValueError(f"{fpath}:{lineno}: malformed closure dump line")
             try:
-                args = tuple(id_of(name) for id_of, name in zip(lookups, fields[1:-1]))
+                rows += [id_of(name) for id_of, name in zip(lookups, fields[1:-1])]
             except KeyError as exc:
                 raise ValueError(
                     f"{fpath}:{lineno}: {exc.args[0]}; the dump does not match "
                     "the dataset") from None
-            sets[form].add(args)
-            if fields[-1] == "asserted":
-                asserted[form].add(args)
-    return DeductiveClosure(sig=sig, sets=sets, asserted=asserted)
+            marks.append(fields[-1] == "asserted")
+        found = pack_keys(form, np.array(rows, dtype=np.int64).reshape(-1, ARITY[form]).T, *dims)
+        keys[form] = _unique(found)
+        asserted[form] = _unique(found[np.array(marks, dtype=bool)])
+    return DeductiveClosure(sig, dims, keys, asserted)

@@ -41,7 +41,7 @@ class KnowledgeBase:
 
     def rows(self, form: Form) -> list[tuple[int, ...]]:
         """The form's train axioms as id tuples holding one shared int object per id, so
-        that the sets and indexes built from them keep no int object per row."""
+        that the reasoner's indexes built from them keep no int object per row."""
         ints = list(range(max(self.sig.n_classes, self.sig.n_relations)))
         flat = map(ints.__getitem__, self.axioms[form].ids.ravel().tolist())
         return list(zip(*[flat] * ARITY[form]))

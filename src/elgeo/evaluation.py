@@ -276,20 +276,17 @@ def evaluate(scorer, kb: KnowledgeBase, dc: DeductiveClosure | None = None,
     train_keys = np.sort(pack_keys(Form.GCI2, kb.train_gci2.ids.T, *dims))
     records = _rank_rows(scorer, axioms.ids, candidates, train_keys, dims, tie_mode)
     if dc is not None:
-        for rec in records:
-            rec.entailed = dc.contains(Axiom(Form.GCI2, (rec.head, rec.rel, rec.tail)))
+        for rec, entailed in zip(records, dc.contains(axioms).tolist()):
+            rec.entailed = entailed
 
     closure_records = []
     if closure_positives:
         if dc is None:
             raise EvaluationError("closure positives need a deductive closure")
-        heads = set(kb.pool(head_pool) if head_pool else candidates)
-        tails = set(candidates)
-        rels = set(axioms.ids[:, 1].tolist())
-        extras = np.array(sorted(
-            args for args in dc.sets[Form.GCI2]
-            if args[0] in heads and args[1] in rels and args[2] in tails),
-            dtype=np.int64).reshape(-1, 3)
+        extras = dc.ids(Form.GCI2, dc.keys[Form.GCI2])
+        extras = extras[np.isin(extras[:, 0], kb.pool(head_pool) if head_pool else candidates)
+                        & np.isin(extras[:, 1], axioms.ids[:, 1])
+                        & np.isin(extras[:, 2], candidates)]
         held_out = np.concatenate([kb.valid.ids, kb.test.ids])
         skip = np.sort(np.concatenate([train_keys, pack_keys(Form.GCI2, held_out.T, *dims)]))
         extras = extras[~key_member(skip, pack_keys(Form.GCI2, extras.T, *dims))]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import ARITY, CONSEQUENT_SLOT, Axiom, Form
+from .axioms import CONSEQUENT_SLOT, AxiomRows, Form, key_member, pack_keys
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
 
@@ -68,19 +68,16 @@ class NegativeSampler:
         self._entailed_pools: dict[Form, np.ndarray] = {}
 
     def _entailed_pool(self, form: Form) -> np.ndarray:
-        """The form's entailed-but-not-asserted id tuples as a sorted (k, arity) array."""
+        """The form's entailed-but-not-asserted id rows as a sorted (k, arity) array."""
         pool = self._entailed_pools.get(form)
         if pool is None:
-            pool = np.array(sorted(self.dc.sets[form] - self.dc.asserted[form]),
-                            dtype=np.int64).reshape(-1, ARITY[form])
+            keys = self.dc.keys[form]
+            pool = self.dc.ids(form, keys[~key_member(self.dc.asserted_keys[form], keys)])
             self._entailed_pools[form] = pool
         return pool
 
-    def _rejected(self, form: Form, args: tuple[int, ...]) -> bool:
-        return args in self.dc.asserted[form] or self.dc.contains(Axiom(form, args))
-
     def corrupt_ids(self, form: Form, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized corruption of a (B, arity) id matrix.
+        """Vectorized corruption of a (B, arity) id matrix, one membership call a round.
 
         Returns (corrupted rows, keep mask); rows whose filter retries are
         exhausted get masked out.  Rows replaced from the entailed pool are
@@ -108,17 +105,15 @@ class NegativeSampler:
         out[:, slot] = draw(active)
         keep = np.ones(B, dtype=bool)
         if self.cfg.filter_with_closure:
-            attempts = self.cfg.max_resample_attempts
+            dc, attempts = self.dc, self.cfg.max_resample_attempts
             for attempt in range(1, attempts + 1):
-                bad = [i for i, args in zip(active.tolist(), out[active].tolist())
-                       if self._rejected(form, tuple(args))]
-                if not bad:
+                tried = out[active]
+                active = active[dc.contains(AxiomRows(form, tried)) | key_member(
+                    dc.asserted_keys[form], pack_keys(form, tried.T, *dc.dims))]
+                if not len(active) or attempt == attempts:
                     break
-                active = np.asarray(bad)
-                if attempt == attempts:
-                    keep[active] = False
-                else:
-                    out[active, slot] = draw(active)
+                out[active, slot] = draw(active)
+            keep[active] = False   # rows still rejected after the last attempt
 
         if self.cfg.entailed_ratio > 0.0:
             ent_pool = self._entailed_pool(form)

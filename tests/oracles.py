@@ -555,3 +555,71 @@ def reference_split_error(sig, train, valid, test):
         if prev is not None:
             return f"axiom appears in both train and {prev}: {line(ax)}"
     return None
+
+
+class ReferenceSampler:
+    """``NegativeSampler.corrupt_ids`` with the per-row filter loop it used to run:
+    each corrupted row is tested on its own, against the KB's asserted id tuples and
+    the brute-force membership of ``rescan_contains``, and the entailed pool comes
+    from ``rescan_closure``.  The draws, their order and the stats are the sampler's."""
+
+    def __init__(self, kb, cfg):
+        from elgeo.sampling import SampleStats
+
+        S = rescan_saturate(kb)
+        self.kb, self.cfg = kb, cfg
+        self.contains = rescan_contains(kb, S)
+        self.closure = rescan_closure(kb, S)
+        self.rng = np.random.default_rng(cfg.seed)
+        self.stats = SampleStats()
+        self.pool = np.asarray(sorted(kb.pool("all")), dtype=np.int64)
+
+    def rejected(self, form, args):
+        return args in {ax.args for ax in self.kb.axioms[form]} or self.contains(form, args)
+
+    def corrupt_ids(self, form, rows):
+        from elgeo.axioms import CONSEQUENT_SLOT
+
+        slot, pool, rng = CONSEQUENT_SLOT[form], self.pool, self.rng
+        B = len(rows)
+        out = rows.copy()
+        original = rows[:, slot]
+
+        def draw(idx):
+            pos = np.searchsorted(pool, original[idx])
+            in_pool = pool[np.minimum(pos, len(pool) - 1)] == original[idx]
+            k = rng.integers(0, len(pool) - 1, size=len(idx))
+            k = np.where(in_pool & (k >= pos), k + 1, k)
+            full = rng.integers(0, len(pool), size=len(idx))
+            return np.where(in_pool, pool[k], pool[full])
+
+        active = np.arange(B)
+        out[:, slot] = draw(active)
+        keep = np.ones(B, dtype=bool)
+        if self.cfg.filter_with_closure:
+            attempts = self.cfg.max_resample_attempts
+            for attempt in range(1, attempts + 1):
+                bad = [i for i, args in zip(active.tolist(), out[active].tolist())
+                       if self.rejected(form, tuple(args))]
+                if not bad:
+                    break
+                active = np.asarray(bad)
+                if attempt == attempts:
+                    keep[active] = False
+                else:
+                    out[active, slot] = draw(active)
+
+        if self.cfg.entailed_ratio > 0.0:
+            asserted = {ax.args for ax in self.kb.axioms[form]}
+            ent_pool = np.array(sorted(self.closure[form] - asserted),
+                                dtype=np.int64).reshape(-1, ARITY[form])
+            if len(ent_pool):
+                mask = rng.random(B) < self.cfg.entailed_ratio
+                picks = rng.integers(0, len(ent_pool), size=B)
+                out[mask] = ent_pool[picks[mask]]
+                keep |= mask
+                self.stats.entailed_injected += int(mask.sum())
+        self.stats.requested += B
+        self.stats.produced += int(keep.sum())
+        self.stats.dropped += B - int(keep.sum())
+        return out, keep

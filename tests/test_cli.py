@@ -170,6 +170,14 @@ class TestTrainCmd:
                      "--set", "train.epochs=1", "--set", "train.dim=4"]) == 1
         assert "non-finite loss" in capsys.readouterr().err
 
+    def test_a_failed_run_leaves_no_directory_it_made(self, toy, tmp_path):
+        out = tmp_path / "r1"
+        assert main(["train", toy, str(out), "--set", "train.lr=1e300"]) == 1
+        assert not out.exists()
+        out.mkdir()   # a directory that was there before the run is kept
+        assert main(["train", toy, str(out), "--set", "train.lr=1e300"]) == 1
+        assert out.is_dir() and not any(out.iterdir())
+
 
 class TestEvaluateCmd:
     def test_closure_positives_without_dump_exit_2(self, toy, tmp_path, capsys):

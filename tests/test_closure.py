@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elgeo.axioms import (
-    ARITY, BOT, GCI_FORMS, LAYOUT, Axiom, Form, parse_normalized, rows_of,
+    ARITY, BOT, CONSEQUENT_SLOT, GCI_FORMS, LAYOUT, Axiom, AxiomRows, Form, parse_normalized,
+    per_slot, rows_of,
 )
 from elgeo.closure import (
     ClosureBudgetError, UnsupportedFormError, compute_closure, dump_closure,
@@ -169,6 +170,39 @@ class TestProperties:
                     where = (i, form.value, args)
                     assert dc.contains(ax) == expected, where
                     assert loaded.contains(ax) == expected, where
+
+    def test_batched_membership_matches_the_reference(self, tmp_path):
+        # the KBs above, each form's every id row in one contains call
+        rng = np.random.default_rng(37)
+        seen = {"BOT head": 0, "unsatisfiable class": 0, "GCI1_BOT propagation": 0}
+        for i in range(30):
+            kb = random_kb(rng, n_classes=int(rng.integers(4, 15)), n_relations=2,
+                           n_axioms=int(rng.integers(5, 41)))
+            S = rescan_saturate(kb)
+            dc = compute_closure(kb, saturate(kb))
+            path = str(tmp_path / str(i))
+            dump_closure(dc, path)
+            loaded = load_closure_dump(path, kb.sig)
+            reference, strict = rescan_contains(kb, S), rescan_contains(kb, S, strict=True)
+            classes, rels = range(kb.sig.n_classes), range(kb.sig.n_relations)
+            for form in GCI_FORMS:
+                rows = np.array(list(product(*per_slot(form, classes, rels))),
+                                dtype=np.int64).reshape(-1, ARITY[form])
+                if form in CONSEQUENT_SLOT:   # only the bottom form holds a BOT consequent
+                    rows = rows[rows[:, CONSEQUENT_SLOT[form]] != BOT]
+                expected = np.array([reference(form, args) for args in map(tuple, rows.tolist())],
+                                    dtype=bool)
+                for closure in (dc, loaded):
+                    got = closure.contains(AxiomRows(form, rows))
+                    assert got.dtype == bool and np.array_equal(got, expected), (i, form.value)
+                if form is Form.GCI0:
+                    seen["BOT head"] += int(expected[rows[:, 0] == BOT].sum())
+                if form is Form.GCI1_BOT:
+                    seen["GCI1_BOT propagation"] += sum(
+                        hit and not strict(form, args)
+                        for args, hit in zip(map(tuple, rows.tolist()), expected))
+            seen["unsatisfiable class"] += sum(BOT in S[c] for c in classes if c != BOT)
+        assert all(seen.values()), seen
 
 
 class TestSplitEntailed:

@@ -2,10 +2,11 @@
 ``elgeo normalize`` on a fixture whose nested existentials fix the order in
 which relations, and so their ids, are interned, the report and curves of
 ``elgeo naive --out`` on those toys, the subsumptions ``elgeo reason`` writes
-for two of them, the checkpoint and per-epoch report of ``elgeo train`` on two
-of them, the report and curves of ``elgeo evaluate --out`` on those
-checkpoints, whatever the number of BLAS threads, the bytes of completion
-scores on random models, and the coefficients of every loss-term row."""
+for two of them, the closure dumps ``elgeo closure`` writes for the toys and
+for the normalized fixture, the checkpoint and per-epoch report of
+``elgeo train`` on two of them, the report and curves of ``elgeo evaluate
+--out`` on those checkpoints, whatever the number of BLAS threads, the bytes of
+completion scores on random models, and the coefficients of every loss-term row."""
 
 import hashlib
 import json
@@ -181,6 +182,57 @@ REASON_SHA256 = {
     ("hierarchy", "2"): "b0a0ca36bb865162836ecb1ada3d2a94b0c8dea46394b8bf135b60329a101062",
 }
 
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+# (toy, its --seed) -> sha256 of each file ``elgeo closure`` writes; ("fixture", None) is
+# the normalized FIXTURE as a train split, whose unsatisfiable classes and bottom forms
+# fill every form
+CLOSURE_SHA256 = {
+    ("basic", "0"): {
+        "closure_gci0.tsv": "1abc4d14575aafd073af61cf5aa813da11a5ac583cf040a6530b64d791be3642",
+        "closure_gci0_bot.tsv": EMPTY,
+        "closure_gci1.tsv": "acb5179ee5ae7f0bf0874315abccb518461eb031bcf6d151cac377bbb28756b0",
+        "closure_gci1_bot.tsv": "ee3c578d9af8de3037dffe648ba1b65ca3a8e9b705854456bd257ae8e50654c7",
+        "closure_gci2.tsv": "4d1e57ddad9cba5f6acd3daa6edba06241bb36d2d39affcf8832b768a5aaf8fa",
+        "closure_gci3.tsv": "4a3dbdee2b5ac88d21c76c91feb6773d893d5006684d76f0042eabb93f27548c",
+        "closure_gci3_bot.tsv": EMPTY,
+        "closure_stats.json": "92f2754a0dd2f818c9ca31fec5cf4217deef5d6405dc688b0236e5d2bd08546f",
+    },
+    ("hierarchy", "0"): {
+        "closure_gci0.tsv": "be10d945e79c5587d8dfbc8f6e92cf9289d4bce6a7948c11d2f67e18f1937983",
+        "closure_gci0_bot.tsv": EMPTY, "closure_gci1.tsv": EMPTY,
+        "closure_gci1_bot.tsv": EMPTY,
+        "closure_gci2.tsv": "6440140c2464d3a8fe75540516a434685565cecd48c4fe6dfda48aa38f993794",
+        "closure_gci3.tsv": EMPTY, "closure_gci3_bot.tsv": EMPTY,
+        "closure_stats.json": "a0abaa0e38b67cef2ad8c07261bf5dae0f9d790a3ba18e645546e228902fc5de",
+    },
+    ("hierarchy", "2"): {
+        "closure_gci0.tsv": "be10d945e79c5587d8dfbc8f6e92cf9289d4bce6a7948c11d2f67e18f1937983",
+        "closure_gci0_bot.tsv": EMPTY, "closure_gci1.tsv": EMPTY,
+        "closure_gci1_bot.tsv": EMPTY,
+        "closure_gci2.tsv": "75b0f4349668123a795d2c98731a9b56cdffb030a38e99e5e830a2c960cbb1a0",
+        "closure_gci3.tsv": EMPTY, "closure_gci3_bot.tsv": EMPTY,
+        "closure_stats.json": "1cd4ee326c69bb85c31e2b02132f5ccebdb2deb0fc8cf36d919c0d1e695c6d63",
+    },
+    ("skew", "0"): {
+        "closure_gci0.tsv": "77c257896956aac1ce9bf10203220d10216dd818441d93fbad7f6a6522bd76be",
+        "closure_gci0_bot.tsv": EMPTY, "closure_gci1.tsv": EMPTY,
+        "closure_gci1_bot.tsv": EMPTY,
+        "closure_gci2.tsv": "20e9093ab5fd9591a62c6302e41b2b61d427cb305f826026b492bd634ae8bace",
+        "closure_gci3.tsv": EMPTY, "closure_gci3_bot.tsv": EMPTY,
+        "closure_stats.json": "3964253c66d58e45ddaa3c985ef432a59f4ac93523dc816310ae57f7a35b1b9e",
+    },
+    ("fixture", None): {
+        "closure_gci0.tsv": "bd6d3f0e3614ec4fec63c1513f33a78e834979eaa77ca0b4e88e614215b24e04",
+        "closure_gci0_bot.tsv": "dda2c65d10c5235c24aa89e77fce291d7dec83c7e8e907dd945877ec4ee74e1f",
+        "closure_gci1.tsv": "c380cc221353f379856f446fe90453fcdb6bd223f6e381bacb09f484b8b99810",
+        "closure_gci1_bot.tsv": "5eac478916f8e9ca5da1c5df2cbc26f2637808880e960b7bf9474789e6e332d8",
+        "closure_gci2.tsv": "42c58e0eb294b4af83d4c42ee71dda987a8e13f02fc0463b9a596723a5f7cae3",
+        "closure_gci3.tsv": "3093061fe322681b02b97ebdf97d06259e81af315edb29218eaec3bef2f332e6",
+        "closure_gci3_bot.tsv": "a7b7a236bc77f0f905393394f9a0e0548471df34abbdb802876857acf2538dcd",
+        "closure_stats.json": "88b4f0bfb42a4ba1d334514d7b39ef33f80ae420362e0119fd85533107f7894d",
+    },
+}
+
 # (activation, dim, margin) -> sha256 of the float64 scores of 5 queries against a pool
 # of 1,100 tails, longer than one chunk, on a random model (see completion_scores);
 # relu at margin -0.05 scores 1,235 of them -0.0
@@ -249,6 +301,19 @@ def test_reason_writes_the_pinned_bytes(preset, seed, tmp_path):
     assert main(["gen-toy", str(toy), "--preset", preset, "--seed", seed]) == 0
     assert main(["reason", str(toy), "--out", str(tmp_path / "pairs.tsv")]) == 0
     assert sha256(tmp_path / "pairs.tsv") == REASON_SHA256[preset, seed]
+
+
+@pytest.mark.parametrize("preset,seed", CLOSURE_SHA256, ids=str)
+def test_closure_writes_the_pinned_bytes(preset, seed, tmp_path):
+    data, out = tmp_path / "data", tmp_path / "closure"
+    if seed is None:
+        (tmp_path / "in.sexp").write_text(FIXTURE, encoding="utf-8")
+        data.mkdir()
+        assert main(["normalize", str(tmp_path / "in.sexp"), str(data / "train.tsv")]) == 0
+    else:
+        assert main(["gen-toy", str(data), "--preset", preset, "--seed", seed]) == 0
+    assert main(["closure", str(data), str(out)]) == 0
+    assert {p.name: sha256(p) for p in out.iterdir()} == CLOSURE_SHA256[preset, seed]
 
 
 @pytest.mark.parametrize("preset,tie_mode,symmetric", sorted(NAIVE_SHA256))

@@ -1,6 +1,8 @@
 """One way into a KnowledgeBase: the BOT-consequent rewrite is one function
 (``axioms.bottom_rewrite``, the only reader of ``BOT_FORM``), and no code outside
-``axioms.py`` builds an ``Axiom`` but the two closure-membership queries."""
+``axioms.py`` builds an ``Axiom``.  One membership structure for the closure: no
+library code reads the decoded ``sets`` and ``asserted`` views of a
+``DeductiveClosure``, only its key arrays."""
 
 import ast
 import subprocess
@@ -11,8 +13,11 @@ import pytest
 import elgeo
 
 SRC = Path(elgeo.__file__).parent
-# (file, function) of each Axiom(...) call allowed outside axioms.py: the contains queries
-CONTAINS_SITES = {("sampling.py", "_rejected"), ("evaluation.py", "evaluate")}
+# (file, function) of each Axiom(...) call allowed outside axioms.py: none, since
+# membership takes whole ``AxiomRows``
+CONTAINS_SITES = set()
+# the decoded closure views that no library module reads
+VIEWS = ("sets", "asserted")
 
 
 def uses(tree: ast.AST):
@@ -52,6 +57,16 @@ def offenders(sources) -> list[str]:
     return out
 
 
+def view_reads(sources) -> list[str]:
+    """``file:line`` of each read of an attribute named in ``VIEWS``, such as
+    ``dc.sets[form]`` or ``self.asserted``, over (file name, source) pairs."""
+    return [f"{node.attr} {file}:{node.lineno}" for file, source in sources
+            for node in sorted((node for node in ast.walk(ast.parse(source))
+                                if isinstance(node, ast.Attribute)
+                                and isinstance(node.ctx, ast.Load) and node.attr in VIEWS),
+                               key=lambda node: (node.lineno, node.col_offset))]
+
+
 def sources():
     return [(path.name, path.read_text("utf-8")) for path in sorted(SRC.glob("*.py"))]
 
@@ -64,6 +79,22 @@ def test_bot_form_is_read_in_one_function_and_axiom_built_only_where_allowed():
         {("axioms.py", "bottom_rewrite")}
     assert {(file, func) for file, kind, func in found
             if kind == "Axiom" and file != "axioms.py"} == CONTAINS_SITES
+
+
+def test_no_library_module_reads_the_decoded_closure_views():
+    assert view_reads(sources()) == []
+
+
+def test_the_view_lint_sees_every_planted_read():
+    source = ("def f(dc, form):\n"
+              "    a = dc.sets[form] - dc.asserted[form]\n"
+              "    for s in self.sets.values(): g(x.y.asserted)\n"
+              "    sets, asserted = dc.keys, {}\n"
+              "    dc.sets = asserted[form]\n"
+              "    return sorted(dc.sets)\n")
+    assert view_reads([("closure.py", source)]) == [
+        "sets closure.py:2", "asserted closure.py:2", "sets closure.py:3",
+        "asserted closure.py:3", "sets closure.py:6"]
 
 
 def test_the_lint_sees_every_planted_use():
@@ -79,9 +110,22 @@ def test_the_lint_sees_every_planted_use():
     assert offenders([("toygen.py", source)]) == [
         "BOT_FORM toygen.py:1", "Axiom toygen.py:3", "Axiom toygen.py:3",
         "BOT_FORM toygen.py:4", "BOT_FORM toygen.py:4", "Axiom toygen.py:6"]
-    assert offenders([("sampling.py", source)])[-1] == "BOT_FORM sampling.py:4"
+    # the old contains site, sampling._rejected, is no longer exempt
+    assert offenders([("sampling.py", source)]) == [
+        line.replace("toygen", "sampling") for line in offenders([("toygen.py", source)])]
     assert offenders([("axioms.py", source)]) == ["BOT_FORM axioms.py:1"] + \
         ["BOT_FORM axioms.py:4"] * 2
+
+
+def _sources_at(commit: str):
+    """``sources()`` as they were at ``commit``."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(SRC), *args], capture_output=True,
+                              text=True, check=True).stdout
+
+    names = git("ls-tree", "--name-only", commit, ".").split()
+    return [(name, git("show", f"{commit}:./{name}"))
+            for name in sorted(names) if name.endswith(".py")]
 
 
 # the last commit at which normalize, toygen and the parser each built rows their own way
@@ -89,17 +133,28 @@ TWO_WAYS = "cf47a8d528cdc20686d08809261e3b8ea93351ce"
 
 
 def test_the_lint_finds_the_second_rewrite_and_the_axiom_builders_it_replaced():
-    def git(*args):
-        return subprocess.run(["git", "-C", str(SRC), *args], capture_output=True,
-                              text=True, check=True).stdout
-
     try:
-        names = git("ls-tree", "--name-only", TWO_WAYS, ".").split()
-        old = [(name, git("show", f"{TWO_WAYS}:./{name}"))
-               for name in sorted(names) if name.endswith(".py")]
+        old = _sources_at(TWO_WAYS)
     except (OSError, subprocess.CalledProcessError):
         pytest.skip("needs the repository's git history")
     assert offenders(old) == [
-        "BOT_FORM axioms.py:123", "BOT_FORM axioms.py:254",
-        "Axiom normalize.py:125", "Axiom normalize.py:128", "Axiom toygen.py:37",
-        "Axiom toygen.py:154"]
+        "BOT_FORM axioms.py:123", "BOT_FORM axioms.py:254", "Axiom evaluation.py:233",
+        "Axiom normalize.py:125", "Axiom normalize.py:128", "Axiom sampling.py:80",
+        "Axiom toygen.py:37", "Axiom toygen.py:154"]
+
+
+# the last commit at which closure membership, the sampler and evaluate read tuple sets
+TUPLE_SETS = "08a870c9d42af657ce6d5335c10f9a78dc48fa2c"
+
+
+def test_the_view_lint_finds_every_tuple_set_read_it_replaced():
+    try:
+        old = _sources_at(TUPLE_SETS)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("needs the repository's git history")
+    assert view_reads(old) == [
+        "sets closure.py:70", "asserted closure.py:83", "sets closure.py:91",
+        "sets closure.py:92", "sets closure.py:96", "asserted closure.py:96",
+        "sets closure.py:96", "asserted closure.py:166", "sets closure.py:170",
+        "sets evaluation.py:290", "sets sampling.py:74", "asserted sampling.py:74",
+        "asserted sampling.py:80"]

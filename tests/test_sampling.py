@@ -7,7 +7,7 @@ from elgeo.dataset import build_kb
 from elgeo.reasoner import saturate
 from elgeo.sampling import NegativeSampler, SamplerConfig, SamplingError
 
-from oracles import as_axioms
+from oracles import ReferenceSampler, as_axioms, random_kb
 
 
 def kb_with_closure(text):
@@ -163,3 +163,29 @@ class TestDeterminism:
         a, _, _ = corrupt_rows(kb, Form.GCI2, rows, SamplerConfig(seed=1))
         b, _, _ = corrupt_rows(kb, Form.GCI2, rows, SamplerConfig(seed=2))
         assert not np.array_equal(a, b)
+
+
+class TestBatchedFilter:
+    @pytest.mark.parametrize("ratio", [0.0, 0.5])
+    @pytest.mark.parametrize("attempts", [1, 2, 10])
+    def test_draws_what_the_per_row_filter_draws(self, attempts, ratio):
+        """One membership call a round keeps every number of the per-row loop: the
+        rows, the keep mask, the stats and the generator's state after each call."""
+        rng = np.random.default_rng([attempts, int(ratio * 10)])
+        dropped = 0
+        for _ in range(12):
+            kb = random_kb(rng, n_classes=int(rng.integers(3, 9)), n_relations=2,
+                           n_axioms=int(rng.integers(5, 41)))
+            cfg = SamplerConfig(filter_with_closure=True, entailed_ratio=ratio,
+                                max_resample_attempts=attempts, seed=int(rng.integers(2 ** 31)))
+            sampler = NegativeSampler(kb, cfg, compute_closure(kb, saturate(kb)))
+            reference = ReferenceSampler(kb, cfg)
+            for form in (Form.GCI0, Form.GCI1, Form.GCI2, Form.GCI3) * 2:
+                rows = np.tile(kb.axioms[form].ids, (8, 1))
+                (out, keep), (ref_out, ref_keep) = (
+                    s.corrupt_ids(form, rows) for s in (sampler, reference))
+                assert np.array_equal(out, ref_out) and np.array_equal(keep, ref_keep), form
+                assert sampler.stats == reference.stats
+                assert sampler.rng.bit_generator.state == reference.rng.bit_generator.state
+            dropped += sampler.stats.dropped
+        assert dropped > 0   # some rows ran out of attempts
