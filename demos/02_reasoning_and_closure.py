@@ -25,7 +25,7 @@ sub = saturate(kb)
 
 kinase = sig.class_id("kinase")
 protein = sig.class_id("protein")
-print("kinase is a protein:", protein in sub.superclasses_of(kinase))
+print("kinase is a protein:", protein in sub.subsumers[kinase])
 
 dc = compute_closure(kb, sub)
 print("derived counts per form:", dc.derived_counts())

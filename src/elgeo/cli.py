@@ -26,7 +26,7 @@ from .reasoner import dump_subsumptions, saturate
 from .sampling import SamplingError
 from .sexpr import SexprError, parse_general
 from .toygen import basic_kb, hierarchy_kb, scale_kb, skew_kb
-from .training import TrainingError, grid_search, train
+from .training import DEFAULT_GRIDS, TrainingError, grid_runs, grid_search, train
 
 INPUT_ERRORS = (ParseError, SexprError, DatasetError, ConfigError,
                 EvaluationError, FileNotFoundError, ValueError, KeyError)
@@ -79,14 +79,15 @@ def cmd_closure(args) -> int:
     return 0
 
 
-def _start_training_run(args, values: dict):
-    """What train and grid share: the TrainConfig of the config ``values``, the
-    dataset, its closure when the config needs one, and a started manifest."""
+def _start_training_run(args, values: dict, grids: dict | None = None):
+    """What train and grid share: the TrainConfig of ``values``, the dataset, its closure
+    when it or any combination of the grid ``grids`` needs one, and a started manifest."""
     cfg = to_train_config(values)
     config = resolved(cfg, values)
     kb = load_dataset(args.dataset)
+    runs = [cfg, *(run for _, run in grid_runs(cfg, grids))] if grids else [cfg]
     dc = (compute_closure(kb, saturate(kb), max_derived=int(config["closure.max_derived"]))
-          if cfg.needs_closure else None)
+          if any(run.needs_closure for run in runs) else None)
     manifest = RunManifest(command=args.command, config=config, seed=cfg.seed).start()
     manifest.add_input(args.dataset)
     return cfg, kb, dc, manifest
@@ -117,8 +118,9 @@ def cmd_grid(args) -> int:
         attr = SCHEMA[key][0]
         # each value is typed and checked as its train.* config key would be
         grids[attr] = tuple(getattr(to_train_config({**values, key: val}), attr) for val in vals)
-    cfg, kb, dc, manifest = _start_training_run(args, values)
-    result = grid_search(kb, cfg, grids or None, dc)
+    grids = grids or dict(DEFAULT_GRIDS)
+    cfg, kb, dc, manifest = _start_training_run(args, values, grids)
+    result = grid_search(kb, cfg, grids, dc)
     os.makedirs(args.out, exist_ok=True)   # once the run succeeded: a failed one leaves none
     table_path = os.path.join(args.out, "grid_results.tsv")
     write_atomic(table_path, [result.to_table()])

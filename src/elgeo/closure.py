@@ -15,8 +15,8 @@ new.  The expansion is sound but not complete.  Each form is one sorted array
 of int64 keys (``axioms.pack_keys``); membership, a binary search in it, reads
 the keys alone, so a loaded dump answers like the computed closure.  GCI1 is
 looked up in either conjunct order; disjointness (GCI1_BOT) propagates down the
-hierarchy at query time.  ``sets`` and ``asserted`` are decoded views, kept for
-``perfbench/`` and the tests.
+hierarchy at query time.  ``sets``, the one decoded view, is kept for
+``perfbench/``; no library code reads it.
 """
 
 from __future__ import annotations
@@ -72,15 +72,8 @@ class DeductiveClosure:
 
     @property
     def sets(self) -> dict[Form, set[tuple[int, ...]]]:
-        """Each form's rows as id tuples, decoded on every read, like ``asserted``."""
-        return self._decoded(self.keys)
-
-    @property
-    def asserted(self) -> dict[Form, set[tuple[int, ...]]]:
-        return self._decoded(self.asserted_keys)
-
-    def _decoded(self, keys: dict[Form, np.ndarray]) -> dict[Form, set[tuple[int, ...]]]:
-        return {form: set(map(tuple, self.ids(form, k).tolist())) for form, k in keys.items()}
+        """Each form's entailed rows as id tuples, decoded on every read."""
+        return {form: set(map(tuple, self.ids(form, k).tolist())) for form, k in self.keys.items()}
 
     def contains(self, query):
         """Entailment membership for the covered (GCI) forms: a bool array over the
@@ -149,7 +142,7 @@ def compute_closure(kb: KnowledgeBase, sub: SubsumptionClosure,
     """Expand the KB into per-form entailed keys (see module docstring)."""
     n = kb.sig.n_classes
     dims = (n, kb.sig.n_relations)
-    ups = [sub.superclasses_of(c) for c in range(n)]
+    ups = [range(n) if c in sub.unsat else s for c, s in enumerate(sub.subsumers)]
     # every (class, superclass) pair in class order; BOT's rows are tautologies and stay
     # implicit.  up and down hold each class's superclasses and subclasses but BOT, as
     # (offsets, members)

@@ -10,7 +10,7 @@ The result is a conservative extension of the input.
 
 from __future__ import annotations
 
-from .axioms import Form, Rows, Signature, rows_of
+from .axioms import BOT, TOP, Form, Rows, Signature, rows_of
 from .sexpr import Concept, GeneralAxiom, RESERVED_PREFIX, atom, conj
 
 
@@ -25,9 +25,9 @@ class _Context:
 
     def class_id(self, c: Concept) -> int:
         if c.kind == "top":
-            return 0
+            return TOP
         if c.kind == "bot":
-            return 1
+            return BOT
         return self.sig.intern_class(c.name)
 
 

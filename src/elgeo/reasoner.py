@@ -34,11 +34,6 @@ class SubsumptionClosure:
     subsumers: list[set[int]]
     unsat: set[int]
 
-    def superclasses_of(self, c: int) -> set[int]:
-        if c in self.unsat:
-            return set(range(self.sig.n_classes))
-        return self.subsumers[c]
-
     def pairs(self):
         """All derived subclass/superclass pairs in id order, unsat classes expanded."""
         n = self.sig.n_classes

@@ -66,14 +66,6 @@ class GeneralAxiom:
     roles: tuple[str, ...] = ()    # subrole: (r, s); rolechain: (r1, r2, s)
 
 
-def subclassof(left: Concept, right: Concept) -> GeneralAxiom:
-    return GeneralAxiom("subclassof", left=left, right=right)
-
-
-def equivalent(left: Concept, right: Concept) -> GeneralAxiom:
-    return GeneralAxiom("equivalent", left=left, right=right)
-
-
 def subrole(r: str, s: str) -> GeneralAxiom:
     return GeneralAxiom("subrole", roles=(r, s))
 

@@ -62,6 +62,11 @@ def hierarchy_kb(n_chains: int = 6, depth: int = 8, n_heads: int = 12,
     edge to every class above it; the test split takes one such entailed edge
     per head.  ``density`` adds that fraction of extra random (novel) edges.
     """
+    for need, got, ok in (("n_chains >= 1", n_chains, n_chains >= 1),
+                          ("depth >= 2", depth, depth >= 2),
+                          ("a finite density >= 0", density, 0 <= density < np.inf)):
+        if not ok:
+            raise ValueError(f"hierarchy_kb needs {need}, got {got!r}")
     rng = np.random.default_rng(seed)
     sig = Signature()
     train = []

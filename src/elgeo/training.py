@@ -314,23 +314,27 @@ class GridResult:
         return "\n".join(lines) + "\n"
 
 
+def grid_runs(base_cfg: TrainConfig, grids: dict | None = None) -> list[tuple[dict, TrainConfig]]:
+    """Each combination of the ``grids`` axes (``DEFAULT_GRIDS`` when None) and its config."""
+    grids = dict(DEFAULT_GRIDS) if grids is None else grids
+    if not grids or any(len(v) == 0 for v in grids.values()):
+        raise ValueError("grids must be non-empty")
+    keys = sorted(grids)
+    combos = [dict(zip(keys, values)) for values in itertools.product(*(grids[k] for k in keys))]
+    return [(combo, replace(base_cfg, **combo)) for combo in combos]
+
+
 def grid_search(kb: KnowledgeBase, base_cfg: TrainConfig,
                 grids: dict[str, tuple] | None = None,
                 dc: DeductiveClosure | None = None) -> GridResult:
     """Train every grid combination and rank by validation macro mean rank."""
     from .evaluation import EvaluationError, evaluate
 
-    grids = dict(DEFAULT_GRIDS) if grids is None else grids
-    if not grids or any(len(v) == 0 for v in grids.values()):
-        raise ValueError("grids must be non-empty")
+    runs = grid_runs(base_cfg, grids)   # a bad value fails before any run
     if not kb.valid:
         raise EvaluationError("valid split is empty")
-    keys = sorted(grids)
-    combos = [dict(zip(keys, values)) for values in itertools.product(*(grids[k] for k in keys))]
-    cfgs = [replace(base_cfg, **combo) for combo in combos]   # a bad value fails before any run
-
     result = GridResult()
-    for combo, cfg in zip(combos, cfgs):
+    for combo, cfg in runs:
         try:
             model, _ = train(kb, cfg, dc)
         except TrainingError as exc:   # a diverged run is recorded, not fatal

@@ -341,6 +341,18 @@ class TestGenToy:
         assert "distinct edges" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--chains", "0", "n_chains"), ("--chains", "-1", "n_chains"),
+        ("--depth", "0", "depth"), ("--depth", "1", "depth"),
+        ("--density", "-0.5", "density"), ("--density", "nan", "density"),
+        ("--density", "inf", "density")])
+    def test_hierarchy_with_bad_sizes_exit_2(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "x"
+        assert main(["gen-toy", str(out), "--preset", "hierarchy", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "hierarchy_kb needs" in err and named in err
+        assert not out.exists()
+
 
 class TestGridCmd:
     def test_tiny_grid(self, toy, tmp_path, capsys):
@@ -365,6 +377,15 @@ class TestGridCmd:
         rows = tables[0].splitlines()[1:]
         assert sorted(json.loads(row.split("\t")[2])["reg_mode"] for row in rows) == \
             ["relaxed", "strict"]
+
+    @pytest.mark.parametrize("axis", ["filter_negatives=false,true", "entailed_ratio=0,0.5"])
+    def test_an_axis_that_needs_the_closure_ranks_every_row(self, axis, toy, tmp_path):
+        """The closure is computed when any combination needs it, not only the base."""
+        out = tmp_path / "grid"
+        assert main(["grid", toy, str(out), "--set", "train.epochs=2", "--set", "train.dim=4",
+                     "--grid", axis]) == 0
+        rows = (out / "grid_results.tsv").read_text().splitlines()[1:]
+        assert [row.split("\t")[0] for row in rows] == ["1", "2"]
 
     def test_no_valid_split_exit_2_before_training(self, tmp_path, capsys):
         toy, out = str(tmp_path / "toy"), tmp_path / "grid"

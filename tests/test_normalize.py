@@ -7,8 +7,7 @@ from elgeo.dataset import build_kb
 from elgeo.normalize import normalize
 from elgeo.reasoner import saturate
 from elgeo.sexpr import (
-    BOT_CONCEPT, TOP_CONCEPT, atom, conj, equivalent, parse_general, some,
-    subclassof,
+    BOT_CONCEPT, TOP_CONCEPT, GeneralAxiom, atom, conj, parse_general, some,
 )
 
 from oracles import as_axioms, is_subsumed
@@ -60,7 +59,7 @@ class TestRules:
 
     def test_reserved_input_identifier_rejected(self):
         with pytest.raises(ValueError, match="reserved prefix"):
-            normalize([subclassof(atom("_N7"), atom("B"))])
+            normalize([GeneralAxiom("subclassof", left=atom("_N7"), right=atom("B"))])
 
 
 # each normal form written as a general axiom maps back to exactly itself
@@ -97,8 +96,8 @@ def _concepts(depth):
 
 
 @given(st.lists(
-    st.builds(subclassof, _concepts(2), _concepts(2))
-    | st.builds(equivalent, _concepts(1), _concepts(1)),
+    st.builds(GeneralAxiom, st.just("subclassof"), _concepts(2), _concepts(2))
+    | st.builds(GeneralAxiom, st.just("equivalent"), _concepts(1), _concepts(1)),
     min_size=1, max_size=5))
 @settings(max_examples=120, deadline=None)
 def test_output_is_normal_and_fresh_names_bounded(general):

@@ -4,14 +4,9 @@ names a table that restates it (``RELATION_SLOTS``, ``TERM_RELATION_SLOTS``,
 ``TERM_ARITY``), and no loss-term row passes its own slot-kind string to ``_spec``."""
 
 import ast
-import subprocess
-from pathlib import Path
 
-import pytest
+from astlint import function, name, sources, sources_at, walk
 
-import elgeo
-
-SRC = Path(elgeo.__file__).parent
 # the (file, function) outside axioms.py that may read LAYOUT
 READER = ("geometry.py", "_spec")
 RESTATEMENTS = {"RELATION_SLOTS", "TERM_RELATION_SLOTS", "TERM_ARITY"}
@@ -22,13 +17,8 @@ def uses(tree: ast.AST):
     name, attribute or import of a RESTATEMENTS table (kind "table"), and each ``_spec``
     call with a string first argument (kind "kinds")."""
     found = []
-
-    def name(node):
-        return getattr(node, "id", None) or getattr(node, "attr", None)
-
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
+    for node, scope in walk(tree):
+        func = function(scope)
         if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
                 and name(node) == "LAYOUT"):
             found.append(("LAYOUT", node.lineno, func))
@@ -38,10 +28,6 @@ def uses(tree: ast.AST):
         if (isinstance(node, ast.Call) and name(node.func) == "_spec" and node.args
                 and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)):
             found.append(("kinds", node.lineno, func))
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(tree, None)
     return found
 
 
@@ -51,10 +37,6 @@ def offenders(sources) -> list[str]:
     return [f"{kind} {file}:{line}" for file, source in sources
             for kind, line, func in uses(ast.parse(source))
             if kind != "LAYOUT" or file != "axioms.py" and (file, func) != READER]
-
-
-def sources():
-    return [(path.name, path.read_text("utf-8")) for path in sorted(SRC.glob("*.py"))]
 
 
 def test_layout_is_read_only_by_axioms_and_spec():
@@ -91,17 +73,7 @@ RESTATED = "ff9b3f32c1859751eb7c95553fcc981d6cf1563d"
 
 
 def test_the_lint_finds_the_restatements_that_layout_replaced():
-    def git(*args):
-        return subprocess.run(["git", "-C", str(SRC), *args], capture_output=True,
-                              text=True, check=True).stdout
-
-    try:
-        names = git("ls-tree", "--name-only", RESTATED, ".").split()
-        old = [(name, git("show", f"{RESTATED}:./{name}"))
-               for name in sorted(names) if name.endswith(".py")]
-    except (OSError, subprocess.CalledProcessError):
-        pytest.skip("needs the repository's git history")
-    assert offenders(old) == [
+    assert offenders(sources_at(RESTATED)) == [
         "table axioms.py:54", "table axioms.py:72", "table axioms.py:289",
         "table axioms.py:315", "table closure.py:28", "table closure.py:186",
         "table dataset.py:18", "table dataset.py:63", "table dataset.py:71",

@@ -5,14 +5,9 @@ library code reads the decoded ``sets`` and ``asserted`` views of a
 ``DeductiveClosure``, only its key arrays."""
 
 import ast
-import subprocess
-from pathlib import Path
 
-import pytest
+from astlint import function, name, sources, sources_at, walk
 
-import elgeo
-
-SRC = Path(elgeo.__file__).parent
 # (file, function) of each Axiom(...) call allowed outside axioms.py: none, since
 # membership takes whole ``AxiomRows``
 CONTAINS_SITES = set()
@@ -24,22 +19,12 @@ def uses(tree: ast.AST):
     """(kind, line, enclosing function) of each read of ``BOT_FORM`` (kind "BOT_FORM")
     and each ``Axiom(...)`` call (kind "Axiom"), by bare name or as an attribute."""
     found = []
-
-    def name(node):
-        return getattr(node, "id", None) or getattr(node, "attr", None)
-
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
+    for node, scope in walk(tree):
         if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
                 and name(node) == "BOT_FORM"):
-            found.append(("BOT_FORM", node.lineno, func))
+            found.append(("BOT_FORM", node.lineno, function(scope)))
         if isinstance(node, ast.Call) and name(node.func) == "Axiom":
-            found.append(("Axiom", node.lineno, func))
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(tree, None)
+            found.append(("Axiom", node.lineno, function(scope)))
     return found
 
 
@@ -65,10 +50,6 @@ def view_reads(sources) -> list[str]:
                                 if isinstance(node, ast.Attribute)
                                 and isinstance(node.ctx, ast.Load) and node.attr in VIEWS),
                                key=lambda node: (node.lineno, node.col_offset))]
-
-
-def sources():
-    return [(path.name, path.read_text("utf-8")) for path in sorted(SRC.glob("*.py"))]
 
 
 def test_bot_form_is_read_in_one_function_and_axiom_built_only_where_allowed():
@@ -117,27 +98,12 @@ def test_the_lint_sees_every_planted_use():
         ["BOT_FORM axioms.py:4"] * 2
 
 
-def _sources_at(commit: str):
-    """``sources()`` as they were at ``commit``."""
-    def git(*args):
-        return subprocess.run(["git", "-C", str(SRC), *args], capture_output=True,
-                              text=True, check=True).stdout
-
-    names = git("ls-tree", "--name-only", commit, ".").split()
-    return [(name, git("show", f"{commit}:./{name}"))
-            for name in sorted(names) if name.endswith(".py")]
-
-
 # the last commit at which normalize, toygen and the parser each built rows their own way
 TWO_WAYS = "cf47a8d528cdc20686d08809261e3b8ea93351ce"
 
 
 def test_the_lint_finds_the_second_rewrite_and_the_axiom_builders_it_replaced():
-    try:
-        old = _sources_at(TWO_WAYS)
-    except (OSError, subprocess.CalledProcessError):
-        pytest.skip("needs the repository's git history")
-    assert offenders(old) == [
+    assert offenders(sources_at(TWO_WAYS)) == [
         "BOT_FORM axioms.py:123", "BOT_FORM axioms.py:254", "Axiom evaluation.py:233",
         "Axiom normalize.py:125", "Axiom normalize.py:128", "Axiom sampling.py:80",
         "Axiom toygen.py:37", "Axiom toygen.py:154"]
@@ -148,11 +114,7 @@ TUPLE_SETS = "08a870c9d42af657ce6d5335c10f9a78dc48fa2c"
 
 
 def test_the_view_lint_finds_every_tuple_set_read_it_replaced():
-    try:
-        old = _sources_at(TUPLE_SETS)
-    except (OSError, subprocess.CalledProcessError):
-        pytest.skip("needs the repository's git history")
-    assert view_reads(old) == [
+    assert view_reads(sources_at(TUPLE_SETS)) == [
         "sets closure.py:70", "asserted closure.py:83", "sets closure.py:91",
         "sets closure.py:92", "sets closure.py:96", "asserted closure.py:96",
         "sets closure.py:96", "asserted closure.py:166", "sets closure.py:170",

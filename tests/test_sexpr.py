@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from elgeo.normalize import normalize
 from elgeo.sexpr import (
-    BOT_CONCEPT, MAX_DEPTH, TOP_CONCEPT, GeneralAxiom, SexprError, atom, conj, equivalent,
-    parse_general, some, subclassof, subrole, rolechain,
+    BOT_CONCEPT, MAX_DEPTH, TOP_CONCEPT, GeneralAxiom, SexprError, atom, conj, parse_general,
+    some, subrole, rolechain,
 )
 
 # an atom named "{a}" is printed as the nominal (one a), which reads back as that atom
@@ -47,10 +47,12 @@ def print_document(axioms, rnd):
 class TestParseGeneral:
     def test_nested_conjunction_and_existential(self):
         axioms = parse_general("(subclassof A (and B (some r C)))")
-        assert axioms == [subclassof(atom("A"), conj([atom("B"), some("r", atom("C"))]))]
+        assert axioms == [GeneralAxiom("subclassof", left=atom("A"),
+                                       right=conj([atom("B"), some("r", atom("C"))]))]
 
     def test_equivalent(self):
-        assert parse_general("(equivalent A B)") == [equivalent(atom("A"), atom("B"))]
+        assert parse_general("(equivalent A B)") == [
+            GeneralAxiom("equivalent", left=atom("A"), right=atom("B"))]
 
     def test_disjunction_rejected(self):
         with pytest.raises(SexprError, match="unknown head symbol: or"):
@@ -99,11 +101,12 @@ class TestParseGeneral:
 
     def test_top_bot_symbols(self):
         axioms = parse_general("(subclassof top bot)")
-        assert axioms == [subclassof(TOP_CONCEPT, BOT_CONCEPT)]
+        assert axioms == [GeneralAxiom("subclassof", left=TOP_CONCEPT, right=BOT_CONCEPT)]
 
     def test_nominal_becomes_braced_atom(self):
         axioms = parse_general("(subclassof (one p1) (some interacts (one p2)))")
-        assert axioms == [subclassof(atom("{p1}"), some("interacts", atom("{p2}")))]
+        assert axioms == [GeneralAxiom("subclassof", left=atom("{p1}"),
+                                       right=some("interacts", atom("{p2}")))]
 
     def test_role_axioms(self):
         assert parse_general("(subrole r s)(rolechain r1 r2 s)") == \
