@@ -2,8 +2,9 @@
 
 The reasoner saturates the KB into every derivable named-concept
 subsumption.  The closure then rewrites each asserted axiom along the
-hierarchy, giving per-form entailed-axiom sets with O(1) membership, which
-later power negative filtering and closure-aware evaluation.
+hierarchy, giving per-form entailed-axiom sets, each a sorted array of packed
+keys with membership by binary search, which later power negative filtering and
+closure-aware evaluation.
 """
 
 from elgeo.axioms import Axiom, Form, parse_normalized

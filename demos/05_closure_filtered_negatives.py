@@ -36,4 +36,4 @@ for filtered in (False, True):
     rep = evaluate(model, kb, pool="tails")
     label = "filtered " if filtered else "unfiltered"
     print(f"{label} negatives -> macro FMR {rep.macro_fmr:6.2f}, "
-          f"FHits@10 {rep.fhits10:.2f}, drops {report.sampler_stats['dropped']}")
+          f"FHits@10 {rep.fhits10:.2f}, drops {report.sampler['dropped']}")

@@ -72,7 +72,7 @@ def cmd_reason(args) -> int:
 def cmd_closure(args) -> int:
     extra = extras(_gather_config(args, {"closure.max_derived": args.max_derived}))
     kb = load_dataset(args.dataset)
-    dc = compute_closure(kb, saturate(kb), max_derived=int(extra["closure.max_derived"]))
+    dc = compute_closure(kb, saturate(kb), max_derived=extra["closure.max_derived"])
     dump_closure(dc, args.out)
     for form, count in sorted(dc.stats.items()):
         print(f"derived {form}\t{count}")
@@ -86,7 +86,7 @@ def _start_training_run(args, values: dict, grids: dict | None = None):
     config = resolved(cfg, values)
     kb = load_dataset(args.dataset)
     runs = [cfg, *(run for _, run in grid_runs(cfg, grids))] if grids else [cfg]
-    dc = (compute_closure(kb, saturate(kb), max_derived=int(config["closure.max_derived"]))
+    dc = (compute_closure(kb, saturate(kb), max_derived=config["closure.max_derived"])
           if any(run.needs_closure for run in runs) else None)
     manifest = RunManifest(command=args.command, config=config, seed=cfg.seed).start()
     manifest.add_input(args.dataset)
@@ -97,7 +97,7 @@ def cmd_train(args) -> int:
     cfg, kb, dc, manifest = _start_training_run(args, _gather_config(args))
     model, report = train(kb, cfg, dc)
     os.makedirs(args.out, exist_ok=True)   # once the run succeeded: a failed one leaves none
-    report.checkpoint_path = ckpt = os.path.join(args.out, "checkpoint.bin")
+    report.checkpoint = ckpt = os.path.join(args.out, "checkpoint.bin")
     save_model(model, ckpt)
     report_path = os.path.join(args.out, "report.jsonl")
     report.to_jsonl(report_path)

@@ -14,6 +14,7 @@ from dataclasses import asdict, fields
 from importlib import resources
 
 from .closure import DEFAULT_MAX_DERIVED
+from .evaluation import TIE_WEIGHT
 from .manifest import read_text
 from .training import TrainConfig
 
@@ -22,19 +23,21 @@ class ConfigError(Exception):
     pass
 
 
-# non-training keys and their defaults
-DEFAULT_EXTRAS = {
-    "closure.max_derived": DEFAULT_MAX_DERIVED,
-    "eval.pool": None,
-    "eval.head_pool": None,
-    "eval.tie_mode": "optimistic",
+# non-training key -> (its default, what its value must be, the check of that)
+EXTRAS = {
+    "closure.max_derived": (DEFAULT_MAX_DERIVED, "an int >= 0",
+                            lambda v: type(v) is int and v >= 0),
+    "eval.pool": (None, "a string or null", lambda v: v is None or isinstance(v, str)),
+    "eval.head_pool": (None, "a string or null", lambda v: v is None or isinstance(v, str)),
+    "eval.tie_mode": ("optimistic", " or ".join(map(repr, TIE_WEIGHT)),
+                      lambda v: isinstance(v, str) and v in TIE_WEIGHT),
 }
 
 # key -> (TrainConfig field, converter) or None for non-training keys; a
 # training key's converter is the type of its field's default
 SCHEMA: dict[str, tuple[str, type] | None] = {
     **{f"train.{f.name}": (f.name, type(f.default)) for f in fields(TrainConfig)},
-    **dict.fromkeys(DEFAULT_EXTRAS),
+    **dict.fromkeys(EXTRAS),
 }
 
 PRESETS = resources.files("elgeo").joinpath("presets")
@@ -123,9 +126,14 @@ def to_train_config(values: dict) -> TrainConfig:
 
 
 def extras(values: dict) -> dict:
-    out = dict(DEFAULT_EXTRAS)
+    """The non-training keys: each default, overridden by its value in ``values``,
+    which must pass the key's check in ``EXTRAS``, else ConfigError."""
+    out = {key: default for key, (default, _, _) in EXTRAS.items()}
     for key, val in values.items():
         if SCHEMA[key] is None:
+            _, expected, ok = EXTRAS[key]
+            if not ok(val):
+                raise ConfigError(f"{key} expects {expected}, got {val!r}")
             out[key] = val
     return out
 

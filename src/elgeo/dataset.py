@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import (
-    ARITY, BOT, TOP, AxiomRows, Form, Rows, Signature, format_row, identifier_error,
+    BOT, TOP, AxiomRows, Form, Rows, Signature, format_row, identifier_error,
     key_member, lines, pack_keys, parse_normalized, per_slot, rows_of,
 )
 from .manifest import read_text, write_atomic
@@ -38,13 +38,6 @@ class KnowledgeBase:
     @property
     def train_gci2(self) -> AxiomRows:
         return self.axioms[Form.GCI2]
-
-    def rows(self, form: Form) -> list[tuple[int, ...]]:
-        """The form's train axioms as id tuples holding one shared int object per id, so
-        that the reasoner's indexes built from them keep no int object per row."""
-        ints = list(range(max(self.sig.n_classes, self.sig.n_relations)))
-        flat = map(ints.__getitem__, self.axioms[form].ids.ravel().tolist())
-        return list(zip(*[flat] * ARITY[form]))
 
     def form_counts(self) -> dict[str, int]:
         return {form.value: len(self.axioms[form]) for form in Form if self.axioms[form]}

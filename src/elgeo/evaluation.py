@@ -180,15 +180,7 @@ class RankingReport:
         return {
             "tie_mode": self.tie_mode,
             "aggregates": self.metrics(),
-            "records": [
-                {
-                    "head": r.head, "rel": r.rel, "tail": r.tail,
-                    "rank": r.rank, "frank": r.frank,
-                    "n_cand": r.n_cand, "n_fcand": r.n_fcand,
-                    "source": r.source, "entailed": r.entailed,
-                }
-                for r in self.records + self.closure_records
-            ],
+            "records": [vars(r) for r in self.records + self.closure_records],
             "roc": {name: [[x, y] for x, y in pts] for name, pts in self.roc.items()},
         }
 
@@ -272,6 +264,7 @@ def evaluate(scorer, kb: KnowledgeBase, dc: DeductiveClosure | None = None,
     candidates = kb.pool(pool)
     if not candidates:
         raise EvaluationError("empty candidate pool")
+    heads = kb.pool(head_pool) if head_pool else candidates
     dims = (kb.sig.n_classes, kb.sig.n_relations)
     train_keys = np.sort(pack_keys(Form.GCI2, kb.train_gci2.ids.T, *dims))
     records = _rank_rows(scorer, axioms.ids, candidates, train_keys, dims, tie_mode)
@@ -284,8 +277,7 @@ def evaluate(scorer, kb: KnowledgeBase, dc: DeductiveClosure | None = None,
         if dc is None:
             raise EvaluationError("closure positives need a deductive closure")
         extras = dc.ids(Form.GCI2, dc.keys[Form.GCI2])
-        extras = extras[np.isin(extras[:, 0], kb.pool(head_pool) if head_pool else candidates)
-                        & np.isin(extras[:, 1], axioms.ids[:, 1])
+        extras = extras[np.isin(extras[:, 0], heads) & np.isin(extras[:, 1], axioms.ids[:, 1])
                         & np.isin(extras[:, 2], candidates)]
         held_out = np.concatenate([kb.valid.ids, kb.test.ids])
         skip = np.sort(np.concatenate([train_keys, pack_keys(Form.GCI2, held_out.T, *dims)]))

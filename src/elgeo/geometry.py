@@ -126,6 +126,8 @@ HEADER_TYPES = {
     "dim": (int,), "n_classes": (int,), "n_relations": (int,), "seed": (int,),
     "margin": (int, float), "reg_radius": (int, float), "leaky_slope": (int, float),
 }
+# the model settings a header carries: every field but the format version and table sizes
+SETTINGS = tuple(key for key in HEADER_TYPES if key not in ("version", "n_classes", "n_relations"))
 
 
 def param_size(n_classes: int, n_relations: int, dim: int) -> int:
@@ -399,18 +401,8 @@ def loss_term(model: EmbeddingModel, term: str, cols, grad: GradientBuffer | Non
 
 def save_model(model: EmbeddingModel, path: str):
     """Binary checkpoint: header JSON, the raw little-endian float64 params, id tables."""
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "dim": model.dim,
-        "n_classes": model.n_classes,
-        "n_relations": model.n_relations,
-        "margin": model.margin,
-        "reg_mode": model.reg_mode,
-        "reg_radius": model.reg_radius,
-        "activation": model.activation,
-        "leaky_slope": model.leaky_slope,
-        "seed": model.seed,
-    }
+    header = {"version": CHECKPOINT_VERSION, "n_classes": model.n_classes,
+              "n_relations": model.n_relations, **{key: getattr(model, key) for key in SETTINGS}}
     tables = {
         "classes": list(model.sig.class_names[:model.n_classes]),
         "relations": list(model.sig.relation_names[:model.n_relations]),
@@ -470,9 +462,7 @@ def load_model(path: str) -> EmbeddingModel:
             sig.intern_class(name)
         for name in tables["relations"]:
             sig.intern_relation(name)
-        return EmbeddingModel(
-            sig=sig, dim=dim, margin=header["margin"], reg_mode=header["reg_mode"],
-            reg_radius=header["reg_radius"], activation=header["activation"],
-            leaky_slope=header["leaky_slope"], seed=header["seed"], params=params)
+        # the tables, not the header, size the model: a mismatch fails the params check
+        return EmbeddingModel(sig=sig, params=params, **{key: header[key] for key in SETTINGS})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"corrupt checkpoint: {path}: {exc}") from None

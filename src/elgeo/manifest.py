@@ -53,17 +53,7 @@ class RunManifest:
             self.inputs[path] = file_digest(path)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "config_digest": config_digest(self.config),
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "seed": self.seed,
-            "version": self.version,
-            "started": self.started,
-            "finished": self.finished,
-        }
+        return {**vars(self), "config_digest": config_digest(self.config)}
 
     def write(self, path: str):
         write_json(path, self.to_dict())

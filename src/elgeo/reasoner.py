@@ -28,7 +28,7 @@ from .dataset import KnowledgeBase
 
 @dataclass
 class SubsumptionClosure:
-    """Derived subsumers per class; unsat classes additionally subsume everything."""
+    """Derived subsumers per class; unsat classes are also subsumed by every class."""
 
     sig: Signature
     subsumers: list[set[int]]
@@ -54,15 +54,18 @@ def saturate(kb: KnowledgeBase) -> SubsumptionClosure:
     # fillers[r][D'] = [E ...] for R4/R6; R5 is the filler BOT with E = BOT in every relation
     fillers: list[dict[int, list[int]]] = [{BOT: [BOT]} for _ in range(kb.sig.n_relations)]
 
-    for c, d in kb.rows(Form.GCI0) + [(c, BOT) for c, in kb.rows(Form.GCI0_BOT)]:
+    def rows(form):   # a form's train axioms as id lists, each freed after its loop
+        return kb.axioms[form].ids.tolist()
+
+    for c, d in rows(Form.GCI0) + [(c, BOT) for c, in rows(Form.GCI0_BOT)]:
         rules[c][0].append(d)
-    for c, d, e in kb.rows(Form.GCI1) + [(c, d, BOT) for c, d in kb.rows(Form.GCI1_BOT)]:
+    for c, d, e in rows(Form.GCI1) + [(c, d, BOT) for c, d in rows(Form.GCI1_BOT)]:
         rules[c][1].append((d, e))
         if d != c:
             rules[d][1].append((c, e))
-    for c, r, d in kb.rows(Form.GCI2):
+    for c, r, d in rows(Form.GCI2):
         rules[c][2].append((r, d))
-    for r, c, d in kb.rows(Form.GCI3) + [(r, c, BOT) for r, c in kb.rows(Form.GCI3_BOT)]:
+    for r, c, d in rows(Form.GCI3) + [(r, c, BOT) for r, c in rows(Form.GCI3_BOT)]:
         fillers[r].setdefault(c, []).append(d)
     # one rule table per class that triggers any rule, the last entry saying whether it
     # triggers R4-R6; None for every other class

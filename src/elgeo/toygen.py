@@ -64,6 +64,7 @@ def hierarchy_kb(n_chains: int = 6, depth: int = 8, n_heads: int = 12,
     """
     for need, got, ok in (("n_chains >= 1", n_chains, n_chains >= 1),
                           ("depth >= 2", depth, depth >= 2),
+                          ("n_heads >= 1", n_heads, n_heads >= 1),
                           ("a finite density >= 0", density, 0 <= density < np.inf)):
         if not ok:
             raise ValueError(f"hierarchy_kb needs {need}, got {got!r}")

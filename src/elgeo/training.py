@@ -24,7 +24,9 @@ import numpy as np
 from .axioms import GCI_FORMS, Form
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
-from .geometry import ACTIVATIONS, REG_MODES, EmbeddingModel, GradientBuffer, loss_term, save_model
+from .geometry import (
+    ACTIVATIONS, REG_MODES, SETTINGS, EmbeddingModel, GradientBuffer, loss_term, save_model,
+)
 from .manifest import write_atomic
 from .sampling import NegativeSampler, SamplerConfig
 
@@ -116,21 +118,15 @@ class TrainReport:
     best_epoch: int = -1
     seed: int = 0
     weights: dict[str, float] = field(default_factory=dict)
-    sampler_stats: dict = field(default_factory=dict)
-    checkpoint_path: str | None = None
+    sampler: dict = field(default_factory=dict)   # the sampler's counts and drop rate
+    checkpoint: str | None = None                 # where the checkpoint was written
 
     def to_jsonl(self, path: str):
         write_atomic(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in self.epochs))
 
     def summary(self) -> dict:
-        return {
-            "stop_epoch": self.stop_epoch,
-            "best_epoch": self.best_epoch,
-            "seed": self.seed,
-            "weights": self.weights,
-            "sampler": self.sampler_stats,
-            "checkpoint": self.checkpoint_path,
-        }
+        """The run summary: every field but the per-epoch records."""
+        return {key: val for key, val in vars(self).items() if key != "epochs"}
 
 
 def compute_weights(counts: dict[str, int], mode: str = "inverse_frequency") -> dict[str, float]:
@@ -215,11 +211,8 @@ def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = Non
         raise TrainingError("filtered or entailed-biased negatives need a deductive closure")
 
     init_ss, shuffle_ss, sampler_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    model = EmbeddingModel.create(
-        kb.sig, dim=cfg.dim, margin=cfg.margin, reg_mode=cfg.reg_mode,
-        reg_radius=cfg.reg_radius, activation=cfg.activation,
-        leaky_slope=cfg.leaky_slope, seed=cfg.seed,
-        rng=np.random.default_rng(init_ss))
+    model = EmbeddingModel.create(kb.sig, **{key: getattr(cfg, key) for key in SETTINGS},
+                                  rng=np.random.default_rng(init_ss))
     shuffle_rng = np.random.default_rng(shuffle_ss)
     sampler = NegativeSampler(kb, cfg.sampler_config(), dc,
                               rng=np.random.default_rng(sampler_ss))
@@ -292,11 +285,11 @@ def train(kb: KnowledgeBase, cfg: TrainConfig, dc: DeductiveClosure | None = Non
                 break
 
     report.stop_epoch = epoch
-    report.sampler_stats = {**asdict(sampler.stats), "drop_rate": sampler.stats.drop_rate}
+    report.sampler = {**asdict(sampler.stats), "drop_rate": sampler.stats.drop_rate}
     final = best_params if best_params is not None else model
     if checkpoint_path is not None:
         save_model(final, checkpoint_path)
-        report.checkpoint_path = checkpoint_path
+        report.checkpoint = checkpoint_path
     return final, report
 
 

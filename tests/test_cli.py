@@ -286,6 +286,16 @@ class TestEvaluateCmd:
         report = json.loads(Path(out, "eval_report.json").read_text())
         assert report["config_digest"] == config_digest(config)
 
+    def test_an_unknown_head_pool_exit_2_without_closure_positives(self, tmp_path, capsys):
+        toy, run = str(tmp_path / "hh"), str(tmp_path / "run")
+        assert main(["gen-toy", toy, "--preset", "hierarchy"]) == 0
+        assert main(["train", toy, run, "--preset", "relu-original",
+                     "--set", "train.epochs=2", "--set", "train.dim=4"]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", os.path.join(run, "checkpoint.bin"), toy, "--pool", "tails",
+                     "--head-pool", "nosuchpool"]) == 2
+        assert "unknown pool: 'nosuchpool'" in capsys.readouterr().err
+
     def test_filtered_flag_prints_filtered_block(self, toy, tmp_path, capsys):
         run = str(tmp_path / "run")
         main(["train", toy, run, "--preset", "relu-original",
@@ -345,7 +355,8 @@ class TestGenToy:
         ("--chains", "0", "n_chains"), ("--chains", "-1", "n_chains"),
         ("--depth", "0", "depth"), ("--depth", "1", "depth"),
         ("--density", "-0.5", "density"), ("--density", "nan", "density"),
-        ("--density", "inf", "density")])
+        ("--density", "inf", "density"), ("--heads", "0", "n_heads"),
+        ("--heads", "-1", "n_heads")])
     def test_hierarchy_with_bad_sizes_exit_2(self, tmp_path, capsys, flag, value, named):
         out = tmp_path / "x"
         assert main(["gen-toy", str(out), "--preset", "hierarchy", flag, value]) == 2
@@ -410,6 +421,29 @@ class TestGridCmd:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+# a non-training config value of the wrong type or out of range
+BAD_EXTRAS = ["closure.max_derived=true", "closure.max_derived=2.7", 'closure.max_derived="7"',
+              "closure.max_derived=-1", "eval.pool=5", "eval.head_pool=[1]",
+              "eval.tie_mode=bogus", "eval.tie_mode=null"]
+
+
+@pytest.mark.parametrize("override", BAD_EXTRAS)
+@pytest.mark.parametrize("command", ["closure", "train", "grid", "evaluate"])
+def test_a_bad_non_training_value_exit_2_before_anything_is_read(
+        command, override, toy, tmp_path, capsys):
+    """The value is checked before the dataset or checkpoint is read: evaluate is given a
+    checkpoint that does not exist, and no output directory is made."""
+    out = tmp_path / "out"
+    argv = {"closure": ["closure", toy, str(out)],
+            "train": ["train", toy, str(out), "--set", "train.epochs=1"],
+            "grid": ["grid", toy, str(out), "--set", "train.epochs=1", "--grid", "dim=4"],
+            "evaluate": ["evaluate", str(tmp_path / "missing.bin"), toy, "--out", str(out)]}
+    capsys.readouterr()
+    assert main([*argv[command], "--set", override]) == 2
+    assert f"error: {override.partition('=')[0]} expects" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestManifest:

@@ -1,5 +1,6 @@
-"""Config entries are read by one rule, and each value must already have its TrainConfig
-field's type (nothing is coerced) and lie in the range a run can use."""
+"""Config entries are read by one rule, and each value must already have its key's type
+(nothing is coerced) and lie in the range a run can use: a ``train.*`` key's TrainConfig
+field type, or what the check of a non-training key in ``config.EXTRAS`` takes."""
 
 from dataclasses import fields
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 import elgeo
 from elgeo.cli import main
 from elgeo.config import (
-    PRESET_NAMES, ConfigError, apply_overrides, load_preset, parse_config_text, parse_entry,
-    parse_values, resolved, to_train_config,
+    PRESET_NAMES, ConfigError, apply_overrides, extras, load_preset, parse_config_text,
+    parse_entry, parse_values, resolved, to_train_config,
 )
 from elgeo.manifest import config_digest
 from elgeo.training import TrainConfig
@@ -50,6 +51,32 @@ def test_a_float_field_takes_an_int_as_a_float():
 
 def test_the_tuple_field_takes_a_comma_separated_string():
     assert to_train_config({"train.neg_forms": "gci0,gci2"}).neg_forms == ("gci0", "gci2")
+
+
+# non-training key -> values its check refuses and values it takes
+EXTRA_VALUES = {
+    "closure.max_derived": ([True, False, 2.7, 2.0, "7", -1, None, [7]], [0, 7, 10 ** 9]),
+    "eval.pool": ([5, 0.5, True, ["all"], {"all": 1}], [None, "all", "tails"]),
+    "eval.head_pool": ([5, 0.5, True, ["all"], {"all": 1}], [None, "all", "tails"]),
+    "eval.tie_mode": (["bogus", "", None, 0.5, True, ["average"]], ["optimistic", "average"]),
+}
+BAD_EXTRAS = [(key, value) for key, (bad, _) in EXTRA_VALUES.items() for value in bad]
+
+
+def test_every_non_training_key_has_a_table_row():
+    assert set(EXTRA_VALUES) == set(extras({}))
+
+
+@pytest.mark.parametrize("key,value", BAD_EXTRAS, ids=[f"{k}={v!r}" for k, v in BAD_EXTRAS])
+def test_a_bad_non_training_value_is_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} expects "):
+        extras({key: value})
+
+
+@pytest.mark.parametrize("key", EXTRA_VALUES)
+def test_a_good_non_training_value_is_taken_as_given(key):
+    for value in EXTRA_VALUES[key][1]:
+        assert extras({key: value})[key] == value
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from elgeo.axioms import Signature
 from elgeo.geometry import (
-    CHUNK, SPECS, TERMS, EmbeddingModel, GradientBuffer, load_model, loss_term, save_model,
+    CHUNK, SETTINGS, SPECS, TERMS, EmbeddingModel, GradientBuffer, load_model, loss_term,
+    save_model,
 )
-from elgeo.training import Adam
+from elgeo.training import Adam, TrainConfig
 
 from oracles import brute_score, gradcheck_max_error, gradient, loss_value
 
@@ -428,6 +430,14 @@ class TestCheckpoint:
         path2 = tmp_path / "model2.bin"
         save_model(m2, str(path2))
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_every_model_setting_is_in_the_header_and_the_config(self):
+        """The header carries every setting of a model but its signature, parameters and
+        table sizes, and a TrainConfig field sets each: a new setting that a checkpoint
+        would drop, or that no config sets, fails here."""
+        init = {f.name for f in fields(EmbeddingModel) if f.init}
+        assert init - {"sig", "params", "n_classes", "n_relations"} == set(SETTINGS)
+        assert set(SETTINGS) <= {f.name for f in fields(TrainConfig)}
 
 
 class TestParameterBlock:

@@ -4,7 +4,8 @@ which relations, and so their ids, are interned, the report and curves of
 ``elgeo naive --out`` on those toys, the subsumptions ``elgeo reason`` writes
 for two of them, the closure dumps ``elgeo closure`` writes for the toys and
 for the normalized fixture, the checkpoint and per-epoch report of
-``elgeo train`` on two of them, the report and curves of ``elgeo evaluate
+``elgeo train`` on two of them, one run's summary (but its checkpoint path) and
+its manifest's keys and config digest, the report and curves of ``elgeo evaluate
 --out`` on those checkpoints, whatever the number of BLAS threads, the bytes of
 completion scores on random models, and the coefficients of every loss-term row."""
 
@@ -116,9 +117,9 @@ SKEW_RELU = ("skew", "0", "--preset relu-original --set train.epochs=10 --set tr
              "--set train.batch_size=8")
 SKEW_LEAKY = ("skew", "0", "--preset neg-losses --set train.epochs=10 --set train.dim=7 "
               "--set train.batch_size=8")
-# (toy, its --seed, train arguments) -> sha256 of checkpoint.bin and report.jsonl
-# (summary.json names the run directory, so it is not pinned); an even dim scatters
-# gradient rows as complex pairs, an odd one as floats, so both widths are pinned
+# (toy, its --seed, train arguments) -> sha256 of checkpoint.bin and report.jsonl; an
+# even dim scatters gradient rows as complex pairs, an odd one as floats, so both widths
+# are pinned
 TRAIN_SHA256 = {
     FULL_SCHEDULE: (
         "ad2facb7c4635d018c0d3e75bc9c330b7c3a4ae0ec791462790733caee29a6ef",
@@ -144,6 +145,12 @@ TRAIN_SHA256 = {
         "97e979cf7e9c619b916593a886298089a6f1f477d7c70cc24aefb08111bcf4b0",
         "c3ef8445313740c85174465a25ba465b92f36290e482f4e604bc8fd8de7f3f04"),
 }
+# FULL_SCHEDULE's summary.json without "checkpoint", the path of the run directory, as
+# sha256 of write_json's layout; the keys of its manifest.json, and the config_digest there
+SUMMARY_SHA256 = "e1f398608254fbd5160fabd6eeb19fc208e070ef785608b04a40545a52b0acb4"
+MANIFEST_KEYS = ["command", "config", "config_digest", "finished", "inputs", "outputs", "seed",
+                 "started", "version"]
+CONFIG_DIGEST = "3c78542f1c9c9f060caab0ceb5611593abfe0fea7f67361623f0847913afde6d"
 # (pinned train run, evaluate arguments) -> sha256 of eval_report.json and roc.csv: both
 # activations, both dim parities, both tie modes, the whole pool and the tails pool,
 # with a closure dump (``elgeo closure`` of the toy) after each --closure-dir
@@ -363,6 +370,20 @@ def test_a_pinned_train_run_decays_the_rate_twice_and_stops_early(tmp_path):
     epochs = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
     assert json.loads((out / "summary.json").read_text())["stop_epoch"] == len(epochs) == 13
     assert sorted({rec["lr"] for rec in epochs}, reverse=True) == pytest.approx([1e-2, 1e-3, 1e-4])
+
+
+def test_a_pinned_train_run_writes_the_pinned_summary_and_manifest(tmp_path):
+    preset, seed, args = FULL_SCHEDULE
+    toy, out = tmp_path / preset, tmp_path / "run"
+    assert main(["gen-toy", str(toy), "--preset", preset, "--seed", seed]) == 0
+    assert main(["train", str(toy), str(out), *args.split()]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary.pop("checkpoint") == str(out / "checkpoint.bin")
+    layout = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(layout.encode()).hexdigest() == SUMMARY_SHA256
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest) == MANIFEST_KEYS
+    assert manifest["config_digest"] == summary["config_digest"] == CONFIG_DIGEST
 
 
 @pytest.mark.parametrize("activation,dim,margin", sorted(SCORE_SHA256))

@@ -200,7 +200,7 @@ class TestTrain:
                         filter_negatives=True)
         _, report = train(kb, cfg, dc)
         assert "gci0_neg" in report.weights
-        assert report.sampler_stats["requested"] > 0
+        assert report.sampler["requested"] > 0
 
     def test_negatives_all_dropped(self):
         # with a pool of two classes, both corruptions are asserted axioms
@@ -211,14 +211,14 @@ class TestTrain:
         assert report.stop_epoch == 3
         assert [rec["breakdown"]["gci2_neg"] for rec in report.epochs] == [0.0] * 3
         assert all(rec["val_loss"] is None for rec in report.epochs)
-        stats = report.sampler_stats
+        stats = report.sampler
         assert stats["requested"] > 0 and stats["dropped"] == stats["requested"]
 
     def test_checkpoint_written(self, tmp_path):
         kb = basic_kb()
         path = str(tmp_path / "ck.bin")
         _, report = train(kb, small_cfg(epochs=1), checkpoint_path=path)
-        assert report.checkpoint_path == path
+        assert report.checkpoint == path
         from elgeo.geometry import load_model
         assert load_model(path).dim == 6
 
