@@ -78,6 +78,12 @@ def key_member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return sorted_keys.take(np.searchsorted(sorted_keys, keys), mode="clip") == keys
 
 
+def runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of the ranges ``lo[i]:hi[i]``, end to end, and the i of each."""
+    i = np.repeat(np.arange(len(lo)), hi - lo)
+    return i, np.arange(len(i)) + (lo - np.cumsum(hi - lo) + (hi - lo))[i]
+
+
 class ParseError(Exception):
     """Malformed axiom input; carries the 1-based line number."""
 
@@ -108,6 +114,9 @@ class Axiom:
 
 # Right-hand (consequent) class slot of the non-bottom GCI forms.
 CONSEQUENT_SLOT = {Form.GCI0: 1, Form.GCI1: 2, Form.GCI2: 2, Form.GCI3: 2}
+# Left-hand (antecedent) class slots of each GCI form: every class slot but the consequent.
+ANTECEDENT = {form: [k for k, kind in enumerate(LAYOUT[form])
+                     if kind == "c" and k != CONSEQUENT_SLOT.get(form)] for form in GCI_FORMS}
 # The bottom form a BOT consequent rewrites to, keeping that form's leading slots
 # (C inside some R.bottom forces C empty).
 BOT_FORM = {Form.GCI0: Form.GCI0_BOT, Form.GCI1: Form.GCI1_BOT,

@@ -18,7 +18,7 @@ from .config import (
     parse_entry, parse_values, resolved, to_train_config,
 )
 from .dataset import DatasetError, load_dataset, save_dataset
-from .evaluation import EvaluationError, emit_roc, evaluate, naive_fit
+from .evaluation import TIE_WEIGHT, EvaluationError, emit_roc, evaluate, naive_fit
 from .geometry import load_model, save_model
 from .manifest import RunManifest, config_digest, read_text, write_atomic, write_json
 from .normalize import normalize
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--pool")
     p.add_argument("--head-pool")
-    p.add_argument("--tie-mode", choices=["optimistic", "average"])
+    p.add_argument("--tie-mode", choices=TIE_WEIGHT)
     p.add_argument("--filtered", action="store_true",
                    help="print only the filtered metric block")
     p.add_argument("--closure-positives", action="store_true")
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("--relation")
     p.add_argument("--pool")
-    p.add_argument("--tie-mode", choices=["optimistic", "average"], default="optimistic")
+    p.add_argument("--tie-mode", choices=TIE_WEIGHT, default="optimistic")
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_naive)

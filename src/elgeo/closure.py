@@ -13,10 +13,11 @@ rewrite premises drawn from the (transitively closed) subsumption closure:
 Because the premises are transitively closed, a second pass derives nothing
 new.  The expansion is sound but not complete.  Each form is one sorted array
 of int64 keys (``axioms.pack_keys``); membership, a binary search in it, reads
-the keys alone, so a loaded dump answers like the computed closure.  GCI1 is
-looked up in either conjunct order; disjointness (GCI1_BOT) propagates down the
-hierarchy at query time.  ``sets``, the one decoded view, is kept for
-``perfbench/``; no library code reads it.
+the keys alone, so a loaded dump answers like the computed closure.  A row of
+any form with BOT in an antecedent class slot (``axioms.ANTECEDENT``) is a
+tautology, a member whether stored or not.  GCI1 is looked up in either conjunct
+order; disjointness (GCI1_BOT) propagates down the hierarchy at query time.
+``sets``, the one decoded view, is kept for ``perfbench/``; no library code reads it.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from itertools import chain
 import numpy as np
 
 from .axioms import (
-    ARITY, BOT, Axiom, Form, GCI_FORMS, Signature, format_row, key_member, lines,
-    pack_keys, per_slot,
+    ANTECEDENT, ARITY, BOT, Axiom, Form, GCI_FORMS, Signature, format_row, key_member,
+    lines, pack_keys, per_slot, runs,
 )
 from .dataset import KnowledgeBase
 from .manifest import read_text, write_atomic, write_json
@@ -82,10 +83,9 @@ class DeductiveClosure:
         if form not in GCI_FORMS:
             raise UnsupportedFormError(f"unsupported form: {form.value}")
         cols = np.array([query.args], dtype=np.int64).T if one else query.ids.T
-        hit = self._has(form, cols)
-        if form is Form.GCI0 or form is Form.GCI0_BOT:
-            hit |= cols[0] == BOT   # BOT's rows are tautologies and stay implicit
-        elif form is Form.GCI1:
+        # BOT left of the inclusion makes a tautology, kept implicit
+        hit = self._has(form, cols) | (cols[ANTECEDENT[form]] == BOT).any(axis=0)
+        if form is Form.GCI1:
             hit |= self._has(form, cols[[1, 0, 2]])
         elif form is Form.GCI1_BOT:
             # an asserted disjointness of a and b holds for every pair below them
@@ -101,8 +101,7 @@ class DeductiveClosure:
     def _below(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x is a subclass of y by the stored GCI0 and GCI0_BOT rows, broadcast."""
         x, y = np.broadcast_arrays(x, y)
-        return (x == BOT) | np.where(y == BOT, self._has(Form.GCI0_BOT, (x,)),
-                                     self._has(Form.GCI0, (x, y)))
+        return np.where(y == BOT, self._has(Form.GCI0_BOT, (x,)), self._has(Form.GCI0, (x, y)))
 
     def derived_counts(self) -> dict[str, int]:
         return {form.value: int((~key_member(self.asserted_keys[form], self.keys[form])).sum())
@@ -117,24 +116,19 @@ def _unique(keys: np.ndarray) -> np.ndarray:
 
 def _product(*slots) -> list[np.ndarray]:
     """Each row's slot-wise product, one id array per slot.  A slot is an id column, or
-    a pair ``((offsets, members), col)``: row i takes each member of group ``col[i]``."""
-    counts = [offsets[at + 1] - offsets[at]
-              for (offsets, _), at in (s for s in slots if isinstance(s, tuple))]
-    if not counts:
-        return list(slots)
-    size = np.prod(counts, axis=0)
-    row = np.repeat(np.arange(len(size)), size)
-    k = np.arange(len(row)) - np.repeat(np.cumsum(size) - size, size)
-    out = []
-    for slot in slots[::-1]:   # the last slot varies fastest
+    a pair ``((offsets, members), col)``: row i takes each member of group ``col[i]``.
+    Each pair repeats the rows so far, so the last one varies fastest."""
+    row, picked = None, {}
+    for j, slot in enumerate(slots):
         if isinstance(slot, tuple):
-            (offsets, members), at = slot
-            m = counts.pop()[row]
-            out.append(members[offsets[at][row] + k % m])
-            k //= m
-        else:
-            out.append(slot[row])
-    return out[::-1]
+            (offsets, members), col = slot
+            at = col if row is None else col[row]
+            i, k = runs(offsets[at], offsets[at + 1])
+            row = i if row is None else row[i]
+            picked = {p: v[i] for p, v in picked.items()} | {j: members[k]}
+    if row is None:
+        return list(slots)
+    return [picked[j] if j in picked else slot[row] for j, slot in enumerate(slots)]
 
 
 def compute_closure(kb: KnowledgeBase, sub: SubsumptionClosure,

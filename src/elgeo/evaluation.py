@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .axioms import Axiom, Form, key_member, pack_keys
+from .axioms import Axiom, Form, key_member, pack_keys, runs
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
 from .geometry import CHUNK
@@ -51,12 +51,6 @@ TIE_WEIGHT = {"optimistic": 0.0, "average": 0.5}
 
 # Entries (queries x candidates) scored per block: bounds the blocks whatever the pool size.
 BLOCK = 64 * CHUNK
-
-
-def _runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every index of the ranges ``lo[i]:hi[i]``, end to end, and the i of each."""
-    i = np.repeat(np.arange(len(lo)), hi - lo)
-    return i, np.arange(len(i)) + (lo - np.cumsum(hi - lo) + (hi - lo))[i]
 
 
 def _exact_bounds(scorer, pool):
@@ -116,9 +110,9 @@ def _rank_block(scorer, bounds, block, pool, order, train_keys, dims, tie) -> li
     _rescore(scorer, c, r, pool, scores, err, np.flatnonzero(~(np.abs(gap, out=gap) > err)))
     above, level = scores > s, scores == s
     start = pack_keys(Form.GCI2, (c, r, np.zeros_like(c)), *dims)
-    query, at = _runs(*np.searchsorted(train_keys, [start, start + dims[0]]))
+    query, at = runs(*np.searchsorted(train_keys, [start, start + dims[0]]))
     tails = train_keys[at] - start[query]
-    hit, at = _runs(*np.searchsorted(pool[order], [tails, tails + 1]))
+    hit, at = runs(*np.searchsorted(pool[order], [tails, tails + 1]))
     keep = np.ones_like(true)
     keep[query[hit], order[at]] = true[query[hit], order[at]]   # the true tail stays
     # 1, plus each candidate above, plus tie per candidate level with the true tail, whose

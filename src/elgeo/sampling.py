@@ -3,8 +3,8 @@
 Negatives corrupt the consequent slot of an axiom (the superclass of GCI0
 and GCI3, the filler of GCI2, the conjunction superclass of GCI1) with a
 uniform draw from a candidate pool.  With filtering enabled, corruptions
-that are entailed (closure members) or asserted are rejected and resampled
-up to a retry budget, after which the slot is dropped.  A nonzero
+that are closure members (every asserted axiom is one) are rejected and
+resampled up to a retry budget, after which the slot is dropped.  A nonzero
 ``entailed_ratio`` instead injects that fraction of negatives uniformly
 from the entailed-but-not-asserted axioms of the same form.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import CONSEQUENT_SLOT, AxiomRows, Form, key_member, pack_keys
+from .axioms import CONSEQUENT_SLOT, AxiomRows, Form, key_member
 from .closure import DeductiveClosure
 from .dataset import KnowledgeBase
 
@@ -107,9 +107,7 @@ class NegativeSampler:
         if self.cfg.filter_with_closure:
             dc, attempts = self.dc, self.cfg.max_resample_attempts
             for attempt in range(1, attempts + 1):
-                tried = out[active]
-                active = active[dc.contains(AxiomRows(form, tried)) | key_member(
-                    dc.asserted_keys[form], pack_keys(form, tried.T, *dc.dims))]
+                active = active[dc.contains(AxiomRows(form, out[active]))]
                 if not len(active) or attempt == attempts:
                     break
                 out[active, slot] = draw(active)

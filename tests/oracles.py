@@ -124,14 +124,21 @@ def rescan_closure(kb, S):
     return out
 
 
+# the class slots left of the inclusion, by GCI form
+LEFT_SLOTS = {Form.GCI0: (0,), Form.GCI1: (0, 1), Form.GCI2: (0,), Form.GCI3: (1,),
+              Form.GCI0_BOT: (0,), Form.GCI1_BOT: (0, 1), Form.GCI3_BOT: (1,)}
+
+
 def rescan_contains(kb, S, strict=False):
     """Per-row closure membership, answered from the subsumers S of rescan_saturate.
 
-    Returns ``contains(form, args)``.  Subsumption premises come from S
-    (every class is below itself and TOP; an unsatisfiable class is below
-    everything), stored rows from ``rescan_closure``.  Unless ``strict``,
-    GCI1 is looked up in either conjunct order, and an asserted disjointness
-    of A and B covers every pair of their subclasses, in either order.
+    Returns ``contains(form, args)``.  A row with BOT in a class slot left of
+    the inclusion (any class slot but GCI0..GCI3's consequent) is a tautology.
+    Subsumption premises come from S (every class is below itself and TOP; an
+    unsatisfiable class is below everything), stored rows from
+    ``rescan_closure``.  Unless ``strict``, GCI1 is looked up in either conjunct
+    order, and an asserted disjointness of A and B covers every pair of their
+    subclasses, in either order.
     """
     n = kb.sig.n_classes
     unsat = {c for c in range(n) if BOT in S[c]}
@@ -142,6 +149,8 @@ def rescan_contains(kb, S, strict=False):
         return d in S[c] or c in unsat
 
     def contains(form, args):
+        if any(args[k] == BOT for k in LEFT_SLOTS[form]):
+            return True
         if form is Form.GCI0:
             return below(*args) or args in stored[form]
         if form is Form.GCI0_BOT:

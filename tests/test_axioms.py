@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from elgeo.axioms import (
     ARITY, BOT, LAYOUT, Axiom, Form, ParseError, Signature,
-    pack_keys, parse_normalized, rows_of, serialize_normalized,
+    pack_keys, parse_normalized, rows_of, runs, serialize_normalized,
 )
 from oracles import as_axioms, as_rows, parse_axioms as parse, reference_make_axiom
 
@@ -150,6 +150,27 @@ def test_rows_of_rewrites_bot_consequents_like_the_reference(case):
 def test_rows_of_checks_arity():
     with pytest.raises(ValueError, match="GCI0 takes 2 arguments, got 3"):
         rows_of([(Form.GCI0, (2, 3, 4))])
+
+
+class TestRuns:
+    def test_empty_input(self):
+        empty = np.zeros(0, dtype=np.int64)
+        for out in runs(empty, empty):
+            assert out.dtype == np.int64 and out.shape == (0,)
+
+    def test_zero_length_ranges_yield_nothing(self):
+        i, at = runs(np.array([3, 5, 5]), np.array([3, 5, 5]))
+        assert i.tolist() == [] and at.tolist() == []
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_each_index_of_each_range_in_order(self, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.integers(0, 20, size=int(rng.integers(0, 8)))
+        hi = lo + rng.integers(0, 4, size=len(lo))
+        i, at = runs(lo, hi)
+        assert [(a, b) for a, b in zip(i.tolist(), at.tolist())] == [
+            (k, x) for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())) for x in range(a, b)]
 
 
 class TestPackKeys:

@@ -13,13 +13,15 @@ from elgeo.axioms import (
     per_slot, rows_of,
 )
 from elgeo.closure import (
-    ClosureBudgetError, UnsupportedFormError, compute_closure, dump_closure,
+    ClosureBudgetError, UnsupportedFormError, _product, compute_closure, dump_closure,
     load_closure_dump,
 )
 from elgeo.dataset import build_kb
 from elgeo.reasoner import saturate
 
-from oracles import random_kb, rescan_closure, rescan_contains, rescan_saturate, split_entailed
+from oracles import (
+    LEFT_SLOTS, random_kb, rescan_closure, rescan_contains, rescan_saturate, split_entailed,
+)
 
 
 def same_keys(a, b) -> bool:
@@ -203,6 +205,8 @@ class TestProperties:
                 for closure in (dc, loaded):
                     got = closure.contains(AxiomRows(form, rows))
                     assert got.dtype == bool and np.array_equal(got, expected), (i, form.value)
+                    # the sampler's filter relies on every asserted axiom being a member
+                    assert closure.contains(kb.axioms[form]).all(), (i, form.value)
                 if form is Form.GCI0:
                     seen["BOT head"] += int(expected[rows[:, 0] == BOT].sum())
                 if form is Form.GCI1_BOT:
@@ -211,6 +215,32 @@ class TestProperties:
                         for args, hit in zip(map(tuple, rows.tolist()), expected))
             seen["unsatisfiable class"] += sum(BOT in S[c] for c in classes if c != BOT)
         assert all(seen.values()), seen
+
+
+def test_product_repeats_each_row_per_member_with_the_last_slot_fastest():
+    # groups 0: [7, 8], 1: [], 2: [4, 5, 6]
+    groups = (np.array([0, 2, 2, 5]), np.array([7, 8, 4, 5, 6]))
+    tag, c, d = np.array([10, 11, 12, 13]), np.array([0, 1, 2, 2]), np.array([2, 0, 0, 0])
+    members = [groups[1][groups[0][g]:groups[0][g + 1]].tolist() for g in range(3)]
+    expected = [(t, x, y) for t, g, h in zip(tag.tolist(), c.tolist(), d.tolist())
+                for x in members[g] for y in members[h]]
+    assert list(zip(*(a.tolist() for a in _product(tag, (groups, c), (groups, d))))) == expected
+    assert [a.tolist() for a in _product(tag, c)] == [tag.tolist(), c.tolist()]
+
+
+def test_bot_left_of_the_inclusion_is_entailed_in_every_form(tmp_path):
+    # no row below is stored: BOT in any antecedent slot makes each a tautology
+    kb, sub, dc = make("GCI0\tA\tB\nGCI2\tA\tr\tB\n")
+    dump_closure(dc, str(tmp_path))
+    loaded = load_closure_dump(str(tmp_path), kb.sig)
+    a, b = kb.sig.class_id("A"), kb.sig.class_id("B")
+    for form in GCI_FORMS:
+        for slot in LEFT_SLOTS[form]:
+            rows = np.array([per_slot(form, c, 0) for c in (a, b)])
+            rows[:, slot] = BOT
+            for closure in (dc, loaded):
+                assert closure.contains(AxiomRows(form, rows)).all(), (form.value, slot)
+                assert closure.contains(Axiom(form, tuple(rows[0].tolist()))), (form.value, slot)
 
 
 class TestSplitEntailed:

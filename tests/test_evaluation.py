@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elgeo import evaluation
-from elgeo.axioms import Axiom, Form, Signature, pack_keys, parse_normalized
+from elgeo.axioms import BOT, Axiom, Form, Signature, pack_keys, parse_normalized
 from elgeo.closure import compute_closure
 from elgeo.dataset import build_kb
 from elgeo.evaluation import (
@@ -500,6 +500,14 @@ class TestEvaluate:
         flags = [r.entailed for r in rep.records]
         assert flags == [True, False]
         assert "entailed" in rep.roc and "novel" in rep.roc
+
+    def test_bot_head_is_entailed(self):
+        # BOT is below every class, so BOT subclass-of some r.X holds for every X
+        rows, sig = parse_normalized("GCI2\tA\tr\tB\nGCI0\tX1\tX1\n")
+        kb = build_kb(sig, rows, test=as_rows([Axiom(Form.GCI2, (BOT, 0, sig.class_id("X1")))]))
+        dc = compute_closure(kb, saturate(kb))
+        scorer = FixedScorer({c: 0.1 * c for c in range(kb.sig.n_classes)})
+        assert [r.entailed for r in evaluate(scorer, kb, dc).records] == [True]
 
     def test_closure_positives_added(self):
         kb = self.kb()

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from elgeo.axioms import Axiom, Form, parse_normalized
+from elgeo.axioms import BOT, Axiom, AxiomRows, Form, parse_normalized
 from elgeo.closure import compute_closure
 from elgeo.dataset import build_kb
 from elgeo.reasoner import saturate
 from elgeo.sampling import NegativeSampler, SamplerConfig, SamplingError
 
-from oracles import ReferenceSampler, as_axioms, random_kb
+from oracles import LEFT_SLOTS, ReferenceSampler, as_axioms, random_kb
 
 
 def kb_with_closure(text):
@@ -91,6 +91,18 @@ class TestFiltering:
         for row in out[keep]:
             assert row[2] != bp
             assert not dc.contains(Axiom(Form.GCI2, tuple(row)))
+
+    def test_no_row_with_bot_left_of_the_inclusion_is_kept(self):
+        # BOT left of the inclusion makes a tautology, asserted or not
+        kb, dc = kb_with_closure("GCI2\tBOT\tr\tA\nGCI2\tB\tr\tA\nGCI0\tC\tD\n"
+                                 "GCI3\tr\tBOT\tA\nGCI1\tBOT\tC\tA\n")
+        sampler = NegativeSampler(kb, SamplerConfig(filter_with_closure=True, seed=0), dc)
+        for form in (Form.GCI0, Form.GCI1, Form.GCI2, Form.GCI3):
+            assert dc.contains(kb.axioms[form]).all(), form   # asserted rows are members
+            out, keep = sampler.corrupt_ids(form, np.tile(kb.axioms[form].ids, (20, 1)))
+            assert not (out[keep][:, LEFT_SLOTS[form]] == BOT).any(), form
+            assert not dc.contains(AxiomRows(form, out[keep])).any(), form
+        assert sampler.stats.produced > 0
 
     def test_requires_closure(self):
         kb, _ = kb_with_closure("GCI2\tA\tr\tB\n")
