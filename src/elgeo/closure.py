@@ -10,14 +10,17 @@ rewrite premises drawn from the (transitively closed) subsumption closure:
   GCI0_BOT  class down
   GCI3_BOT  filler down
 
-Because the premises are transitively closed, a second pass derives nothing
-new.  The expansion is sound but not complete.  Each form is one sorted array
-of int64 keys (``axioms.pack_keys``); membership, a binary search in it, reads
-the keys alone, so a loaded dump answers like the computed closure.  A row of
-any form with BOT in an antecedent class slot (``axioms.ANTECEDENT``) is a
-tautology, a member whether stored or not.  GCI1 is looked up in either conjunct
-order; disjointness (GCI1_BOT) propagates down the hierarchy at query time.
-``sets``, the one decoded view, is kept for ``perfbench/``; no library code reads it.
+Because the premises are transitively closed, a second pass derives nothing new.  The
+expansion is sound but not complete.  Each form is one sorted array of int64 keys
+(``axioms.pack_keys``), expanded from its asserted rows in blocks of at most ``BLOCK``
+rows, each deduplicated; blocks merge once those since the last merge outnumber its
+keys, so memory stays near the keys' size.  The budget is checked after each form.
+Membership, a binary search in the keys, reads them alone, so a loaded dump answers
+like the computed closure.  A row of any form with BOT in an antecedent class slot
+(``axioms.ANTECEDENT``) is a tautology, a member whether stored or not.  GCI1 is looked
+up in either conjunct order; disjointness (GCI1_BOT) propagates down the hierarchy at
+query time.  ``sets``, the one decoded view, is kept for ``perfbench/``; no library
+code reads it.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ from .reasoner import SubsumptionClosure
 DEFAULT_MAX_DERIVED = 10 ** 8
 BUDGET_KEY = "closure.max_derived"
 STATS_FILE = "closure_stats.json"
+# Rows expanded, or dump lines formatted, at a time: bounds the transient arrays.
+BLOCK = 1 << 16
 
 
 class ClosureBudgetError(Exception):
@@ -131,6 +136,19 @@ def _product(*slots) -> list[np.ndarray]:
     return [picked[j] if j in picked else slot[row] for j, slot in enumerate(slots)]
 
 
+def _blocks(slots):
+    """``_product``'s slots cut into runs of rows that expand to at most BLOCK rows
+    each; a row that expands past BLOCK is a run of its own.  No rows: one empty run."""
+    sizes = np.ones(len(slots[0][1] if isinstance(slots[0], tuple) else slots[0]), np.int64)
+    for (offsets, _), col in (slot for slot in slots if isinstance(slot, tuple)):
+        sizes *= offsets[col + 1] - offsets[col]
+    starts, hi = np.append(0, np.cumsum(sizes)), 0
+    while hi == 0 or hi < len(sizes):
+        lo, hi = hi, max(hi + 1, int(np.searchsorted(starts, starts[hi] + BLOCK, "right")) - 1)
+        yield [(slot[0], slot[1][lo:hi]) if isinstance(slot, tuple) else slot[lo:hi]
+               for slot in slots]
+
+
 def compute_closure(kb: KnowledgeBase, sub: SubsumptionClosure,
                     max_derived: int = DEFAULT_MAX_DERIVED) -> DeductiveClosure:
     """Expand the KB into per-form entailed keys (see module docstring)."""
@@ -147,34 +165,34 @@ def compute_closure(kb: KnowledgeBase, sub: SubsumptionClosure,
     keep = src != BOT
     order = np.argsort(dst[keep], kind="stable")
     down = np.searchsorted(dst[keep][order], np.arange(n + 1)), src[keep][order]
-    parts: dict[Form, list[np.ndarray]] = {form: [] for form in GCI_FORMS}
+    keys: dict[Form, np.ndarray] = {}
+    def put(form: Form, *expansions):
+        parts = []
+        for block in (block for slots in expansions for block in _blocks(slots)):
+            parts.append(_unique(pack_keys(form, _product(*block), *dims)))
+            if sum(map(len, parts[1:])) >= max(BLOCK, len(parts[0])):
+                parts = [_unique(np.concatenate(parts))]
+        keys[form] = parts[0] if len(parts) == 1 else _unique(np.concatenate(parts))
+        if sum(map(len, keys.values())) > max_derived:
+            raise ClosureBudgetError(max_derived)
 
-    def put(form: Form, *slots):
-        parts[form].append(pack_keys(form, _product(*slots), *dims))
-
+    put(Form.GCI0, (src[keep & (dst != BOT)], dst[keep & (dst != BOT)]))
+    c, d, e = kb.axioms[Form.GCI1].ids.T
+    put(Form.GCI1, ((down, c), d, e))
+    c2, r2, d2 = kb.axioms[Form.GCI2].ids.T
+    put(Form.GCI2, ((down, c2), r2, (up, d2)))
+    r3, c3, d3 = kb.axioms[Form.GCI3].ids.T
+    put(Form.GCI3, (r3, (down, c3), (up, d3)))
     # A BOT right-hand side comes only from an unsatisfiable superclass: GCI0's
     # d and the filler dp of GCI2 and GCI3.  Those rows live in the bottom
     # forms (C below some R.BOT is itself empty).
-    put(Form.GCI0_BOT, src[keep & (dst == BOT)])
-    put(Form.GCI0, src[keep & (dst != BOT)], dst[keep & (dst != BOT)])
-    c, d, e = kb.axioms[Form.GCI1].ids.T
-    put(Form.GCI1, (down, c), d, e)
-    c, r, d = kb.axioms[Form.GCI2].ids.T
-    put(Form.GCI0_BOT, (down, c[unsat[d]]))
-    put(Form.GCI2, (down, c), r, (up, d))
-    r, c, d = kb.axioms[Form.GCI3].ids.T
-    put(Form.GCI3_BOT, r[unsat[d]], (down, c[unsat[d]]))
-    put(Form.GCI3, r, (down, c), (up, d))
-    put(Form.GCI0_BOT, (down, kb.axioms[Form.GCI0_BOT].ids[:, 0]))
+    put(Form.GCI0_BOT, (src[keep & (dst == BOT)],), ((down, c2[unsat[d2]]),),
+        ((down, kb.axioms[Form.GCI0_BOT].ids[:, 0]),))
+    put(Form.GCI1_BOT, tuple(kb.axioms[Form.GCI1_BOT].ids.T))
     r, c = kb.axioms[Form.GCI3_BOT].ids.T
-    put(Form.GCI3_BOT, r, (down, c))
-    put(Form.GCI1_BOT, *kb.axioms[Form.GCI1_BOT].ids.T)
+    put(Form.GCI3_BOT, (r3[unsat[d3]], (down, c3[unsat[d3]])), (r, (down, c)))
 
-    keys = {form: _unique(np.concatenate(parts[form])) for form in GCI_FORMS}
-    if sum(map(len, keys.values())) > max_derived:
-        raise ClosureBudgetError(max_derived)
-    asserted = {form: _unique(pack_keys(form, kb.axioms[form].ids.T, *dims))
-                for form in GCI_FORMS}
+    asserted = {form: _unique(pack_keys(form, kb.axioms[form].ids.T, *dims)) for form in GCI_FORMS}
     dc = DeductiveClosure(kb.sig, dims, keys, asserted, sub)
     dc.stats = dc.derived_counts()
     return dc
@@ -185,11 +203,11 @@ def dump_closure(dc: DeductiveClosure, path: str):
     ``closure_stats.json`` with the derived counts (never read back)."""
     os.makedirs(path, exist_ok=True)
     for form in GCI_FORMS:
-        keys = dc.keys[form]
-        asserted = key_member(dc.asserted_keys[form], keys).tolist()
+        blocks = (dc.keys[form][lo:lo + BLOCK] for lo in range(0, len(dc.keys[form]), BLOCK))
         write_atomic(os.path.join(path, f"closure_{form.value.lower()}.tsv"), (
             f"{format_row(form, args, dc.sig)}\t{'asserted' if known else 'derived'}\n"
-            for args, known in zip(dc.ids(form, keys).tolist(), asserted)))
+            for keys in blocks for args, known in zip(
+                dc.ids(form, keys).tolist(), key_member(dc.asserted_keys[form], keys).tolist())))
     write_json(os.path.join(path, STATS_FILE), {"derived": dc.stats})
 
 

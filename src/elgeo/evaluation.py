@@ -270,9 +270,11 @@ def evaluate(scorer, kb: KnowledgeBase, dc: DeductiveClosure | None = None,
     if closure_positives:
         if dc is None:
             raise EvaluationError("closure positives need a deductive closure")
-        extras = dc.ids(Form.GCI2, dc.keys[Form.GCI2])
-        extras = extras[np.isin(extras[:, 0], heads) & np.isin(extras[:, 1], axioms.ids[:, 1])
-                        & np.isin(extras[:, 2], candidates)]
+        # a GCI2 key's leading digit is its head, so each head's keys are one run
+        keys, span = dc.keys[Form.GCI2], dc.dims[0] * dc.dims[1]
+        start = np.unique(heads) * span
+        ids = dc.ids(Form.GCI2, keys[runs(*np.searchsorted(keys, [start, start + span]))[1]])
+        extras = ids[np.isin(ids[:, 1], axioms.ids[:, 1]) & np.isin(ids[:, 2], candidates)]
         held_out = np.concatenate([kb.valid.ids, kb.test.ids])
         skip = np.sort(np.concatenate([train_keys, pack_keys(Form.GCI2, held_out.T, *dims)]))
         extras = extras[~key_member(skip, pack_keys(Form.GCI2, extras.T, *dims))]

@@ -404,6 +404,18 @@ def split_entailed(dc, axioms):
     return entailed, novel
 
 
+def decode_all_closure_positives(dc, kb, split, heads, candidates):
+    """``evaluate``'s closure positives by decoding every GCI2 key of ``dc``: the rows
+    whose head is in ``heads``, relation in ``split``'s and tail in ``candidates``,
+    in key order, less every axiom of the train, valid and test splits."""
+    rows = dc.ids(Form.GCI2, dc.keys[Form.GCI2])
+    rows = rows[np.isin(rows[:, 0], heads) & np.isin(rows[:, 1], split.ids[:, 1])
+                & np.isin(rows[:, 2], candidates)]
+    skip = {tuple(row) for ids in (kb.train_gci2.ids, kb.valid.ids, kb.test.ids)
+            for row in ids.tolist()}
+    return [row for row in map(tuple, rows.tolist()) if row not in skip]
+
+
 def is_subsumed(closure, c, d):
     """True when c is a (derived) subclass of d in a SubsumptionClosure; KeyError
     for an id outside its signature."""

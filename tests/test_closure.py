@@ -2,6 +2,8 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elgeo.axioms import (
-    ARITY, BOT, CONSEQUENT_SLOT, GCI_FORMS, LAYOUT, Axiom, AxiomRows, Form, parse_normalized,
-    per_slot, rows_of,
+    ARITY, BOT, CONSEQUENT_SLOT, GCI_FORMS, LAYOUT, Axiom, AxiomRows, Form, pack_keys,
+    parse_normalized, per_slot, rows_of,
 )
 from elgeo.closure import (
     ClosureBudgetError, UnsupportedFormError, _product, compute_closure, dump_closure,
@@ -18,6 +20,7 @@ from elgeo.closure import (
 )
 from elgeo.dataset import build_kb
 from elgeo.reasoner import saturate
+from elgeo.toygen import hierarchy_kb
 
 from oracles import (
     LEFT_SLOTS, random_kb, rescan_closure, rescan_contains, rescan_saturate, split_entailed,
@@ -154,6 +157,27 @@ class TestProperties:
             with pytest.raises(ClosureBudgetError):
                 compute_closure(kb, sub, max_derived=total - 1)
 
+    def test_an_over_budget_closure_stops_before_the_forms_after(self, monkeypatch):
+        # the GCI0 chain alone stores more rows than the budget of 10: the GCI2 row,
+        # expanded after it, is never packed
+        text = "\n".join(f"GCI0\tA{i}\tA{i+1}" for i in range(10)) + "\nGCI2\tA0\tr\tA9"
+        rows, sig = parse_normalized(text)
+        kb = build_kb(sig, rows)
+        sub = saturate(kb)
+        packed = []
+
+        def spy(form, *args):
+            packed.append(form)
+            return pack_keys(form, *args)
+
+        monkeypatch.setattr("elgeo.closure.pack_keys", spy)
+        compute_closure(kb, sub)
+        assert Form.GCI2 in packed
+        packed.clear()
+        with pytest.raises(ClosureBudgetError):
+            compute_closure(kb, sub, max_derived=10)
+        assert packed == [Form.GCI0]
+
     def test_computed_and_loaded_membership_match_the_reference(self, tmp_path):
         # every id tuple of every form, on KBs with unsatisfiable classes and
         # disjointness axioms among them
@@ -241,6 +265,82 @@ def test_bot_left_of_the_inclusion_is_entailed_in_every_form(tmp_path):
             for closure in (dc, loaded):
                 assert closure.contains(AxiomRows(form, rows)).all(), (form.value, slot)
                 assert closure.contains(Axiom(form, tuple(rows[0].tolist()))), (form.value, slot)
+
+
+def chain_kb(length: int, heads: int):
+    """Two GCI0 chains A0 < A1 < ... and B0 < B1 < ..., each ``length`` long, and GCI2
+    rows A(length - 1 - i) r Bj for every i < ``heads`` and every j.  Row i, j expands
+    to (length - i) * (length - j + 1) rows, TOP counted; all share length * (length + 1)
+    keys."""
+    text = [f"GCI0\t{x}{i}\t{x}{i + 1}" for x in "AB" for i in range(length - 1)]
+    text += [f"GCI2\tA{length - 1 - i}\tr\tB{j}" for i in range(heads) for j in range(length)]
+    rows, sig = parse_normalized("\n".join(text))
+    return build_kb(sig, rows)
+
+
+def closure_kbs():
+    """The 30 random KBs of the membership tests, a hierarchy, and one GCI2 row that
+    expands to 30 rows on its own."""
+    rng = np.random.default_rng(37)
+    kbs = [random_kb(rng, n_classes=int(rng.integers(4, 15)), n_relations=2,
+                     n_axioms=int(rng.integers(5, 41))) for _ in range(30)]
+    return kbs + [hierarchy_kb(density=0.5, seed=3), chain_kb(5, 1)]
+
+
+class TestBlocks:
+    """The block size bounds memory alone: every key, count and dump byte stays."""
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_changes_no_key(self, monkeypatch, block):
+        kbs = closure_kbs()
+        subs = [saturate(kb) for kb in kbs]
+        expected = [compute_closure(kb, sub) for kb, sub in zip(kbs, subs)]
+        # the last KB's one GCI2 row expands past either block
+        assert len(expected[-1].keys[Form.GCI2]) == 30 > block
+        monkeypatch.setattr("elgeo.closure.BLOCK", block)
+        for kb, sub, want in zip(kbs, subs, expected):
+            got = compute_closure(kb, sub)
+            assert same_keys(got, want)
+            assert got.stats == want.stats
+
+    def test_dump_bytes_do_not_depend_on_the_block(self, monkeypatch, tmp_path):
+        kbs = closure_kbs()[-3:]
+        dcs = [compute_closure(kb, saturate(kb)) for kb in kbs]
+        assert max(len(k) for dc in dcs for k in dc.keys.values()) > 7
+
+        def dumped(name):
+            out = {}
+            for i, dc in enumerate(dcs):
+                dump_closure(dc, str(tmp_path / name / str(i)))
+                out |= {(i, f.name): f.read_bytes() for f in (tmp_path / name / str(i)).iterdir()}
+            return out
+
+        expected = dumped("default")
+        for block in (1, 7):
+            monkeypatch.setattr("elgeo.closure.BLOCK", block)
+            assert dumped(str(block)) == expected, block
+
+    def test_memory_stays_near_the_keys_and_a_few_blocks(self, monkeypatch):
+        """The traced peak stays under 8 times the returned key bytes plus 16 blocks of
+        int64s on 1,024 GCI2 rows that expand to over 72 blocks of 4,096, all but 1,056 of
+        them repeats.  A block's product, packing and sort take a few block-sized arrays,
+        and a merge at most twice the keys; expanding every row at once takes 14.4 MB."""
+        block = 1 << 12
+        monkeypatch.setattr("elgeo.closure.BLOCK", block)
+        kb = chain_kb(32, 32)
+        sub = saturate(kb)
+        below = Counter(d for c, s in enumerate(sub.subsumers) if c != BOT for d in s)
+        rows = sum(below[c] * len(set(sub.subsumers[d]) - {BOT})
+                   for c, _, d in kb.axioms[Form.GCI2].ids.tolist())
+        assert rows >= 16 * block
+        tracemalloc.start()
+        try:
+            dc = compute_closure(kb, sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dc.keys[Form.GCI2]) == 32 * 33
+        assert peak < 8 * sum(k.nbytes for k in dc.keys.values()) + 16 * 8 * block
 
 
 class TestSplitEntailed:

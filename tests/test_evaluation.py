@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from elgeo.geometry import CHUNK, EmbeddingModel
 from elgeo.reasoner import saturate
 from elgeo.toygen import basic_kb
 
-from oracles import as_rows, brute_aggregate, brute_rank, brute_trapezoid_auc
+from oracles import (
+    as_rows, brute_aggregate, brute_rank, brute_trapezoid_auc, decode_all_closure_positives,
+    random_kb,
+)
 
 
 class FixedScorer:
@@ -528,6 +532,41 @@ class TestEvaluate:
             rep = evaluate(scorer, kb, dc, closure_positives=True, split=split)
             assert rep.closure_records
             assert not splits & {(r.head, r.rel, r.tail) for r in rep.closure_records}
+
+    def test_closure_positives_match_decoding_every_key(self):
+        # head pools shuffled, with repeats and with heads that head no GCI2 key
+        rng = np.random.default_rng(89)
+        seen = Counter()
+        for i in range(40):
+            base = random_kb(rng, n_classes=int(rng.integers(4, 15)), n_relations=2,
+                             n_axioms=int(rng.integers(10, 41)))
+            train = [ax for form in base.axioms for ax in base.axioms[form]]
+            classes, asserted = range(2, base.sig.n_classes), {ax.args for ax in train}
+            test = {(int(rng.choice(classes)), int(rng.integers(2)), int(rng.choice(classes)))
+                    for _ in range(4)} - asserted
+            if not test:
+                continue
+            tails = sorted({d for _, _, d in test} | set(rng.choice(classes, 3).tolist()))
+            kb = build_kb(base.sig, as_rows(train),
+                          test=as_rows(Axiom(Form.GCI2, args) for args in sorted(test)),
+                          pools={"tails": tails})
+            dc = compute_closure(kb, saturate(kb))
+            keyed = set(dc.ids(Form.GCI2, dc.keys[Form.GCI2])[:, 0].tolist())
+            heads = rng.choice(range(base.sig.n_classes), size=int(rng.integers(1, 12)))
+            kb.pools["heads"] = [int(h) for h in heads if h != BOT]
+            if not kb.pools["heads"]:
+                continue
+            seen["repeated head"] += len(kb.pools["heads"]) > len(set(kb.pools["heads"]))
+            seen["unkeyed head"] += bool(set(kb.pools["heads"]) - keyed)
+            scorer = FixedScorer({c: 0.1 * c for c in range(kb.sig.n_classes)})
+            for pool, head_pool in (("tails", "heads"), ("tails", None), (None, "heads")):
+                rep = evaluate(scorer, kb, dc, pool=pool, head_pool=head_pool,
+                               closure_positives=True)
+                expected = decode_all_closure_positives(
+                    dc, kb, kb.test, kb.pool(head_pool or pool), kb.pool(pool))
+                assert [(r.head, r.rel, r.tail) for r in rep.closure_records] == expected, i
+                seen["closure record"] += len(expected)
+        assert min(seen.values()) > 0 and len(seen) == 3, seen
 
     def test_record_wise_fmr_bound(self):
         kb = self.kb()
