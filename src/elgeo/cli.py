@@ -9,7 +9,10 @@ import argparse
 import os
 import sys
 
-from .axioms import Form, ParseError, serialize_normalized
+import numpy as np
+
+from .axioms import (
+    GCI_FORMS, Form, ParseError, format_row, key_member, pack_keys, serialize_normalized)
 from .closure import (
     ClosureBudgetError, compute_closure, dump_closure, load_closure_dump,
 )
@@ -147,6 +150,13 @@ def cmd_evaluate(args) -> int:
             raise EvaluationError(
                 "closure-aware evaluation needs --closure-dir; run 'elgeo closure' first")
         dc = load_closure_dump(args.closure_dir, kb.sig)
+        for form in GCI_FORMS:   # the dump holds every train axiom and asserts no other row
+            ax, marked = kb.axioms[form], dc.asserted_keys[form]
+            stray = marked[~key_member(np.sort(pack_keys(form, ax.ids.T, *dc.dims)), marked)]
+            for what, bad in ("lacks", ax.ids[~dc.contains(ax)]), ("asserts", dc.ids(form, stray)):
+                if len(bad):
+                    raise EvaluationError(f"closure dump does not match the dataset: it {what} "
+                                          f"{format_row(form, bad[0], kb.sig)}")
     manifest = RunManifest(command="evaluate", config={key: extra[key] for key in flags},
                            seed=model.seed).start()
     manifest.add_input(args.checkpoint)

@@ -42,8 +42,7 @@ from .reasoner import SubsumptionClosure
 DEFAULT_MAX_DERIVED = 10 ** 8
 BUDGET_KEY = "closure.max_derived"
 STATS_FILE = "closure_stats.json"
-# Rows expanded, or dump lines formatted, at a time: bounds the transient arrays.
-BLOCK = 1 << 16
+BLOCK, DUMP_BLOCK = 1 << 16, 1 << 12   # rows expanded, and dump lines formatted, at a time
 
 
 class ClosureBudgetError(Exception):
@@ -203,7 +202,7 @@ def dump_closure(dc: DeductiveClosure, path: str):
     ``closure_stats.json`` with the derived counts (never read back)."""
     os.makedirs(path, exist_ok=True)
     for form in GCI_FORMS:
-        blocks = (dc.keys[form][lo:lo + BLOCK] for lo in range(0, len(dc.keys[form]), BLOCK))
+        blocks = np.split(dc.keys[form], range(DUMP_BLOCK, len(dc.keys[form]), DUMP_BLOCK))
         write_atomic(os.path.join(path, f"closure_{form.value.lower()}.tsv"), (
             f"{format_row(form, args, dc.sig)}\t{'asserted' if known else 'derived'}\n"
             for keys in blocks for args, known in zip(

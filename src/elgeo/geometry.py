@@ -1,8 +1,8 @@
 """Ball-embedding parameters, loss terms and their gradients, and the completion score.
 
-Classes are open n-balls (center x, raw and possibly negative radius r) and
-relations are translation vectors v.  Each loss term (seven positive, four
-negative) is a row of ``SPECS``, computed forward and backward by :func:`loss_term`.
+Classes are open n-balls (center x, raw and possibly negative radius r) and relations are
+translation vectors v.  Each loss term (seven positive, four negative) is a row of ``SPECS``,
+computed forward and backward by :func:`loss_term`; the completion score is minus ``SCORE``.
 
 Reading a row: ``_spec(form, hinges, reg, act)`` takes its id columns in
 ``form``'s slot order, which ``axioms.LAYOUT`` states (``c`` class, ``r``
@@ -112,6 +112,9 @@ SPECS = {
 
 TERMS = tuple(SPECS)
 
+# minus the completion score, not a loss term: act(||x_c + v_r - x_t|| - r_c - r_t - gamma)
+SCORE = _spec(Form.GCI2, (Hinge(1, (1, 1, -1), (-1, 0, -1), -1),))
+
 # Rows per pass of the loss loop: bounds the gathered and gradient blocks a
 # call holds at once, whatever the batch size.
 CHUNK = 1024
@@ -204,23 +207,10 @@ class EmbeddingModel:
         return bool(np.isfinite(self.params).all())
 
     def score_tails(self, c, r, tails) -> np.ndarray:
-        """-act(||x_c + v_r - x_t|| - r_c - r_t - gamma) for each (c, r, t) of the broadcast
-        ids, one id per entry or ``(q, 1)`` heads and relations against ``(n,)`` tails;
-        ``(x_c - x_t) + v_r`` adds up in that order (pinned bits), ``CHUNK`` entries a pass."""
-        tables = (self.centers, self.rel_vectors, self.centers)
-        ids = [_check_ids(np.asarray(a, dtype=np.int64), table, what) for a, table, what
-               in zip((c, r, tails), tables, ("class", "relation", "class"))]
-        shape = np.broadcast_shapes(*(a.shape for a in ids))
-        c, r, t = (np.broadcast_to(a, shape).ravel() for a in ids)
-        arg = -self.radii.take(c) + -self.radii.take(t) + -1.0 * self.margin
-        for lo in range(0, len(arg), CHUNK):
-            y = self.centers.take(c[lo:lo + CHUNK], axis=0)
-            y -= self.centers.take(t[lo:lo + CHUNK], axis=0)
-            y += self.rel_vectors.take(r[lo:lo + CHUNK], axis=0)
-            arg[lo:lo + CHUNK] += np.sqrt(np.einsum("ij,ij->i", y, y))
-        slope = 0.0 if self.activation == "relu" else self.leaky_slope
-        val = np.maximum(arg, 0.0) if slope == 0.0 else np.where(arg > 0.0, arg, slope * arg)
-        return -val.reshape(shape)
+        """The completion score: minus ``loss_term``'s ``SCORE`` row, the same bits however batched,
+        over the broadcast (c, r, t) ids: one per entry, or (q, 1) heads and rels by (n,) tails."""
+        ids = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (c, r, tails)))
+        return -loss_term(self, SCORE, [a.ravel() for a in ids]).reshape(ids[0].shape)
 
     def score_bounds(self, tails):
         """Approximate scores against the (n,) ``tails``, each with a bound on its error.
@@ -325,15 +315,15 @@ def _check_ids(ids: np.ndarray, table: np.ndarray, what: str) -> np.ndarray:
     return ids
 
 
-def loss_term(model: EmbeddingModel, term: str, cols, grad: GradientBuffer | None = None,
+def loss_term(model: EmbeddingModel, term: str | Spec, cols, grad: GradientBuffer | None = None,
               coef=1.0) -> np.ndarray:
     """Per-sample values of one loss term; optionally accumulate `coef` x gradient.
 
-    ``cols`` holds one id array per slot in the term's axiom layout
-    (relation slots included in order).  ``coef`` may be a scalar or a
-    per-sample array and scales only the gradient, not the returned values.
+    ``term`` is a ``SPECS`` key or a row such as ``SCORE``; ``cols`` holds one id array
+    per slot in its axiom layout (relation slots included in order).  ``coef`` may be a
+    scalar or a per-sample array and scales only the gradient, not the returned values.
     """
-    p = SPECS.get(term)
+    p = term if isinstance(term, Spec) else SPECS.get(term)
     if p is None:
         raise ValueError(f"unknown loss term: {term!r}")
     if len(cols) != len(p.slots):

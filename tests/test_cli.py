@@ -229,6 +229,56 @@ class TestEvaluateCmd:
         err = capsys.readouterr().err
         assert "closure_gci0.tsv:" in err and "unknown class" in err
 
+    @pytest.fixture
+    def hierarchy_run(self, tmp_path):
+        """The seed-1 hierarchy toy, a checkpoint trained on it and its closure dump."""
+        toy, run, cl = (str(tmp_path / name) for name in ("hier1", "run1", "cl1"))
+        assert main(["gen-toy", toy, "--preset", "hierarchy", "--seed", "1"]) == 0
+        assert main(["train", toy, run, "--preset", "relu-original",
+                     "--set", "train.epochs=2", "--set", "train.dim=4"]) == 0
+        assert main(["closure", toy, cl]) == 0
+        return toy, os.path.join(run, "checkpoint.bin"), cl
+
+    def test_another_datasets_closure_dump_exit_2_before_any_output(
+            self, hierarchy_run, tmp_path, capsys):
+        """Seed 0's dump names only classes of the seed-1 toy, but lacks some of its
+        train axioms."""
+        toy, ckpt, _ = hierarchy_run
+        other, cl, out = (str(tmp_path / name) for name in ("hier0", "cl0", "ev"))
+        assert main(["gen-toy", other, "--preset", "hierarchy", "--seed", "0"]) == 0
+        assert main(["closure", other, cl]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", ckpt, toy, "--pool", "tails", "--closure-dir", cl,
+                     "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "does not match the dataset: it lacks GCI2\t" in err
+        assert not os.path.exists(out)
+
+    def test_a_dump_asserting_a_row_outside_train_exit_2_before_any_output(
+            self, hierarchy_run, tmp_path, capsys):
+        toy, ckpt, cl = hierarchy_run
+        tsv = Path(cl, "closure_gci2.tsv")
+        line = next(line for line in tsv.read_text().splitlines() if line.endswith("\tderived"))
+        row = line.removesuffix("\tderived")
+        tsv.write_text(tsv.read_text().replace(line, f"{row}\tasserted"))
+        out = str(tmp_path / "ev")
+        capsys.readouterr()
+        assert main(["evaluate", ckpt, toy, "--pool", "tails", "--closure-dir", cl,
+                     "--out", out]) == 2
+        assert f"it asserts {row}\n" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("preset", ["basic", "hierarchy", "skew"])
+    def test_a_datasets_own_closure_dump_is_accepted(self, preset, tmp_path):
+        toy, run, cl = (str(tmp_path / name) for name in ("toy", "run", "cl"))
+        assert main(["gen-toy", toy, "--preset", preset]) == 0
+        assert main(["train", toy, run, "--preset", "relu-original",
+                     "--set", "train.epochs=2", "--set", "train.dim=4"]) == 0
+        assert main(["closure", toy, cl]) == 0
+        pool = ["--pool", "tails"] if preset == "hierarchy" else []
+        assert main(["evaluate", os.path.join(run, "checkpoint.bin"), toy, *pool,
+                     "--closure-dir", cl]) == 0
+
     def test_closure_dump_missing_a_form_file_exit_2(self, toy, tmp_path, capsys):
         run, cl = str(tmp_path / "run"), tmp_path / "cl"
         main(["train", toy, run, "--preset", "relu-original",
