@@ -11,6 +11,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, count, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -136,12 +137,13 @@ class Rows(NamedTuple):
         return ((form, next(rows[form])) for form in self.forms)
 
 
-def bottom_rewrite(flat: dict[Form, list[int]], forms: list[Form]) -> Rows:
-    """``Rows`` of every form's ids, flattened row by row, and each row's form.  A row
-    whose consequent holds BOT moves to its form's bottom form (``BOT_FORM``), keeping
-    the leading slots and its place in order."""
-    ids = {form: np.array(f, dtype=np.int64).reshape(-1, ARITY[form])
-           for form, f in flat.items()}
+def bottom_rewrite(blocks: dict[Form, list], forms: list[Form]) -> Rows:
+    """``Rows`` of every form's ids, as blocks in order, each an int64 array or an
+    id list flattened row by row, and each row's form.  A row whose consequent holds
+    BOT moves to its form's bottom form (``BOT_FORM``), keeping the leading slots and
+    its place in order."""
+    ids = {form: np.concatenate([np.asarray(b, np.int64).reshape(-1, ARITY[form])
+                                 for b in ([], *chunks)]) for form, chunks in blocks.items()}
     tags = None   # each row's form as an object array, once a row moves
     for form, bottom in BOT_FORM.items():
         hit = ids[form][:, CONSEQUENT_SLOT[form]] == BOT
@@ -166,7 +168,7 @@ def rows_of(pairs) -> Rows:
             raise ValueError(f"{form.value} takes {ARITY[form]} arguments, got {len(args)}")
         flat[form] += args
         forms.append(form)
-    return bottom_rewrite(flat, forms)
+    return bottom_rewrite({form: [f] for form, f in flat.items()}, forms)
 
 
 class AxiomRows(Sequence):
@@ -234,6 +236,10 @@ class Signature:
             names.append(name)
         return i
 
+    def tables(self, form: Form) -> tuple[dict[str, int], ...]:
+        """The name -> id table of each slot of ``form``, to look names up in."""
+        return per_slot(form, self._class_ids, self._rel_ids)
+
     def class_id(self, name: str) -> int:
         try:
             return self._class_ids[name]
@@ -268,49 +274,117 @@ def identifier_error(name: str) -> str | None:
     return None
 
 
-def lines(text: str):
-    """elgeo's one line rule for its TAB-separated files: (1-based line number,
-    TAB-split fields) of each line that holds data.  Lines end at "\n" alone, since
-    every other character is identifier-legal; trailing "\r"s are dropped, and
-    blank, whitespace-only and '#' lines are skipped."""
-    for lineno, raw in enumerate(text.split("\n"), 1):
+def lines(text: str, first: int = 1):
+    """elgeo's one line rule for its TAB-separated files: (line number, counting from
+    ``first``, TAB-split fields) of each line that holds data.  Lines end at "\n"
+    alone, since every other character is identifier-legal; trailing "\r"s are
+    dropped, and blank, whitespace-only and '#' lines are skipped.  So the rule is
+    the identity, line for line, on text with no "\r" whose every line starts with a
+    form tag and a TAB: the text ``slices`` reads by columns."""
+    for lineno, raw in enumerate(text.split("\n"), first):
         raw = raw.rstrip("\r")
         if raw.strip() and not raw.startswith("#"):
             yield lineno, raw.split("\t")
+
+
+SLICE = 1 << 16   # characters of text ``slices`` cuts at a time
+_NOT_TAB_LF = bytes(sorted(set(range(256)) - {9, 10}))
+
+
+def slices(text: str, widths: dict[str, int]):
+    """``text`` cut at "\n" into slices of about SLICE characters, each also ending
+    before a line with another form tag once its first tag's run is over SLICE / 64
+    characters: (number of its first line, slice, its first line's tag, names) of each.
+    ``names`` are its fields but the tags, row-major, when ``lines`` is the identity on
+    it and each line has that tag and ``widths[tag]`` fields (checked on its TAB and LF
+    bytes); otherwise None."""
+    start, first = 0, 1
+    while start < len(text):
+        end = text.find("\n", start + SLICE - 1) + 1 or len(text)
+        tag = text[start:max(start, text.find("\t", start, end))]
+        if tag in widths and not text.startswith(
+                tag + "\t", text.rfind("\n", start, end - 1) + 1 or start):
+            cut = min(text.find(f"\n{form.value}\t", start, end) + 1 or end
+                      for form in Form if form.value != tag)
+            # a short run of one tag stays in a slice that goes line by line, so that
+            # tags alternating line by line cannot cut a slice per line
+            end = cut if cut - start > SLICE >> 6 else end
+        piece, e = text[start:end], widths.get(tag, 0)
+        body = piece.removesuffix("\n")
+        seps = (body + "\n").encode("utf-8", "surrogatepass").translate(None, _NOT_TAB_LF)
+        names = (e and "\r" not in body and seps == (b"\t" * (e - 1) + b"\n") * seps.count(b"\n")
+                 and body.replace("\n", "\t").split("\t"))
+        if names and names[::e].count(tag) * e == len(names):
+            del names[::e]
+        else:
+            names = None
+        yield first, piece, tag, names
+        first += piece.count("\n")
+        start = end
+
+
+def column_ids(names: list[str], tables) -> np.ndarray:
+    """(rows, slots) int64 ids of ``slices``' names, each column looked up in its
+    slot's table; -1 for a name not in it."""
+    return np.column_stack([np.fromiter(map(table.get, names[k::len(tables)], repeat(-1)),
+                                        np.int64, len(names) // len(tables))
+                            for k, table in enumerate(tables)])
 
 
 def parse_normalized(text: str, sig: Signature | None = None) -> tuple[Rows, Signature]:
     """Parse a normalized axiom document: one axiom per ``lines`` line, the form tag
     first.  Identifiers are interned in first-appearance order, each checked by
     ``identifier_error`` when first met.  Returns the ``Rows`` in file order, BOT
-    consequents rewritten by ``bottom_rewrite``, and the signature."""
+    consequents rewritten by ``bottom_rewrite``, and the signature.
+
+    The text is read a ``slices`` slice at a time.  A slice with columns is looked up
+    column by column; its new names, in file order by ``dict.fromkeys`` over each
+    namespace's misses, are all checked before any is interned.  Any other slice, or
+    one holding a bad name, goes line by line, which raises every ParseError."""
     if sig is None:
         sig = Signature()
     classes, relations = (sig._class_ids, sig._class_names), (sig._rel_ids, sig._rel_names)
     # tag -> (form, field count, one interning table per slot)
     specs = {form.value: (form, ARITY[form] + 1, per_slot(form, classes, relations))
              for form in Form}
-    flat: dict[Form, list[int]] = {form: [] for form in Form}
+    blocks: dict[Form, list] = {form: [] for form in Form}
     forms: list[Form] = []
-    for lineno, fields in lines(text):
-        spec = specs.get(fields[0])
-        if spec is None:
-            raise ParseError(f"unknown form tag: {fields[0]!r}", lineno)
-        form, expected, tables = spec
-        if len(fields) != expected:
-            raise ParseError(f"expected {expected} fields, got {len(fields)}", lineno)
-        row = flat[form]
-        for name, (ids, names) in zip(fields[1:], tables):
-            i = ids.get(name)
-            if i is None:
-                reason = identifier_error(name)
-                if reason:
-                    raise ParseError(reason, lineno)
-                i = ids[name] = len(names)
-                names.append(name)
-            row.append(i)
-        forms.append(form)
-    return bottom_rewrite(flat, forms), sig
+    for first, piece, tag, names in slices(text, {t: e for t, (_, e, _) in specs.items()}):
+        if names:
+            form, _, tables = specs[tag]
+            block = column_ids(names, [ids for ids, _ in tables])
+            at = np.flatnonzero(block < 0).tolist()   # where each miss sits in ``names``
+            fresh = [dict.fromkeys(names[i] for i in at if tables[i % len(tables)] is table)
+                     for table in (classes, relations)]
+            if not any(map(identifier_error, chain(*fresh))):
+                for (ids, known), new in zip((classes, relations), fresh):
+                    ids.update(zip(new, count(len(known))))
+                    known += new
+                blocks[form].append(column_ids(names, [ids for ids, _ in tables]) if at else block)
+                forms += [form] * len(block)
+                continue
+        chunk: dict[Form, list[int]] = {form: [] for form in Form}   # this slice's ids
+        for form, flat in chunk.items():
+            blocks[form].append(flat)
+        for lineno, fields in lines(piece, first):
+            spec = specs.get(fields[0])
+            if spec is None:
+                raise ParseError(f"unknown form tag: {fields[0]!r}", lineno)
+            form, expected, tables = spec
+            if len(fields) != expected:
+                raise ParseError(f"expected {expected} fields, got {len(fields)}", lineno)
+            row = chunk[form]
+            for name, (ids, names) in zip(fields[1:], tables):
+                i = ids.get(name)
+                if i is None:
+                    reason = identifier_error(name)
+                    if reason:
+                        raise ParseError(reason, lineno)
+                    i = ids[name] = len(names)
+                    names.append(name)
+                row.append(i)
+            forms.append(form)
+    return bottom_rewrite(blocks, forms), sig
 
 
 def format_row(form: Form, args, sig: Signature) -> str:

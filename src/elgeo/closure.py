@@ -32,8 +32,8 @@ from itertools import chain
 import numpy as np
 
 from .axioms import (
-    ANTECEDENT, ARITY, BOT, Axiom, Form, GCI_FORMS, Signature, format_row, key_member,
-    lines, pack_keys, per_slot, runs,
+    ANTECEDENT, BOT, Axiom, Form, GCI_FORMS, Signature, column_ids, format_row, key_member,
+    lines, pack_keys, per_slot, runs, slices,
 )
 from .dataset import KnowledgeBase
 from .manifest import read_text, write_atomic, write_json
@@ -43,6 +43,7 @@ DEFAULT_MAX_DERIVED = 10 ** 8
 BUDGET_KEY = "closure.max_derived"
 STATS_FILE = "closure_stats.json"
 BLOCK, DUMP_BLOCK = 1 << 16, 1 << 12   # rows expanded, and dump lines formatted, at a time
+PROVENANCE = {"derived": 0, "asserted": 1}   # a dump line's last field, as a last column
 
 
 class ClosureBudgetError(Exception):
@@ -213,28 +214,36 @@ def dump_closure(dc: DeductiveClosure, path: str):
 def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
     """Rebuild the key arrays from dump files (no subsumption closure attached).
 
-    Every form's file must be there: a missing one raises FileNotFoundError.
-    Names are looked up, never interned: a name outside ``sig``, like a wrong
-    form tag, field count or provenance (``asserted``/``derived``), raises a
-    ValueError naming the file and line, and ``sig`` is left unchanged.
+    Every form's file must be there: a missing one raises FileNotFoundError.  Each is
+    read through ``axioms.slices``: a slice's names are looked up by column, the
+    provenance (``asserted``/``derived``) as a last one, and packed into keys before the
+    next slice is read.  Names are looked up, never interned: a slice with a name
+    outside ``sig``, like one with a wrong form tag, field count or provenance, is read
+    line by line, which raises a ValueError naming the file and line, and ``sig`` is
+    left unchanged.
     """
     keys, asserted, dims = {}, {}, (sig.n_classes, sig.n_relations)
     for form in GCI_FORMS:
         fpath = os.path.join(path, f"closure_{form.value.lower()}.tsv")
-        lookups = per_slot(form, sig.class_id, sig.relation_id)
-        rows, marks = [], []
-        for lineno, fields in lines(read_text(fpath)):
-            if (len(fields) != ARITY[form] + 2 or fields[0] != form.value
-                    or fields[-1] not in ("asserted", "derived")):
-                raise ValueError(f"{fpath}:{lineno}: malformed closure dump line")
-            try:
-                rows += [id_of(name) for id_of, name in zip(lookups, fields[1:-1])]
-            except KeyError as exc:
-                raise ValueError(
-                    f"{fpath}:{lineno}: {exc.args[0]}; the dump does not match "
-                    "the dataset") from None
-            marks.append(fields[-1] == "asserted")
-        found = pack_keys(form, np.array(rows, dtype=np.int64).reshape(-1, ARITY[form]).T, *dims)
-        keys[form] = _unique(found)
-        asserted[form] = _unique(found[np.array(marks, dtype=bool)])
+        tables = (*sig.tables(form), PROVENANCE)
+        lookups = (*per_slot(form, sig.class_id, sig.relation_id), PROVENANCE.__getitem__)
+        found = [np.empty((0, 2), np.int64)]   # (key, provenance) rows, a slice at a time
+        for first, piece, _, names in slices(read_text(fpath), {form.value: len(tables) + 1}):
+            if not names or (block := column_ids(names, tables)).min() < 0:
+                block = []
+                for lineno, fields in lines(piece, first):
+                    if (len(fields) != len(tables) + 1 or fields[0] != form.value
+                            or fields[-1] not in PROVENANCE):
+                        raise ValueError(f"{fpath}:{lineno}: malformed closure dump line")
+                    try:
+                        block += [id_of(name) for id_of, name in zip(lookups, fields[1:])]
+                    except KeyError as exc:
+                        raise ValueError(
+                            f"{fpath}:{lineno}: {exc.args[0]}; the dump does not match "
+                            "the dataset") from None
+                block = np.array(block, dtype=np.int64).reshape(-1, len(tables))
+            found.append(np.column_stack([pack_keys(form, block[:, :-1].T, *dims), block[:, -1]]))
+        found = np.concatenate(found)
+        keys[form] = _unique(found[:, 0])
+        asserted[form] = _unique(found[found[:, 1] == 1, 0])
     return DeductiveClosure(sig, dims, keys, asserted)

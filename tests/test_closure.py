@@ -474,3 +474,43 @@ def test_damaged_dump_names_file_and_line(seed, how, pick):
         with pytest.raises(ValueError, match=re.escape(f"{name}:{line + 1}: ")):
             load_closure_dump(path, kb.sig)
     assert (kb.sig.n_classes, kb.sig.n_relations) == sizes
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_dumps_load_alike_at_any_slice(monkeypatch, tmp_path, size):
+    """Dumps read in slices of 1, 7 and 64 characters load the keys and asserted keys
+    read at the default slice, CRLF line ends too; a damaged line raises the same
+    error, naming the same file and line."""
+    dcs = [compute_closure(kb, saturate(kb)) for kb in closure_kbs()[-3:]]
+    paths = [tmp_path / str(i) for i in range(len(dcs))]
+    for dc, path in zip(dcs, paths):
+        dump_closure(dc, str(path))
+    crlf = tmp_path / "crlf"
+    dump_closure(dcs[-2], str(crlf))
+    for tsv in crlf.glob("*.tsv"):
+        tsv.write_bytes(tsv.read_bytes().replace(b"\n", b"\r\n"))
+    damaged = []
+    for how in ("unknown name", "missing field", "wrong form tag", "bad provenance"):
+        path = tmp_path / how
+        dump_closure(dcs[-2], str(path))
+        tsv = path / "closure_gci2.tsv"
+        lines = tsv.read_text("utf-8").split("\n")
+        assert len(lines) > 20
+        lines[17] = "\t".join(_damage(lines[17].split("\t"), how))
+        tsv.write_text("\n".join(lines), "utf-8")
+        damaged.append(path)
+
+    def load(path, sig):
+        try:
+            return load_closure_dump(str(path), sig)
+        except ValueError as exc:
+            return str(exc)
+
+    sigs = [dc.sig for dc in dcs] + [dcs[-2].sig] * 5
+    expected = [load(path, sig) for path, sig in zip([*paths, crlf, *damaged], sigs)]
+    assert all(isinstance(e, str) and "closure_gci2.tsv:18: " in e for e in expected[4:])
+    monkeypatch.setattr("elgeo.axioms.SLICE", size)
+    got = [load(path, sig) for path, sig in zip([*paths, crlf, *damaged], sigs)]
+    for want, have in zip(expected[:4], got[:4]):
+        assert same_keys(have, want)
+    assert got[4:] == expected[4:]

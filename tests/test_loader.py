@@ -3,12 +3,13 @@ cross-split checks, pools and atomic dataset writes."""
 
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elgeo import dataset
+from elgeo import axioms, dataset
 from elgeo.axioms import ARITY, GCI_FORMS, Axiom, Form, ParseError, Signature
 from elgeo.closure import compute_closure, dump_closure, load_closure_dump
 from elgeo.dataset import DatasetError, build_kb, load_dataset, save_dataset
@@ -88,6 +89,93 @@ def test_bot_consequents_rewrite_like_the_reference():
                                           Form.GCI3_BOT, Form.GCI2]
     assert _outcome(parse_axioms, text, Signature()) == \
         _outcome(reference_parse_normalized, text, Signature())
+
+
+# documents that cut across slices: each falls back on one slice at least
+SLICE_EDGE_CASES = [
+    # one field too many, then one too few: the right total, and "GCI2" where a tag sits
+    "GCI2\tA\tr\tB\n" * 3 + "GCI2\tA\tr\tB\tGCI2\nGCI2\tA\tr\n",
+    "GCI2\tA\tr\tB\tGCI2\nGCI2\tA\tr\nGCI2\tA\tr\tB\n",
+    "GCI0\tA\tB\nGCI0\tA\rB\tC\nGCI0\tC\tA\n",          # a name with a CR inside
+    "GCI0\tA\tB\nGCI0\tB\tC",                             # no final newline
+    # a bad name in a later slice, after a new name and a new relation in its line
+    "GCI0\tA\tB\n" * 12 + "GCI2\tNew\tq\t\ud800\n" + "GCI0\tA\tZ\n",
+    "GCI1\tA\tB\tC\n" * 9 + "GCI1\tD\tE\t\n",
+    "GCI2\tA\tr\tB\n" * 9 + "GCI2\tA\ts\tx\ty\n",
+    "GCI2\tA\tr\tB\n" * 9 + "GCI0\tA\tB\nGCI9\tA\tB\n",
+] + [
+    # a '#', a whitespace-only and a CRLF line after 0 to 9 nine-character lines
+    "GCI0\tA\tB\n" * k + odd + "GCI0\tC\tD\n" * 3
+    for odd in ("# GCI0\tX\tY\n", " \t \n", "\n", "GCI0\tB\tC\r\n", "GCI0\tB\tC\r\r\n")
+    for k in range(10)
+]
+
+
+class TestSlices:
+    """The slice size changes nothing: at 1, 7 and 64 characters a parse equals the
+    per-line reference's, rows, error and both interning orders."""
+
+    SIZES = [1, 7, 64]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_edge_cases_parse_like_the_reference(self, monkeypatch, size):
+        monkeypatch.setattr("elgeo.axioms.SLICE", size)
+        for text in SLICE_EDGE_CASES:
+            for known in ([], ["B", "r", "z"]):
+                assert _outcome(parse_axioms, text, _presig(known)) == \
+                    _outcome(reference_parse_normalized, text, _presig(known)), text
+
+    @settings(max_examples=150, deadline=None)
+    @given(documents(), st.lists(st.sampled_from(["B", "é", "r", "z"]), max_size=3),
+           st.sampled_from(SIZES))
+    def test_documents_parse_like_the_reference(self, text, known, size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("elgeo.axioms.SLICE", size)
+            assert _outcome(parse_axioms, text, _presig(known)) == \
+                _outcome(reference_parse_normalized, text, _presig(known))
+
+    @pytest.mark.parametrize("size", [*SIZES, axioms.SLICE])
+    def test_files_written_form_by_form_are_read_by_columns(self, monkeypatch, tmp_path, size):
+        """Each slice of a saved train.tsv, 180 GCI0 rows (2,880 characters) then 30
+        GCI2 rows, takes the columnar path: slices end where the form tag changes."""
+        monkeypatch.setattr("elgeo.axioms.SLICE", size)
+        kb = hierarchy_kb(n_chains=20, depth=10, n_heads=20, density=0.5, seed=1)
+        save_dataset(str(tmp_path), kb)
+        text = (tmp_path / "train.tsv").read_text("utf-8")
+        widths = {form.value: ARITY[form] + 1 for form in Form}
+        cut = list(axioms.slices(text, widths))
+        assert "".join(piece for _, piece, _, _ in cut) == text
+        assert {tag for _, _, tag, _ in cut} == {"GCI0", "GCI2"}
+        assert all(names is not None for _, _, _, names in cut)
+
+
+    def test_tags_alternating_line_by_line_cut_no_slice_per_line(self, monkeypatch):
+        """Two 11-character lines of two tags in turn: a slice of 65,536 characters
+        starts and ends on lines of different tags, and a cut at each tag change
+        would make every slice one line long."""
+        monkeypatch.setattr("elgeo.axioms.SLICE", 1 << 16)
+        text = "GCI0\tAA\tBB\nGCI2\tA\tr\tB\n" * 20_000
+        widths = {form.value: ARITY[form] + 1 for form in Form}
+        assert len(list(axioms.slices(text, widths))) <= 2 * len(text) // axioms.SLICE + 2
+        assert _outcome(parse_axioms, text, Signature()) == \
+            _outcome(reference_parse_normalized, text, Signature())
+
+
+def test_parse_memory_stays_near_the_ids_and_a_few_slices():
+    """Parsing 100,000 GCI2 lines over 3,000 classes peaks under three times the id
+    bytes plus 32 bytes a slice character traced: about 6.1 MB for 2.4 MB of ids here,
+    11.5 MB when every line was split out of the whole text at once."""
+    heads, tails = np.random.default_rng(0).integers(0, 3000, (2, 100_000)).tolist()
+    text = "".join(f"GCI2\tC{h:05d}\tr\tC{t:05d}\n" for h, t in zip(heads, tails))
+    tracemalloc.start()
+    try:
+        rows, _ = axioms.parse_normalized(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ids = sum(a.nbytes for a in rows.ids.values())
+    assert len(rows.forms) == 100_000 and ids == 2_400_000
+    assert peak < 3 * ids + 32 * axioms.SLICE
 
 
 FEW = st.sampled_from(["A", "B", "é"])
