@@ -7,7 +7,7 @@ keys with membership by binary search, which later power negative filtering and
 closure-aware evaluation.
 """
 
-from elgeo.axioms import Axiom, Form, parse_normalized
+from elgeo.axioms import AxiomRows, Form, parse_normalized
 from elgeo.closure import compute_closure
 from elgeo.dataset import build_kb
 from elgeo.reasoner import saturate
@@ -32,11 +32,12 @@ dc = compute_closure(kb, sub)
 print("derived counts per form:", dc.derived_counts())
 
 binds = sig.relation_id("binds")
-probe_entailed = Axiom(Form.GCI2, (kinase, binds, sig.class_id("nucleotide")))
-probe_novel = Axiom(Form.GCI2, (protein, binds, sig.class_id("atp")))
-entailed = [ax for ax in (probe_entailed, probe_novel) if dc.contains(ax)]
-print("entailed probes:", len(entailed), "novel probes:", 2 - len(entailed))
+# membership is asked of a batch of id rows at once
+probes = AxiomRows(Form.GCI2, [(kinase, binds, sig.class_id("nucleotide")),
+                               (protein, binds, sig.class_id("atp"))])
+entailed = int(dc.contains(probes).sum())
+print("entailed probes:", entailed, "novel probes:", len(probes) - entailed)
 
 # disjointness propagates down the hierarchy at query time
-clash = Axiom(Form.GCI1_BOT, (sig.class_id("atp"), sig.class_id("kinase")))
-print("atp and kinase disjoint (derived):", dc.contains(clash))
+clash = AxiomRows(Form.GCI1_BOT, [(sig.class_id("atp"), sig.class_id("kinase"))])
+print("atp and kinase disjoint (derived):", bool(dc.contains(clash)[0]))

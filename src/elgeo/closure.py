@@ -32,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from .axioms import (
-    ANTECEDENT, BOT, Axiom, Form, GCI_FORMS, Signature, column_ids, format_row, key_member,
+    ANTECEDENT, BOT, Form, GCI_FORMS, Signature, column_ids, format_row, key_member,
     lines, pack_keys, per_slot, runs, slices,
 )
 from .dataset import KnowledgeBase
@@ -81,13 +81,12 @@ class DeductiveClosure:
         """Each form's entailed rows as id tuples, decoded on every read."""
         return {form: set(map(tuple, self.ids(form, k).tolist())) for form, k in self.keys.items()}
 
-    def contains(self, query):
+    def contains(self, rows) -> np.ndarray:
         """Entailment membership for the covered (GCI) forms: a bool array over the
-        rows of an ``AxiomRows``, or one bool for an ``Axiom``."""
-        form, one = query.form, isinstance(query, Axiom)
+        rows of an ``AxiomRows``."""
+        form, cols = rows.form, rows.ids.T
         if form not in GCI_FORMS:
             raise UnsupportedFormError(f"unsupported form: {form.value}")
-        cols = np.array([query.args], dtype=np.int64).T if one else query.ids.T
         # BOT left of the inclusion makes a tautology, kept implicit
         hit = self._has(form, cols) | (cols[ANTECEDENT[form]] == BOT).any(axis=0)
         if form is Form.GCI1:
@@ -98,7 +97,7 @@ class DeductiveClosure:
             below = self._below
             hit |= self._has(form, cols[::-1]) | (
                 (below(c, a) & below(d, b)) | (below(c, b) & below(d, a))).any(axis=1)
-        return bool(hit[0]) if one else hit
+        return hit
 
     def _has(self, form: Form, cols) -> np.ndarray:
         return key_member(self.keys[form], pack_keys(form, cols, *self.dims))
@@ -211,17 +210,20 @@ def dump_closure(dc: DeductiveClosure, path: str):
     write_json(os.path.join(path, STATS_FILE), {"derived": dc.stats})
 
 
-def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
-    """Rebuild the key arrays from dump files (no subsumption closure attached).
+def load_closure_dump(path: str, kb: KnowledgeBase) -> DeductiveClosure:
+    """Rebuild the key arrays from dump files (no subsumption closure attached) and
+    check them against ``kb``'s train split.
 
     Every form's file must be there: a missing one raises FileNotFoundError.  Each is
     read through ``axioms.slices``: a slice's names are looked up by column, the
     provenance (``asserted``/``derived``) as a last one, and packed into keys before the
     next slice is read.  Names are looked up, never interned: a slice with a name
-    outside ``sig``, like one with a wrong form tag, field count or provenance, is read
-    line by line, which raises a ValueError naming the file and line, and ``sig`` is
-    left unchanged.
+    outside ``kb.sig``, like one with a wrong form tag, field count or provenance, is
+    read line by line, which raises a ValueError naming the file and line, and
+    ``kb.sig`` is left unchanged.  A dump that lacks a train axiom, or marks any other
+    row asserted, raises a ValueError naming that row.
     """
+    sig = kb.sig
     keys, asserted, dims = {}, {}, (sig.n_classes, sig.n_relations)
     for form in GCI_FORMS:
         fpath = os.path.join(path, f"closure_{form.value.lower()}.tsv")
@@ -246,4 +248,12 @@ def load_closure_dump(path: str, sig: Signature) -> DeductiveClosure:
         found = np.concatenate(found)
         keys[form] = _unique(found[:, 0])
         asserted[form] = _unique(found[found[:, 1] == 1, 0])
-    return DeductiveClosure(sig, dims, keys, asserted)
+    dc = DeductiveClosure(sig, dims, keys, asserted)
+    for form in GCI_FORMS:
+        ax, marked = kb.axioms[form], asserted[form]
+        stray = marked[~key_member(np.sort(pack_keys(form, ax.ids.T, *dims)), marked)]
+        for what, bad in ("lacks", ax.ids[~dc.contains(ax)]), ("asserts", dc.ids(form, stray)):
+            if len(bad):
+                raise ValueError(f"closure dump does not match the dataset: it {what} "
+                                 f"{format_row(form, bad[0], sig)}")
+    return dc

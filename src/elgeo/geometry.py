@@ -316,12 +316,12 @@ def _check_ids(ids: np.ndarray, table: np.ndarray, what: str) -> np.ndarray:
 
 
 def loss_term(model: EmbeddingModel, term: str | Spec, cols, grad: GradientBuffer | None = None,
-              coef=1.0) -> np.ndarray:
+              coef: float = 1.0) -> np.ndarray:
     """Per-sample values of one loss term; optionally accumulate `coef` x gradient.
 
     ``term`` is a ``SPECS`` key or a row such as ``SCORE``; ``cols`` holds one id array
-    per slot in its axiom layout (relation slots included in order).  ``coef`` may be a
-    scalar or a per-sample array and scales only the gradient, not the returned values.
+    per slot in its axiom layout (relation slots included in order).  ``coef``, one
+    weight for every sample, scales only the gradient, not the returned values.
     """
     p = term if isinstance(term, Spec) else SPECS.get(term)
     if p is None:
@@ -335,7 +335,6 @@ def loss_term(model: EmbeddingModel, term: str | Spec, cols, grad: GradientBuffe
     strict = model.reg_mode == "strict"
     # the activation's slope below 0; 1 keeps the raw argument (the BOT terms)
     neg = (0.0 if model.activation == "relu" else model.leaky_slope) if p.act else 1.0
-    coef = np.asarray(coef, dtype=np.float64)
     out = np.empty(ids.shape[1])
     # one block for the gathered vectors and one for their sums, reused by every chunk
     block = min(len(out), CHUNK) * dim
@@ -365,8 +364,7 @@ def loss_term(model: EmbeddingModel, term: str | Spec, cols, grad: GradientBuffe
         if grad is None:
             continue
 
-        w = coef[lo:lo + CHUNK] if coef.ndim else coef
-        u = np.where(arg > 0.0, 1.0, neg) * w
+        u = np.where(arg > 0.0, 1.0, neg) * coef
         dr = p.rad.T @ u
         for h, i, j in p.rmin:
             first = r[i] <= r[j]
@@ -376,7 +374,7 @@ def loss_term(model: EmbeddingModel, term: str | Spec, cols, grad: GradientBuffe
         if len(p.vec):
             dn = p.norm.T @ u
             if p.nreg:
-                dn[len(dn) - p.nreg:] = w * (np.sign(reg) if strict else reg > 0.0)
+                dn[len(dn) - p.nreg:] = coef * (np.sign(reg) if strict else reg > 0.0)
             # d value / d y = dn * y / ||y||, zero where the norm is 0; the slot
             # gradients then overwrite x
             y *= np.divide(dn, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)[..., None]

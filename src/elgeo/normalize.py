@@ -103,15 +103,13 @@ def _norm_subclass(left: Concept, right: Concept, out: list, ctx: _Context):
     out.append((Form.GCI1, (ctx.class_id(x), ctx.class_id(y), ctx.class_id(right))))
 
 
-def normalize(axioms: list[GeneralAxiom],
-              sig: Signature | None = None) -> tuple[Rows, Signature]:
+def normalize(axioms: list[GeneralAxiom]) -> tuple[Rows, Signature]:
     """Normalize general axioms into ``Rows``; fresh classes are numbered deterministically.
 
     ``equivalent`` emits both inclusion directions.  Role axioms map directly
     to RI0/RI1.
     """
-    if sig is None:
-        sig = Signature()
+    sig = Signature()
     ctx = _Context(sig)
     out: list[tuple[Form, tuple[int, ...]]] = []   # (form, ids) pairs for rows_of
     for ax in axioms:

@@ -96,9 +96,9 @@ def hierarchy_kb(n_chains: int = 6, depth: int = 8, n_heads: int = 12,
     return build_kb(sig, rows_of(train), test=rows_of(test), pools=pools)
 
 
-def skew_kb(n_heads: int = 40, n_tails: int = 30, n_train: int = 200,
-            n_test: int = 40, alpha: float = 2.0, seed: int = 0) -> KnowledgeBase:
+def skew_kb(seed: int = 0) -> KnowledgeBase:
     """Edges whose tails follow a power-law: a few tails soak up most edges."""
+    n_heads, n_tails, n_train, n_test, alpha = 40, 30, 200, 40, 2.0
     rng = np.random.default_rng(seed)
     sig = Signature()
     heads = [f"P{i:03d}" for i in range(n_heads)]

@@ -307,9 +307,8 @@ class GridResult:
         return "\n".join(lines) + "\n"
 
 
-def grid_runs(base_cfg: TrainConfig, grids: dict | None = None) -> list[tuple[dict, TrainConfig]]:
-    """Each combination of the ``grids`` axes (``DEFAULT_GRIDS`` when None) and its config."""
-    grids = dict(DEFAULT_GRIDS) if grids is None else grids
+def grid_runs(base_cfg: TrainConfig, grids: dict) -> list[tuple[dict, TrainConfig]]:
+    """Each combination of the ``grids`` axes and its config."""
     if not grids or any(len(v) == 0 for v in grids.values()):
         raise ValueError("grids must be non-empty")
     keys = sorted(grids)
@@ -317,8 +316,7 @@ def grid_runs(base_cfg: TrainConfig, grids: dict | None = None) -> list[tuple[di
     return [(combo, replace(base_cfg, **combo)) for combo in combos]
 
 
-def grid_search(kb: KnowledgeBase, base_cfg: TrainConfig,
-                grids: dict[str, tuple] | None = None,
+def grid_search(kb: KnowledgeBase, base_cfg: TrainConfig, grids: dict[str, tuple],
                 dc: DeductiveClosure | None = None) -> GridResult:
     """Train every grid combination and rank by validation macro mean rank."""
     from .evaluation import EvaluationError, evaluate

@@ -11,7 +11,7 @@ import pytest
 import elgeo
 
 SRC = Path(elgeo.__file__).parent
-PERFBENCH = SRC.parents[1] / "perfbench"
+PERFBENCH, TESTS, DEMOS = (SRC.parents[1] / part for part in ("perfbench", "tests", "demos"))
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

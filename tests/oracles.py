@@ -344,7 +344,7 @@ def brute_aggregate(records, n):
 import numpy as np
 
 from elgeo.dataset import build_kb
-from elgeo.axioms import Signature, parse_normalized, rows_of
+from elgeo.axioms import AxiomRows, Signature, parse_normalized, rows_of
 
 
 def random_kb(rng: np.random.Generator, n_classes=8, n_relations=2, n_axioms=20,
@@ -396,11 +396,16 @@ def parse_axioms(text, sig=None):
     return as_axioms(rows), sig
 
 
+def member(dc, ax) -> bool:
+    """Whether one ``Axiom`` is in the closure ``dc``, asked as a one-row ``AxiomRows``."""
+    return bool(dc.contains(AxiomRows(ax.form, [ax.args]))[0])
+
+
 def split_entailed(dc, axioms):
     """Partition axioms into (entailed, novel) by closure membership, order kept."""
     entailed, novel = [], []
     for ax in axioms:
-        (entailed if dc.contains(ax) else novel).append(ax)
+        (entailed if member(dc, ax) else novel).append(ax)
     return entailed, novel
 
 

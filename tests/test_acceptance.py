@@ -150,7 +150,7 @@ def test_05_filtration_contract():
                    "members; entailed_ratio 1.0 -> 100% members"):
         kb = hierarchy_kb(seed=0)
         dc = compute_closure(kb, saturate(kb))
-        from elgeo.axioms import Axiom
+        from elgeo.axioms import AxiomRows
         rows = np.array([ax.args for ax in kb.train_gci2], dtype=np.int64)
         rows = np.tile(rows, (100_000 // len(rows) + 1, 1))[:100_000]
         sampler = NegativeSampler(kb, SamplerConfig(filter_with_closure=True, seed=5), dc)
@@ -159,13 +159,13 @@ def test_05_filtration_contract():
         train = {ax.args for ax in kb.train_gci2}
         for row in out[keep]:
             args = tuple(int(x) for x in row)
-            assert not dc.contains(Axiom(Form.GCI2, args))
+            assert not dc.contains(AxiomRows(Form.GCI2, [args]))[0]
             assert args not in train
         biased = NegativeSampler(kb, SamplerConfig(entailed_ratio=1.0, seed=6), dc)
         out2, keep2 = biased.corrupt_ids(Form.GCI2, rows)
         assert keep2.all()
         for row in out2:
-            assert dc.contains(Axiom(Form.GCI2, tuple(int(x) for x in row)))
+            assert dc.contains(AxiomRows(Form.GCI2, [row]))[0]
 
 
 def test_06_metric_oracle():

@@ -87,6 +87,7 @@ MUTATIONS = {
     **{f"{value} {key}": setting(key, float(value)) for key in HEADER_FLOATS
        for value in ("NaN", "Infinity", "-Infinity")},
     "margin past the float range": setting("margin", 10 ** 400),
+    "version 2": setting("version", 2),
 }
 
 
@@ -102,6 +103,14 @@ def test_malformed_header_or_tables_raise_value_error_naming_the_file(tmp_path, 
     assert path.read_bytes() == blob
     rewrite(path, MUTATIONS[mutation])
     with pytest.raises(ValueError, match="bad.bin"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe"])
+def test_a_header_that_is_not_json_raises_value_error_naming_the_file(tmp_path, header):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header)
+    with pytest.raises(ValueError, match="corrupt checkpoint: .*bad.bin: "):
         load_model(str(path))
 
 

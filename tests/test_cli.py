@@ -145,6 +145,31 @@ class TestTrainCmd:
     def test_missing_dataset_exit_2(self, tmp_path):
         assert main(["train", str(tmp_path / "nope"), str(tmp_path / "o")]) == 2
 
+    def test_config_file(self, toy, tmp_path, capsys):
+        """``--config`` reads a flat ``key = value`` file; an unknown key exits 2 naming
+        the file and line, and so does a file that is not there."""
+        cfg, out = tmp_path / "run.cfg", tmp_path / "run"
+        cfg.write_text("# a short run\ntrain.epochs = 1\n\ntrain.dim = 4\n")
+        assert main(["train", toy, str(out), "--config", str(cfg)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["train.epochs"], config["train.dim"]) == (1, 4)
+        cfg.write_text("train.epochs = 1\nbogus = 1\n")
+        capsys.readouterr()
+        assert main(["train", toy, str(tmp_path / "r2"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: unknown config key: 'bogus'\n"
+        missing = str(tmp_path / "missing.cfg")
+        assert main(["train", toy, str(tmp_path / "r3"), "--config", missing]) == 2
+        assert "missing.cfg" in capsys.readouterr().err
+
+    def test_unknown_preset_exit_2(self, toy, tmp_path, capsys):
+        assert main(["train", toy, str(tmp_path / "run"), "--preset", "nope"]) == 2
+        assert "unknown preset: 'nope'" in capsys.readouterr().err
+
+    def test_a_one_field_pools_line_exit_2(self, toy, tmp_path, capsys):
+        Path(toy, "pools.tsv").write_text("all\tG0\nall\n")
+        assert main(["train", toy, str(tmp_path / "run"), "--set", "train.epochs=1"]) == 2
+        assert "pools.tsv line 2: expected 'pool_name<TAB>class_id'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["train", "grid"])
     def test_closure_budget_exceeded_exit_1(self, command, toy, tmp_path, capsys):
         out = tmp_path / "run"
@@ -308,6 +333,15 @@ class TestEvaluateCmd:
         assert code == 2
         assert "closure_gci0.tsv:" in capsys.readouterr().err
 
+    def test_a_checkpoint_of_another_dataset_exit_2(self, toy, tmp_path, capsys):
+        other, run = str(tmp_path / "hier"), str(tmp_path / "run")
+        assert main(["gen-toy", other, "--preset", "hierarchy"]) == 0
+        assert main(["train", other, run, "--preset", "relu-original",
+                     "--set", "train.epochs=1", "--set", "train.dim=4"]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", os.path.join(run, "checkpoint.bin"), toy]) == 2
+        assert "checkpoint identifier tables do not match the dataset" in capsys.readouterr().err
+
     def test_flags_recorded_as_config_keys(self, toy, tmp_path):
         run = str(tmp_path / "run")
         main(["train", toy, run, "--preset", "relu-original",
@@ -373,6 +407,19 @@ class TestNaiveCmd:
         with pytest.raises(SystemExit) as exc:
             main(["naive", toy, "--head-pool", "all"])
         assert exc.value.code == 2
+
+    def test_relation_flag(self, toy, capsys):
+        """The basic toy's test split uses r1; an unknown relation is named without the
+        quotes a KeyError's str adds."""
+        assert main(["naive", toy, "--relation", "r1"]) == 0
+        capsys.readouterr()
+        assert main(["naive", toy, "--relation", "nope"]) == 2
+        assert capsys.readouterr().err == "error: unknown relation: 'nope'\n"
+
+    def test_no_test_split_exit_2(self, toy, capsys):
+        os.remove(os.path.join(toy, "test.tsv"))
+        assert main(["naive", toy]) == 2
+        assert capsys.readouterr().err == "error: test split is empty\n"
 
     def test_multi_relation_needs_flag(self, tmp_path, capsys):
         data = tmp_path / "multi"
@@ -448,6 +495,15 @@ class TestGridCmd:
         rows = (out / "grid_results.tsv").read_text().splitlines()[1:]
         assert [row.split("\t")[0] for row in rows] == ["1", "2"]
 
+    def test_a_diverging_combination_is_a_failed_row(self, toy, tmp_path):
+        out = tmp_path / "grid"
+        assert main(["grid", toy, str(out), "--preset", "relu-original", "--set", "train.epochs=1",
+                     "--grid", "dim=4", "--grid", "lr=0.01,1e300"]) == 0
+        _, ranked, failed = (out / "grid_results.tsv").read_text().splitlines()
+        assert ranked.startswith("1\t") and json.loads(ranked.split("\t")[2])["lr"] == 0.01
+        assert failed.startswith("FAILED\tTrainingError: non-finite loss")
+        assert json.loads(failed.split("\t")[2]) == {"dim": 4, "lr": 1e300}
+
     def test_no_valid_split_exit_2_before_training(self, tmp_path, capsys):
         toy, out = str(tmp_path / "toy"), tmp_path / "grid"
         assert main(["gen-toy", toy, "--preset", "hierarchy"]) == 0   # it has no valid split
@@ -463,6 +519,7 @@ class TestGridCmd:
         ["--grid", "dim=4,0"], ["--grid", "dim=4.5"], ["--grid", "early_stop_patience=0"],
         ["--grid", "dimension=4"], ["--grid", "eval.pool=4"], ["--grid", "dim"],
         ["--grid", "margin=0.1,Infinity"], ["--grid", "plateau_factor=0.5,2"],
+        ["--grid", "lr="], ["--set", "train.neg_forms=gci9"],
     ], ids=" ".join)
     def test_config_error_exit_2_not_a_failed_run(self, extra, toy, tmp_path, capsys):
         out = tmp_path / "grid"

@@ -523,6 +523,12 @@ class TestEvaluate:
         for rec in rep.closure_records:
             assert (rec.head, rec.rel, rec.tail) not in skip
 
+    def test_closure_positives_without_a_closure_are_refused(self):
+        kb = self.kb()
+        scorer = FixedScorer({c: 0.1 * c for c in range(kb.sig.n_classes)})
+        with pytest.raises(EvaluationError, match="closure positives need a deductive closure"):
+            evaluate(scorer, kb, closure_positives=True)
+
     def test_closure_positives_skip_every_split(self):
         kb = basic_kb()
         dc = compute_closure(kb, saturate(kb))

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -466,6 +466,12 @@ class TestParameterBlock:
         Adam(m).step(buf, lr=0.1)
         assert (m.centers < centers).all()
         assert np.array_equal(m.radii, radii)
+
+    def test_params_of_another_length_are_refused(self):
+        m, _ = model2d()   # 7 classes and 1 relation in 2 dimensions: 23 parameters
+        for params in (m.params[:-1], np.append(m.params, 0.0), m.params.reshape(1, -1)):
+            with pytest.raises(ValueError, match=r"params has shape \(.*\), expected \(23,\)"):
+                replace(m, params=params)
 
     def test_names_interned_after_create_leave_the_block_alone(self, tmp_path):
         m, _ = model2d()

@@ -60,7 +60,7 @@ def test_a_name_fails_at_build_time_or_round_trips_byte_exact(classes, relation,
 
         dc = compute_closure(kb, saturate(kb))
         dump_closure(dc, os.path.join(tmp, "cl"))
-        back = load_closure_dump(os.path.join(tmp, "cl"), loaded.sig)
+        back = load_closure_dump(os.path.join(tmp, "cl"), loaded)
         for form in GCI_FORMS:
             assert back.sets[form] == dc.sets[form], form
         dump_closure(back, os.path.join(tmp, "cl2"))   # its stats file is not read back
@@ -116,6 +116,14 @@ def test_build_kb_rejects_a_pool_that_holds_bot():
         build_kb(sig, rows_of([(Form.GCI0, (a, b))]), pools={"p": [TOP, a], "q": [b, BOT]})
     assert build_kb(sig, rows_of([(Form.GCI0, (a, b))]), pools={"p": [TOP, a]}).pools["p"] == \
         [TOP, a]
+
+
+@pytest.mark.parametrize("cid", [4, 5, -1])
+def test_build_kb_rejects_a_pool_member_outside_the_signature(cid):
+    sig = Signature()
+    a, b = sig.intern_class("A"), sig.intern_class("B")   # class ids 0..3
+    with pytest.raises(DatasetError, match=f"pool 'p' references unknown class id {cid}$"):
+        build_kb(sig, rows_of([(Form.GCI0, (a, b))]), pools={"p": [a, cid]})
 
 
 def test_load_model_rejects_a_name_in_its_tables(tmp_path):

@@ -399,7 +399,7 @@ def test_names_holding_a_line_break_character_survive_save_load_and_dump_load(ch
     assert loaded.pools == kb.pools
     dc = compute_closure(kb, saturate(kb))
     dump_closure(dc, str(tmp_path / "cl"))
-    back = load_closure_dump(str(tmp_path / "cl"), loaded.sig)
+    back = load_closure_dump(str(tmp_path / "cl"), loaded)
     for form in GCI_FORMS:
         assert back.sets[form] == dc.sets[form], form
         assert np.array_equal(back.asserted_keys[form],

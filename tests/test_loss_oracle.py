@@ -84,7 +84,7 @@ def test_chunked_pass_matches_one_pass(term, monkeypatch):
     rng = np.random.default_rng([TERMS.index(term), 2])
     m = random_model("leaky_relu", "relaxed", rng)
     cols = random_cols(m, term, rng)
-    coef = rng.uniform(0.5, 2.0, BATCH)   # per-sample weights must follow their rows
+    coef = rng.uniform(0.5, 2.0)   # one weight for every row, as train passes
     whole = GradientBuffer(m)
     values = loss_term(m, term, cols, grad=whole, coef=coef)
     monkeypatch.setattr(geometry, "CHUNK", 5)   # 12 rows: chunks of 5, 5 and 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elgeo.axioms import BOT, Axiom, AxiomRows, Form, parse_normalized
+from elgeo.axioms import BOT, AxiomRows, Form, parse_normalized
 from elgeo.closure import compute_closure
 from elgeo.dataset import build_kb
 from elgeo.reasoner import saturate
@@ -90,7 +90,7 @@ class TestFiltering:
         assert keep.sum() > 0
         for row in out[keep]:
             assert row[2] != bp
-            assert not dc.contains(Axiom(Form.GCI2, tuple(row)))
+            assert not dc.contains(AxiomRows(Form.GCI2, [row]))[0]
 
     def test_no_row_with_bot_left_of_the_inclusion_is_kept(self):
         # BOT left of the inclusion makes a tautology, asserted or not
@@ -142,7 +142,7 @@ class TestEntailedRatio:
         out, keep, stats = corrupt_rows(kb, Form.GCI2, [kb.axioms[Form.GCI2][0].args] * 300,
                                         cfg, dc)
         assert keep.all()
-        assert all(dc.contains(Axiom(Form.GCI2, tuple(row))) for row in out.tolist())
+        assert all(dc.contains(AxiomRows(Form.GCI2, [row]))[0] for row in out.tolist())
         assert stats.entailed_injected == 300
 
     def test_zero_ratio_filtering_none_member(self):
@@ -155,7 +155,7 @@ class TestEntailedRatio:
         assert keep.any()
         train = {ax.args for ax in kb.train_gci2}
         for row in out[keep].tolist():
-            assert not dc.contains(Axiom(Form.GCI2, tuple(row)))
+            assert not dc.contains(AxiomRows(Form.GCI2, [row]))[0]
             assert tuple(row) not in train
 
 

@@ -92,6 +92,13 @@ class TestParseGeneral:
         ("(subclassof A B) junk", 1, 18, "expected an axiom, got symbol 'junk'"),
         ("(subclassof {_N1} (one _N1))", 1, 24, "reserved prefix"),
         ("(subclassof A and)", 1, 15, "'and' cannot be used as a class name"),
+        # each arity or head check of a concept and of a role axiom
+        ("(subclassof (and A) B)", 1, 13, "'and' needs at least 2 arguments"),
+        ("(subclassof A (one))", 1, 15, "'one' needs exactly 1 individual name"),
+        ("(subclassof (top x) B)", 1, 13, "'top' takes no arguments"),
+        ("(subclassof (() A) B)", 1, 13, "expected a head symbol"),
+        ("(subrole r)", 1, 1, "'subrole' needs exactly 2 relation names"),
+        ("(rolechain r s)", 1, 1, "'rolechain' needs exactly 3 relation names"),
     ])
     def test_error_position(self, text, line, col, reason):
         with pytest.raises(SexprError) as err:

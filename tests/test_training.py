@@ -43,6 +43,12 @@ class TestComputeWeights:
         with pytest.raises(ValueError, match="all counts are zero"):
             compute_weights({"a": 0}, "uniform")
 
+    def test_bad_mode_or_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="unknown weighting mode: 'bogus'"):
+            compute_weights({"a": 1}, "bogus")
+        with pytest.raises(ValueError, match="negative count"):
+            compute_weights({"a": 1, "b": -1}, "uniform")
+
 
 class TestAdam:
     def test_zero_lr_is_identity(self):
