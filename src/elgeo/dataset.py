@@ -89,9 +89,10 @@ def build_kb(sig: Signature, train: Rows, valid: Rows | None = None, test: Rows 
                                f"{format_row(forms[bad], ids[forms[bad]][0], sig)}")
         held[name] = np.sort(keys)
     rows = train.ids[Form.GCI2]   # only train's GCI2 rows can repeat a held-out axiom
-    in_valid, in_test = (key_member(held[name], pack_keys(Form.GCI2, rows.T, *dims))
-                         for name in ("valid", "test"))
-    if (in_valid | in_test).any():
+    keys = pack_keys(Form.GCI2, rows.T, *dims)
+    ordered = np.sort(keys)   # the held-out keys are looked up here; the row mask only on a clash
+    if any(key_member(ordered, held[name]).any() for name in ("valid", "test")):
+        in_valid, in_test = (key_member(held[name], keys) for name in ("valid", "test"))
         first = (in_valid | in_test).argmax()
         raise DatasetError(f"axiom appears in both train and "
                            f"{'valid' if in_valid[first] else 'test'}: "

@@ -18,7 +18,7 @@ optionally symmetrized, and plugs into the same ranking pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,51 +77,62 @@ def _rank_rows(scorer, rows: np.ndarray, candidates, train_keys: np.ndarray, dim
     """Rank the tail of each (head, rel, tail) row among the candidates, a block of
     queries at a time.  The scorer's ``score_bounds(pool)`` (``_exact_bounds`` if it
     has none) gives each block's scores and a bound ``err`` on how far each lies from
-    ``score_tails``' own, 0 where it is that score.  The true tails are rescored
-    exactly, then so is every candidate whose gap to its true tail is not above its
-    err: a rank reads only whether a candidate scores above, at or below its true
-    tail, and every other candidate is on the side its approximate score shows, never
-    at it.  So every rank is the one ``score_tails`` scores alone would give.
-    The filtered rank leaves out the candidates in the query's run of sorted
-    ``train_keys`` (``pack_keys`` over ``dims``) but never the true tail."""
+    ``score_tails``' own, 0 where it is that score.  Every candidate whose gap to its
+    true tail is not above the two errs added, the true tail's copies among them, is
+    rescored exactly, in one call: a rank reads only whether a candidate scores above,
+    at or below its true tail, and every other candidate is on the side its
+    approximate score shows, never at it.  So every rank is the one ``score_tails``
+    scores alone would give.  The filtered rank leaves out the candidates in the
+    query's run of sorted ``train_keys`` (``pack_keys`` over ``dims``) but never the
+    true tail: its counts are the raw ones less those at the dropped positions, which
+    an index from class id to pool positions, built once here, finds."""
     if tie_mode not in TIE_WEIGHT:
         raise ValueError(f"unknown tie mode: {tie_mode!r}")
     pool = np.asarray(candidates, dtype=np.int64)
     step = max(1, BLOCK // max(len(pool), 1))
     bounds = (scorer.score_bounds(pool) if hasattr(scorer, "score_bounds")
               else _exact_bounds(scorer, pool))
-    order = np.argsort(pool)
+    order = np.argsort(pool, kind="stable")   # class k's positions: order[first[k]:first[k + 1]]
+    first = np.searchsorted(pool[order], np.arange(dims[0] + 1))
     return [rec for lo in range(0, len(rows), step)
-            for rec in _rank_block(scorer, bounds, rows[lo:lo + step], pool, order, train_keys,
-                                   dims, TIE_WEIGHT[tie_mode])]
+            for rec in _rank_block(scorer, bounds, rows[lo:lo + step], pool, order, first,
+                                   train_keys, dims, TIE_WEIGHT[tie_mode])]
 
 
-def _rank_block(scorer, bounds, block, pool, order, train_keys, dims, tie) -> list[RankRecord]:
+def _rank_block(scorer, bounds, block, pool, order, first, train_keys, dims,
+                tie) -> list[RankRecord]:
     """``_rank_rows`` for one block of rows; its (q, n) arrays go when it returns."""
     c, r, d = block.T
-    true = pool == d[:, None]
-    missing = ~true.any(axis=1)
+    q, n = len(block), len(pool)
+    missing = first.take(d, mode="clip") == first.take(d + 1, mode="clip")   # any id
     if missing.any():
         raise EvaluationError(f"true tail not among candidates for head id {c[missing.argmax()]}")
     scores, err = bounds(c, r)
-    _rescore(scorer, c, r, pool, scores, err, np.flatnonzero(true))
-    s = scores[np.arange(len(d)), true.argmax(axis=1), None]
-    gap = np.subtract(scores, s)
-    _rescore(scorer, c, r, pool, scores, err, np.flatnonzero(~(np.abs(gap, out=gap) > err)))
-    above, level = scores > s, scores == s
+    true = (np.arange(q), order[first[d]])   # each true tail's first copy
+    # a candidate whose gap to its true tail is above both errs is on the side it shows
+    gap = np.subtract(scores, scores[true][:, None])
+    gap = np.subtract(np.abs(gap, out=gap), err[true][:, None], out=gap)
+    _rescore(scorer, c, r, pool, scores, err, np.flatnonzero(~(gap > err)))
+    s = scores[true]
     start = pack_keys(Form.GCI2, (c, r, np.zeros_like(c)), *dims)
     query, at = runs(*np.searchsorted(train_keys, [start, start + dims[0]]))
     tails = train_keys[at] - start[query]
-    hit, at = runs(*np.searchsorted(pool[order], [tails, tails + 1]))
-    keep = np.ones_like(true)
-    keep[query[hit], order[at]] = true[query[hit], order[at]]   # the true tail stays
+    new = (tails != d[query]) & ((at == 0) | (train_keys[at] != train_keys[at - 1]))
+    query, tails = query[new], tails[new]   # each train tail once, and never the true tail
+    hit, at = runs(first[tails], first[tails + 1])
+    query, at = query[hit], order[at]   # the dropped (query, position) pairs
+    dropped = np.bincount(query, minlength=q)
     # 1, plus each candidate above, plus tie per candidate level with the true tail, whose
-    # own tie is taken back; counts, so any summation order gives these bits
-    ranks = 1 - tie + np.stack([above.sum(axis=1) + tie * level.sum(axis=1),
-                                (above & keep).sum(axis=1) + tie * (level & keep).sum(axis=1)],
-                               axis=1)
-    return [RankRecord(*row, *rank, len(pool), n_f) for row, rank, n_f in
-            zip(block.tolist(), ranks.tolist(), keep.sum(axis=1).tolist())]
+    # own tie is taken back; the filtered counts less those at the dropped positions.
+    # Counts, so any order gives these bits.
+    raw = frank = 1 - tie
+    for w, side in ((1, np.greater), (tie, np.equal)):
+        if w:
+            count = np.count_nonzero(side(scores, s[:, None]), axis=1)
+            raw = raw + w * count
+            frank = frank + w * (count - np.bincount(query, side(scores[query, at], s[query]), q))
+    return [RankRecord(*row, rank, f, n, n - k) for row, rank, f, k in
+            zip(block.tolist(), raw.tolist(), frank.tolist(), dropped.tolist())]
 
 
 def rank_axiom(scorer, ax: Axiom, candidates, filter_set=None,
@@ -185,7 +196,8 @@ def trapezoid(ranks: np.ndarray, groups: np.ndarray, n: int) -> tuple:
     ranks at or below it, then ends at (1, 1).  Groups are the ids 0, 1, ...,
     each with at least one rank.  Returns each group's area, every curve's points
     but the last as arrays ``px`` and ``py``, and the bounds of group i's points,
-    ``bounds[i]:bounds[i + 1]``."""
+    ``bounds[i]:bounds[i + 1]``.  The groups with k points are summed as the rows of
+    one (groups, k) array, which gives each the bits of its own ``np.add.reduce``."""
     o = np.lexsort((ranks, groups))
     g, x = groups[o], ranks[o]
     starts = np.flatnonzero(np.append(True, g[1:] != g[:-1]))
@@ -197,9 +209,11 @@ def trapezoid(ranks: np.ndarray, groups: np.ndarray, n: int) -> tuple:
     nx, ny = (np.where(end, 1.0, np.roll(v, -1)) for v in (px, py))
     terms = (nx - px) * (ny + py) / 2.0
     bounds = np.append(np.searchsorted(last, starts), len(last))
-    area = terms[bounds[:-1]]
-    for i in np.flatnonzero(np.diff(bounds) > 1):   # the pairwise sum of a lone curve
-        area[i] = np.add.reduce(terms[bounds[i]:bounds[i + 1]])
+    width = np.diff(bounds)
+    area = np.empty(len(width))
+    for k in np.unique(width):   # each row's sum of a (groups, k) array, as a lone curve's
+        at = np.flatnonzero(width == k)
+        area[at] = np.add.reduce(terms[bounds[at, None] + np.arange(k)], axis=1)
     return area, px, py, bounds
 
 
@@ -278,8 +292,9 @@ def evaluate(scorer, kb: KnowledgeBase, dc: DeductiveClosure | None = None,
         held_out = np.concatenate([kb.valid.ids, kb.test.ids])
         skip = np.sort(np.concatenate([train_keys, pack_keys(Form.GCI2, held_out.T, *dims)]))
         extras = extras[~key_member(skip, pack_keys(Form.GCI2, extras.T, *dims))]
-        closure_records = [replace(rec, source="closure", entailed=True) for rec in
-                           _rank_rows(scorer, extras, candidates, train_keys, dims, tie_mode)]
+        closure_records = _rank_rows(scorer, extras, candidates, train_keys, dims, tie_mode)
+        for rec in closure_records:
+            rec.source, rec.entailed = "closure", True
     return aggregate(records, tie_mode, closure_records)
 
 

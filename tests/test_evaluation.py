@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -113,6 +114,9 @@ class TestRankAxiom:
         scorer = FixedScorer({c: 0.0 for c in cands})
         with pytest.raises(EvaluationError, match="true tail"):
             rank_axiom(scorer, ax, cands[:1], None)
+        for tail in (-1, -9):   # an id no class has is missing too
+            with pytest.raises(EvaluationError, match="true tail"):
+                rank_axiom(scorer, Axiom(Form.GCI2, (0, 0, tail)), cands, None)
 
 
 class HeadTailScorer:
@@ -124,6 +128,20 @@ class HeadTailScorer:
 
     def score_tails(self, c, r, tails):
         return self.table[c, tails]
+
+
+class LooseScorer(HeadTailScorer):
+    """A ``HeadTailScorer`` whose ``score_bounds`` strays from the table by less than each
+    entry's err: 0 (the table's own score), 0.3 or 1, or by any amount where err is inf
+    or NaN."""
+
+    def score_bounds(self, pool):
+        def bounds(c, r):
+            rng = np.random.default_rng(int(c.sum()))
+            err = rng.choice([0.0, 0.3, 1.0, np.inf, np.nan], size=(len(c), len(pool)))
+            stray = np.where(np.isfinite(err), err, 2.0) * rng.uniform(-0.9, 0.9, err.shape)
+            return self.table[c[:, None], pool] + stray, err
+        return bounds
 
 
 MODES = ("optimistic", "average")
@@ -361,6 +379,45 @@ class TestCertifiedRanking:
             flat = (err == 0.0) & (pinned == 0.0)
             assert flat[at].sum() == 3 and flat.sum() > 3 * 6
 
+    @given(data=st.data(), mode=st.sampled_from(MODES),
+           scorer=st.sampled_from(["table", "loose", "relu", "leaky_relu"]),
+           block=st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_rank_rows_match_brute_rank(self, data, mode, scorer, block):
+        """Any pool (repeated ids, repeated true tails), any train keys (repeated, equal
+        to a true tail, or none for a head), scored by a table of few distinct values,
+        alone or through a loose ``score_bounds``, or by the planted model through
+        ``score_bounds``, and any block size."""
+        if scorer in ("table", "loose"):
+            m = (HeadTailScorer if scorer == "table" else LooseScorer)(data.draw(
+                st.integers(0, 2 ** 32 - 1).map(
+                    lambda seed: np.random.default_rng(seed).integers(0, 4, (38, 38)) / 2.0)))
+        else:
+            m = planted_model(scorer)
+        pool = data.draw(st.lists(st.integers(2, 37), min_size=1, max_size=40))
+        queries = data.draw(st.lists(st.tuples(st.integers(2, 37), st.integers(0, 1),
+                                               st.sampled_from(pool)), min_size=1, max_size=12))
+        train = data.draw(st.lists(st.one_of(
+            st.tuples(st.integers(2, 37), st.integers(0, 1), st.integers(2, 37)),
+            st.sampled_from(queries),   # a train tail equal to the true tail
+            st.sampled_from(queries).flatmap(   # the query's head and relation, a pool tail
+                lambda q: st.tuples(st.just(q[0]), st.just(q[1]), st.sampled_from(pool)))),
+            max_size=30))
+        dims = (38, 2)
+        keys = np.sort(pack_keys(Form.GCI2, np.array(train, dtype=np.int64).reshape(-1, 3).T,
+                                 *dims))
+        with patch.object(evaluation, "BLOCK", block):
+            records = _rank_rows(m, np.array(queries), pool, keys, dims, mode)
+        train = set(train)
+        for (c, r, d), rec in zip(queries, records):
+            scores = np.asarray(m.score_tails(c, r, np.array(pool))).tolist()
+            idx = pool.index(d)
+            keep = [i for i, t in enumerate(pool) if t == d or (c, r, t) not in train]
+            assert (rec.head, rec.rel, rec.tail) == (c, r, d)
+            assert rec.rank == brute_rank(scores, idx, mode)
+            assert rec.frank == brute_rank([scores[i] for i in keep], keep.index(idx), mode)
+            assert (rec.n_cand, rec.n_fcand) == (len(pool), len(keep))
+
     def test_memory_stays_within_a_multiple_of_a_block(self):
         """Peak traced memory stays under 8 blocks of float64s (about 5 at this change)
         whether 40 queries or 400 are ranked against a pool of 4,096: one (400, 4,096)
@@ -585,6 +642,14 @@ class TestEvaluate:
         rows, sig = parse_normalized("GCI2\tA\tr\tB\n")
         kb = build_kb(sig, rows)
         with pytest.raises(EvaluationError, match="test split is empty"):
+            evaluate(FixedScorer({}), kb)
+
+    def test_empty_candidate_pool(self):
+        # a signature of TOP and BOT alone: the pool "all" leaves both out
+        rows, sig = parse_normalized("GCI2\tTOP\tr\tTOP\n")
+        assert sig.n_classes == 2
+        kb = build_kb(sig, rows, test=as_rows([Axiom(Form.GCI2, (BOT, 0, 0))]))
+        with pytest.raises(EvaluationError, match="^empty candidate pool$"):
             evaluate(FixedScorer({}), kb)
 
 

@@ -61,6 +61,10 @@ class TestRules:
         with pytest.raises(ValueError, match="reserved prefix"):
             normalize([GeneralAxiom("subclassof", left=atom("_N7"), right=atom("B"))])
 
+    def test_unknown_axiom_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown axiom kind: 'disjoint'$"):
+            normalize([GeneralAxiom("disjoint", left=atom("A"), right=atom("B"))])
+
 
 # each normal form written as a general axiom maps back to exactly itself
 NORMAL_TEXTS = [

@@ -175,3 +175,9 @@ def test_one_list_past_the_depth_cap_is_a_positioned_error(shape):
 def test_balance_errors_come_before_the_depth_cap():
     with pytest.raises(SexprError, match="unbalanced '\\)'"):
         parse_general(nested(MAX_DEPTH + 1, "some") + ")")
+
+
+@pytest.mark.parametrize("parts", [[], [atom("A")]])
+def test_a_conjunction_of_fewer_than_two_parts_is_refused(parts):
+    with pytest.raises(ValueError, match="^conjunction needs at least 2 parts$"):
+        conj(parts)

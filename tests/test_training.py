@@ -208,6 +208,15 @@ class TestTrain:
         assert "gci0_neg" in report.weights
         assert report.sampler["requested"] > 0
 
+    def test_parameters_that_overflow_after_finite_losses_end_the_run(self):
+        # two forms on disjoint classes, one batch each: the first step moves the GCI0
+        # classes by about lr, the second by about 2/3 lr more, past the largest float,
+        # while the GCI2 batch's loss reads only its own, finite, classes
+        rows, sig = parse_normalized("GCI0\tA\tB\nGCI2\tC\tr\tD\n")
+        kb = build_kb(sig, rows)
+        with pytest.raises(TrainingError, match="^non-finite parameters after epoch 1$"):
+            train(kb, small_cfg(epochs=1, lr=1.5e308, neg_forms=()))
+
     def test_negatives_all_dropped(self):
         # with a pool of two classes, both corruptions are asserted axioms
         rows, sig = parse_normalized("GCI2\tA\tr\tB\nGCI2\tA\tr\tA\n")
