@@ -18,7 +18,7 @@ optionally symmetrized, and plugs into the same ranking pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -74,53 +74,63 @@ def _rescore(scorer, c, r, pool, scores, err, at):
 
 def _rank_rows(scorer, rows: np.ndarray, candidates, train_keys: np.ndarray, dims,
                tie_mode: str) -> list[RankRecord]:
-    """Rank the tail of each (head, rel, tail) row among the candidates, a block of
-    queries at a time.  The scorer's ``score_bounds(pool)`` (``_exact_bounds`` if it
-    has none) gives each block's scores and a bound ``err`` on how far each lies from
-    ``score_tails``' own, 0 where it is that score.  Every candidate whose gap to its
-    true tail is not above the two errs added, the true tail's copies among them, is
-    rescored exactly, in one call: a rank reads only whether a candidate scores above,
-    at or below its true tail, and every other candidate is on the side its
-    approximate score shows, never at it.  So every rank is the one ``score_tails``
-    scores alone would give.  The filtered rank leaves out the candidates in the
-    query's run of sorted ``train_keys`` (``pack_keys`` over ``dims``) but never the
-    true tail: its counts are the raw ones less those at the dropped positions, which
-    an index from class id to pool positions, built once here, finds."""
+    """Rank the tail of each (head, rel, tail) row among the candidates.  The scorer's
+    ``score_bounds(pool)`` (``_exact_bounds`` if it has none) scores each block of
+    ``BLOCK // n`` distinct (head, rel) pairs in one call, with a bound ``err`` on each
+    entry's distance from ``score_tails``' own: a candidate whose gap to the true tail is
+    above both errs added is on the side it shows, so every rank is ``score_tails``' own.
+    A pair's lone row goes to ``_rank_block``, rows that share a pair to ``_rank_shared``,
+    in separate blocks: the cost scales with the distinct pairs.  The filtered rank drops
+    the pair's run of sorted ``train_keys`` (``pack_keys`` over ``dims``) but the true tail."""
     if tie_mode not in TIE_WEIGHT:
         raise ValueError(f"unknown tie mode: {tie_mode!r}")
+    c, r, d = rows.T
+    for ids, size, what in ((c, dims[0], "head"), (r, dims[1], "relation")):
+        bad = (ids < 0) | (ids >= size)   # so that no two pairs share a key below
+        if bad.any():
+            raise EvaluationError(f"{what} id {ids[bad.argmax()]} outside the signature")
     pool = np.asarray(candidates, dtype=np.int64)
-    step = max(1, BLOCK // max(len(pool), 1))
-    bounds = (scorer.score_bounds(pool) if hasattr(scorer, "score_bounds")
-              else _exact_bounds(scorer, pool))
     order = np.argsort(pool, kind="stable")   # class k's positions: order[first[k]:first[k + 1]]
     first = np.searchsorted(pool[order], np.arange(dims[0] + 1))
-    return [rec for lo in range(0, len(rows), step)
-            for rec in _rank_block(scorer, bounds, rows[lo:lo + step], pool, order, first,
-                                   train_keys, dims, TIE_WEIGHT[tie_mode])]
-
-
-def _rank_block(scorer, bounds, block, pool, order, first, train_keys, dims,
-                tie) -> list[RankRecord]:
-    """``_rank_rows`` for one block of rows; its (q, n) arrays go when it returns."""
-    c, r, d = block.T
-    q, n = len(block), len(pool)
     missing = first.take(d, mode="clip") == first.take(d + 1, mode="clip")   # any id
     if missing.any():
         raise EvaluationError(f"true tail not among candidates for head id {c[missing.argmax()]}")
-    scores, err = bounds(c, r)
+    bounds = (scorer.score_bounds(pool) if hasattr(scorer, "score_bounds")
+              else _exact_bounds(scorer, pool))
+    args = scorer, pool, order, first, train_keys, dims, TIE_WEIGHT[tie_mode]
+    pair, k = np.unique(c * dims[1] + r, return_inverse=True, return_counts=True)[1:]
+    shared, step = k[pair] > 1, max(1, BLOCK // max(len(pool), 1))
+    at = np.lexsort((pair, shared))   # the lone rows, then each shared pair's rows together
+    block = (np.cumsum(np.diff(pair[at], prepend=-1) != 0) - 1) // step + shared[at] * len(rows)
+    records = [rec for b in np.split(at, np.flatnonzero(np.diff(block)) + 1) if len(b)
+               for rec in (_rank_shared(bounds, rows[b], step, args) if shared[b[0]] else
+                           _rank_block(rows[b], *bounds(c[b], r[b]), *args))]
+    return [records[i] for i in np.argsort(at).tolist()]
+
+
+def _train_tails(c, r, keep, train_keys, dims, order, first):
+    """The (row, pool position) pairs of the rows' train tails but ``keep``, each once."""
+    start = pack_keys(Form.GCI2, (c, r, np.zeros_like(c)), *dims)
+    row, at = runs(*np.searchsorted(train_keys, [start, start + dims[0]]))
+    tails = train_keys[at] - start[row]
+    new = (tails != keep[row]) & ((at == 0) | (train_keys[at] != train_keys[at - 1]))
+    hit, at = runs(first[tails[new]], first[tails[new] + 1])
+    return row[new][hit], order[at]
+
+
+def _rank_block(block, scores, err, scorer, pool, order, first, train_keys, dims,
+                tie) -> list[RankRecord]:
+    """``_rank_rows`` for rows against their (q, n) ``scores`` and ``err``, in about 20
+    passes; its (q, n) arrays go when it returns."""
+    c, r, d = block.T
+    q, n = len(block), len(pool)
     true = (np.arange(q), order[first[d]])   # each true tail's first copy
     # a candidate whose gap to its true tail is above both errs is on the side it shows
     gap = np.subtract(scores, scores[true][:, None])
     gap = np.subtract(np.abs(gap, out=gap), err[true][:, None], out=gap)
     _rescore(scorer, c, r, pool, scores, err, np.flatnonzero(~(gap > err)))
     s = scores[true]
-    start = pack_keys(Form.GCI2, (c, r, np.zeros_like(c)), *dims)
-    query, at = runs(*np.searchsorted(train_keys, [start, start + dims[0]]))
-    tails = train_keys[at] - start[query]
-    new = (tails != d[query]) & ((at == 0) | (train_keys[at] != train_keys[at - 1]))
-    query, tails = query[new], tails[new]   # each train tail once, and never the true tail
-    hit, at = runs(first[tails], first[tails + 1])
-    query, at = query[hit], order[at]   # the dropped (query, position) pairs
+    query, at = _train_tails(c, r, d, train_keys, dims, order, first)   # the dropped pairs
     dropped = np.bincount(query, minlength=q)
     # 1, plus each candidate above, plus tie per candidate level with the true tail, whose
     # own tie is taken back; the filtered counts less those at the dropped positions.
@@ -135,14 +145,55 @@ def _rank_block(scorer, bounds, block, pool, order, first, train_keys, dims,
             zip(block.tolist(), raw.tolist(), frank.tolist(), dropped.tolist())]
 
 
+def _bisect(a, lo, hi, x):
+    """``lo + np.searchsorted(a[lo:hi], x, "right")`` for every element at once."""
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        up = (lo < hi) & (a.take(mid, mode="clip") <= x)
+        lo, hi = np.where(up, mid + 1, lo), np.where(up, hi, np.minimum(hi, mid))
+    return lo
+
+
+def _rank_shared(bounds, block, step, args) -> list[RankRecord]:
+    """``_rank_rows`` for rows grouped by the pairs they share.  Each pair's row is scored
+    once and sorted, and binary search finds each true tail's band: the entries within
+    its err plus the row's largest err.  A band that holds the true tail's copies alone
+    certifies every other entry, so its edges give the counts; any other row goes to
+    ``_rank_block`` with its pair's scores."""
+    _, pool, order, first, train_keys, dims, tie = args
+    c, r, d = block.T
+    new = np.append(True, (c[1:] != c[:-1]) | (r[1:] != r[:-1]))
+    pair, n, pc, pr = np.cumsum(new) - 1, len(pool), c[new], r[new]
+    scores, err = bounds(pc, pr)
+    t, copies = order[first[d]], first[d + 1] - first[d]
+    w = np.nextafter(err[pair, t] + err.max(axis=1)[pair], np.inf)   # NaN: an empty band
+    out = [[-np.inf], [np.inf]]   # the band is (lo, hi]: each edge rounded out, then a step
+    edge = np.nextafter(np.nextafter(scores[pair, t] + np.multiply.outer([-1, 1], w), out), out)
+    lo, hi = _bisect(np.sort(scores, axis=1).ravel(), np.tile(pair * n, 2),
+                     np.tile(pair * n + n, 2), edge.ravel()).reshape(2, -1) - pair * n
+    query, at = _train_tails(pc, pr, np.full(len(pc), -1), train_keys, dims, order, first)
+    seg = np.searchsorted(query, np.arange(len(pc) + 1))
+    drop = scores[query, at][np.lexsort((scores[query, at], query))]
+    above = seg[pair + 1] - _bisect(drop, seg[pair], seg[pair + 1], edge[1])
+    dropped = seg[pair + 1] - seg[pair] - copies * key_member(   # never the true tail
+        train_keys, pack_keys(Form.GCI2, (c, r, d), *dims))
+    raw = 1 - tie + (n - hi) + tie * copies
+    records = [RankRecord(*row, rank, f, n, n - k) for row, rank, f, k in
+               zip(block.tolist(), raw.tolist(), (raw - above).tolist(), dropped.tolist())]
+    slow = np.flatnonzero(hi - lo != copies)
+    for i in range(0, len(slow), step):
+        at = slow[i:i + step]
+        for j, rec in zip(at.tolist(), _rank_block(block[at], scores[pair[at]], err[pair[at]],
+                                                   *args)):
+            records[j] = rec
+    return records
+
+
 def rank_axiom(scorer, ax: Axiom, candidates, filter_set=None,
                tie_mode: str = "optimistic") -> RankRecord:
-    """Rank one GCI2 axiom's true tail against the candidate tails.
-
-    ``scorer`` provides score_tails(head, rel, tails).  ``filter_set`` holds
-    (head, rel, tail) triples to drop from the candidate list (train axioms);
-    the true tail itself is never dropped.
-    """
+    """Rank one GCI2 axiom's true tail against the candidate tails.  ``scorer`` provides
+    score_tails(head, rel, tails); ``filter_set`` holds the (head, rel, tail) triples to drop
+    from the candidates (train axioms), never the true tail."""
     rows = np.array([ax.args, *(filter_set or ())], dtype=np.int64)
     candidates = np.asarray(candidates, dtype=np.int64)
     dims = (int(max(rows[:, ::2].max(), candidates.max(initial=0))) + 1,
@@ -171,14 +222,8 @@ class RankingReport:
     roc: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
 
     def metrics(self) -> dict[str, float]:
-        return {
-            "hits@10": self.hits10, "hits@100": self.hits100,
-            "fhits@10": self.fhits10, "fhits@100": self.fhits100,
-            "macro_mr": self.macro_mr, "micro_mr": self.micro_mr,
-            "macro_fmr": self.macro_fmr, "micro_fmr": self.micro_fmr,
-            "macro_auc": self.macro_auc, "micro_auc": self.micro_auc,
-            "macro_fauc": self.macro_fauc, "micro_fauc": self.micro_fauc,
-        }
+        """The aggregates, hits10 through micro_fauc, named as reports name them."""
+        return {f.name.replace("hits", "hits@"): getattr(self, f.name) for f in fields(self)[3:-1]}
 
     def to_dict(self) -> dict:
         """The report document: tie mode, aggregates, every record and the curves."""

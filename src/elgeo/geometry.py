@@ -225,11 +225,11 @@ class EmbeddingModel:
         computed squared norm is off by at most gamma_dim of itself, so the product is off
         by at most E = c1 M^2, c1 a little over (2 dim + 4) u, plus what underflow adds,
         and its root by at most min(sqrt(E), E / root); the rounding of a, of the pinned
-        path and of the adds of radii, margin and norm add a few u per unit of M, ||v_r||,
-        |r_c|, the pool's largest |r_t| and |gamma|.  So every term of ``err`` but
-        E / root is one per head, and ``err`` costs three passes.  ``err`` is 0 only where
-        relu's argument is certainly <= 0, so that both scores are -0.0, and inf or NaN
-        where the expansion overflows."""
+        path and of the adds of radii, margin and norm add (dim + 14) u per unit of M, 2 u
+        per unit of ||v_r|| and 6 u per unit of |r_c|, |gamma| and the pool's largest |r_t|.
+        So every term of ``err`` but E / root is one per head, all times max(1, |slope|),
+        and ``err`` costs three passes.  It is 0 only where relu's argument is certainly
+        <= 0, so that both scores are -0.0, and inf or NaN where the expansion overflows."""
         t = _check_ids(np.asarray(tails, dtype=np.int64), self.centers, "class")
         rt, side = self.radii.take(t), np.ones((self.dim + 2, len(t)))
         side[:-2] = self.centers.take(t, axis=0).T

@@ -268,6 +268,35 @@ def brute_score(model, c, rel, d):
     return 0.0 if model.activation == "relu" else -model.leaky_slope * a
 
 
+def score_err_floor(model, c, rel, tails):
+    """The least err ``score_bounds`` may give (c, rel) against each of ``tails``, its
+    docstring's terms written out one by one in plain Python, what underflow adds left
+    out.  With u the unit roundoff, a = x_c + v_rel and M = ||a|| + the pool's largest
+    ||x_t||, the squared distance is off by up to E = (2 dim + 4) u M^2, and its root R by
+    up to min(sqrt(E), E / R'), R' the computed root, which is at most R + sqrt(E): so by
+    at least E / (R + sqrt(E)).  The linear terms are (dim + 14) u per unit of M, 2 u per
+    unit of ||v_rel||, and 6 u per unit of |r_c|, |gamma| and the pool's largest |r_t|.
+    All of it is times max(1, |slope|) (relu's slope is 0)."""
+    import math
+
+    u, dim = 2.0 ** -53, model.dim
+    a = [float(model.centers[c][k]) + float(model.rel_vectors[rel][k]) for k in range(dim)]
+    norm_a = math.sqrt(math.fsum(x * x for x in a))
+    norm_v = math.sqrt(math.fsum(float(x) ** 2 for x in model.rel_vectors[rel]))
+    norm_t = max(math.sqrt(math.fsum(float(x) ** 2 for x in model.centers[t])) for t in tails)
+    big_r = max(abs(float(model.radii[t])) for t in tails)
+    big_m = norm_a + norm_t
+    e = (2 * dim + 4) * u * big_m * big_m
+    linear = ((dim + 14) * u * big_m + 2 * u * norm_v
+              + 6 * u * (abs(float(model.radii[c])) + abs(model.margin) + big_r))
+    slope = 0.0 if model.activation == "relu" else model.leaky_slope
+    floor = []
+    for t in tails:
+        root = math.sqrt(math.fsum((x - float(y)) ** 2 for x, y in zip(a, model.centers[t])))
+        floor.append(max(1.0, abs(slope)) * ((e and e / (root + math.sqrt(e))) + linear))
+    return floor
+
+
 def finite_difference(fn, model, h=1e-6):
     """Central finite differences of a scalar fn over all model parameters.
 

@@ -118,6 +118,13 @@ class TestRankAxiom:
             with pytest.raises(EvaluationError, match="true tail"):
                 rank_axiom(scorer, Axiom(Form.GCI2, (0, 0, tail)), cands, None)
 
+    def test_negative_head_or_relation(self):
+        sig, ax, cands = self.make()
+        scorer = FixedScorer({c: 0.0 for c in cands})
+        for args, what in (((-1, 0, cands[0]), "head"), ((0, -1, cands[0]), "relation")):
+            with pytest.raises(EvaluationError, match=f"^{what} id -1 outside the signature$"):
+                rank_axiom(scorer, Axiom(Form.GCI2, args), cands, None)
+
 
 class HeadTailScorer:
     """Score table keyed by (head, tail); relation ignored.  Takes ids that
@@ -444,6 +451,119 @@ class TestCertifiedRanking:
             assert len(records) == q
             assert peak < 8 * BLOCK * 8
 
+
+
+def check_brute(m, queries, pool, train, mode, records):
+    """Each record against ``brute_rank`` on ``score_tails``' own scores."""
+    train = set(train)
+    assert len(records) == len(queries)
+    for (c, r, d), rec in zip(queries, records):
+        scores = np.asarray(m.score_tails(c, r, np.array(pool))).tolist()
+        idx = pool.index(d)
+        keep = [i for i, t in enumerate(pool) if t == d or (c, r, t) not in train]
+        assert (rec.head, rec.rel, rec.tail) == (c, r, d)
+        assert rec.rank == brute_rank(scores, idx, mode)
+        assert rec.frank == brute_rank([scores[i] for i in keep], keep.index(idx), mode)
+        assert (rec.n_cand, rec.n_fcand) == (len(pool), len(keep))
+
+
+class TestSharedPairs:
+    """Rows that share a (head, relation) pair, as the closure positives of one head do,
+    are ranked against the pair's one sorted row, or by ``_rank_block`` where its band
+    holds more than the true tail; every rank stays brute force's."""
+
+    @given(data=st.data(), mode=st.sampled_from(MODES),
+           scorer=st.sampled_from(["table", "loose", "relu", "leaky_relu"]),
+           block=st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_rank_rows_match_brute_rank(self, data, mode, scorer, block):
+        """Queries on 1-3 pairs, so many true tails share a row, some repeated, some
+        among the train keys; relu's -0.0 ties from the planted model, and ``LooseScorer``'s
+        inf and NaN errs, send some rows to ``_rank_block``."""
+        if scorer in ("table", "loose"):
+            m = (HeadTailScorer if scorer == "table" else LooseScorer)(data.draw(
+                st.integers(0, 2 ** 32 - 1).map(
+                    lambda seed: np.random.default_rng(seed).integers(0, 4, (38, 38)) / 2.0)))
+        else:
+            m = planted_model(scorer)
+        pool = data.draw(st.lists(st.integers(2, 37), min_size=1, max_size=40))
+        pairs = data.draw(st.lists(st.tuples(st.integers(2, 37), st.integers(0, 1)),
+                                   min_size=1, max_size=3))
+        queries = data.draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(pool)).map(
+            lambda q: (*q[0], q[1])), min_size=1, max_size=40))
+        train = data.draw(st.lists(st.one_of(
+            st.tuples(st.integers(2, 37), st.integers(0, 1), st.integers(2, 37)),
+            st.sampled_from(queries),   # a train tail equal to a true tail
+            st.sampled_from(pairs).flatmap(   # a shared pair and a pool tail
+                lambda p: st.tuples(st.just(p[0]), st.just(p[1]), st.sampled_from(pool)))),
+            max_size=30))
+        dims = (38, 2)
+        keys = np.sort(pack_keys(Form.GCI2, np.array(train, dtype=np.int64).reshape(-1, 3).T,
+                                 *dims))
+        with patch.object(evaluation, "BLOCK", block):
+            records = _rank_rows(m, np.array(queries), pool, keys, dims, mode)
+        check_brute(m, queries, pool, train, mode, records)
+
+    def test_memory_stays_within_a_multiple_of_a_block(self):
+        """Peak traced memory stays under 8 blocks of float64s when 400 queries on 3 pairs,
+        or on 200, are ranked against a pool of 4,096 (about 2.3 and 4.6 at this change)."""
+        from elgeo.evaluation import BLOCK
+        rng = np.random.default_rng(79)
+        sig = Signature()
+        for i in range(4096):
+            sig.intern_class(f"k{i}")
+        for name in ("r", "s", "t"):
+            sig.intern_relation(name)
+        m = EmbeddingModel.create(sig, dim=16, activation="leaky_relu")
+        pool, dims = np.arange(2, 4098), (m.n_classes, m.n_relations)
+        for n_pairs in (3, 200):
+            pairs = np.stack([rng.choice(pool, n_pairs), rng.integers(3, size=n_pairs)], axis=1)
+            rows = np.concatenate([pairs[rng.integers(n_pairs, size=400)],
+                                   rng.choice(pool, (400, 1))], axis=1)
+            tracemalloc.start()
+            try:
+                records = _rank_rows(m, rows, pool, np.zeros(0, dtype=np.int64), dims, "average")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(records) == 400
+            assert peak < 8 * BLOCK * 8
+
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+    def test_each_pair_reaches_bounds_once(self, activation, monkeypatch):
+        """Lone pairs, pairs with up to 40 rows, and rows whose band holds relu's -0.0
+        ties (ranked by ``_rank_block``), over blocks of three pairs: each distinct pair
+        is scored by one ``bounds`` call."""
+        m = planted_model(activation)
+        pool = TestCertifiedRanking.POOL
+        real, seen, passes = m.score_bounds, Counter(), []
+
+        def score_bounds(tails):
+            bounds = real(tails)
+
+            def counted(c, r):
+                seen.update(zip(c.tolist(), r.tolist()))
+                return bounds(c, r)
+            return counted
+
+        def rank_block(block, *args):
+            passes.extend(map(tuple, block[:, :2].tolist()))
+            return rank_block.real(block, *args)
+
+        rank_block.real = evaluation._rank_block
+        monkeypatch.setattr(m, "score_bounds", score_bounds, raising=False)
+        monkeypatch.setattr(evaluation, "_rank_block", rank_block)
+        monkeypatch.setattr(evaluation, "BLOCK", 3 * len(pool))
+        rng = np.random.default_rng(83)
+        heads = [26, 27, 28, 29, 30, 31, 2, 3, 15]
+        queries = [(int(rng.choice(heads)), int(rng.integers(2)), int(rng.choice(pool)))
+                   for _ in range(120)] + [(32, 1, 20), (32, 1, 21), (33, 0, 22)]
+        records = _rank_rows(m, np.array(queries), pool, np.zeros(0, dtype=np.int64),
+                             (m.n_classes, m.n_relations), "average")
+        check_brute(m, queries, pool.tolist(), [], "average", records)
+        assert seen == Counter({q[:2]: 1 for q in queries})
+        shared = Counter(q[:2] for q in queries)
+        assert activation == "leaky_relu" or any(shared[pair] > 1 for pair in passes)
 
 class TestAggregate:
     def test_macro_mean(self):

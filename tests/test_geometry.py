@@ -12,7 +12,7 @@ from elgeo.geometry import (
 )
 from elgeo.training import Adam, TrainConfig
 
-from oracles import brute_score, gradcheck_max_error, gradient, loss_value
+from oracles import brute_score, gradcheck_max_error, gradient, loss_value, score_err_floor
 
 
 def model2d(margin=0.0, reg_mode="strict", reg_radius=1.0,
@@ -329,6 +329,26 @@ class TestScoreBounds:
         with pytest.raises(KeyError, match="unknown class id"):
             bounds(np.array([-1]), np.array([0]))
 
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 65),
+       activation=st.sampled_from(["relu", "leaky_relu"]),
+       slope=st.sampled_from([0.0, 0.01, 0.5, 1.0, 3.0, -0.2]),
+       table=st.sampled_from(["normal", "cancel", "integer", "tiny"]))
+@settings(max_examples=150, deadline=None)
+def test_err_holds_every_documented_term(seed, dim, activation, slope, table):
+    """``score_bounds``' err is at least ``score_err_floor``, the terms its docstring
+    lists, entry by entry, and it is 0 only where the pinned score is.  A bound that drops
+    or cuts a term can still hold on sampled models, but not this."""
+    rng = np.random.default_rng(seed)
+    m = bound_model(rng, dim, activation, slope, table)
+    heads, rels = rng.integers(m.n_classes, size=4), rng.integers(3, size=4)
+    pool = rng.integers(m.n_classes, size=12)
+    err = m.score_bounds(pool)(heads, rels)[1]
+    floor = np.array([score_err_floor(m, c, r, pool) for c, r in zip(heads, rels)])
+    exact = err == 0.0
+    assert (m.score_tails(heads[:, None], rels[:, None], pool)[exact] == 0.0).all()
+    assert (err[~exact] >= floor[~exact] * (1 - 2 ** -30)).all()
 
 class TestRegularization:
     def test_strict_zero_iff_unit_norm(self):

@@ -7,17 +7,20 @@ closure, the file formats or the ranking that computes the same thing.
 
 import os
 import tempfile
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from elgeo.axioms import (
-    GCI_FORMS, Axiom, AxiomRows, Form, Signature, format_row, parse_normalized,
+    GCI_FORMS, Axiom, AxiomRows, Form, Signature, format_row, pack_keys, parse_normalized,
     serialize_normalized,
 )
 from elgeo.closure import compute_closure, dump_closure, load_closure_dump
 from elgeo.dataset import build_kb, load_dataset, save_dataset
-from elgeo.evaluation import TIE_WEIGHT, aggregate, rank_axiom
+from elgeo import evaluation
+from elgeo.evaluation import TIE_WEIGHT, _rank_rows, aggregate, rank_axiom
+from elgeo.geometry import EmbeddingModel
 from elgeo.reasoner import saturate
 
 from oracles import as_rows, random_kb
@@ -132,3 +135,34 @@ def test_ranks_ignore_candidate_order(seed, tie_mode):
     rep = aggregate(records, tie_mode)
     again = aggregate([shuffled[i] for i in rng.permutation(len(shuffled))], tie_mode)
     assert (again.metrics(), again.roc) == (rep.metrics(), rep.roc)
+
+
+@given(seed=SEEDS, tie_mode=st.sampled_from(sorted(TIE_WEIGHT)),
+       activation=st.sampled_from(["relu", "leaky_relu"]))
+@settings(max_examples=60, deadline=None)
+def test_records_follow_their_rows(seed, tie_mode, activation):
+    """Permuting the ranked rows permutes their records, and a row given twice gets its
+    record twice, whether or not other rows share its (head, relation) pair."""
+    rng = np.random.default_rng(seed)
+    sig = Signature()
+    for i in range(int(rng.integers(3, 20))):
+        sig.intern_class(f"k{i}")
+    for name in ("r", "s"):
+        sig.intern_relation(name)
+    m = EmbeddingModel.create(sig, dim=int(rng.integers(1, 6)), activation=activation)
+    m.params[:] = rng.normal(size=m.params.shape)
+    dims, pool = (m.n_classes, m.n_relations), rng.integers(m.n_classes, size=10)
+    q = int(rng.integers(1, 30))
+    rows = np.stack([rng.integers(min(4, m.n_classes), size=q), rng.integers(2, size=q),
+                     rng.choice(pool, q)], axis=1)
+    train = np.stack([rng.integers(m.n_classes, size=20), rng.integers(2, size=20),
+                      rng.integers(m.n_classes, size=20)])
+    keys = np.sort(pack_keys(Form.GCI2, train, *dims))
+    with patch.object(evaluation, "BLOCK", int(rng.integers(1, 60))):
+        def rank(x):
+            return [vars(rec) for rec in _rank_rows(m, x, pool, keys, dims, tie_mode)]
+        records = rank(rows)
+        perm = rng.permutation(q)
+        assert rank(rows[perm]) == [records[i] for i in perm]
+        i = int(rng.integers(q))
+        assert rank(np.concatenate([rows, rows[i:i + 1]])) == records + [records[i]]
